@@ -31,6 +31,9 @@ def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)
+        if not (isinstance(obj, dict) and isinstance(obj.get("coeffs"), dict)
+                and all(isinstance(c, int) for c in obj["coeffs"].values())):
+            raise ValueError('a JSON divisor needs "coeffs": {"d": c, ...} with integer c')
         if obj.get("N", n) != n:
             raise ValueError(f"divisor level {obj.get('N')} does not match N={n}")
         coeffs = {int(d): int(c) for d, c in obj["coeffs"].items()}
@@ -87,6 +90,9 @@ def cmd_order(args) -> int:
 
 
 def cmd_eta(args) -> int:
+    if args.qexp < 1:
+        print("--qexp must be at least 1", file=sys.stderr)
+        return 1
     D = parse_divisor_spec(args.divisor, args.N)
     prof = profile(D)
     if prof.degree != 0:

@@ -80,29 +80,6 @@ def width(c: Cusp) -> int:
     return c.n // (c.d * c.z)
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    assert math.gcd(m1, m2) == 1
-    if m1 == 1:
-        return r2 % m2 if m2 > 1 else 0
-    if m2 == 1:
-        return r1 % m1
-    g, s, _ = _xgcd(m1, m2)
-    assert g == 1
-    return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def alpha_push(c: Cusp, p: int) -> Cusp:
     """Pushforward along alpha_p : X0(Np) -> X0(N) (the identity map on tau)."""
     if c.n % p != 0:
@@ -137,7 +114,8 @@ def atkin_lehner(c: Cusp, p: int) -> Cusp:
     d_new = dp * p ** (r - f)
     z_m = z_of(n // p ** r, dp)  # prime-to-p part of the new modulus
     z_p = p ** min(f, r - f)     # p-part (symmetric in f <-> r-f)
-    x_new = _crt(c.x % z_m, z_m, (-c.x) % z_p, z_p)
+    # x_new = x mod z_m and -x mod z_p (CRT); pow(., -1, 1) is 0.
+    x_new = c.x - 2 * c.x * z_m * pow(z_m, -1, z_p)
     return make_cusp(n, d_new, x_new)
 
 
@@ -147,19 +125,6 @@ def galois(c: Cusp, k: int) -> Cusp:
         raise ValueError("k must be coprime to the level")
     kinv = pow(k, -1, c.n) if c.n > 1 else 1
     return make_cusp(c.n, c.d, kinv * c.x)
-
-
-def act(op: str, c: Cusp, p: int | None = None, k: int | None = None) -> Cusp:
-    """Dispatch: 'alpha'/'beta' push to level N/p, 'w' Atkin-Lehner, 'galois'."""
-    if op == "alpha":
-        return alpha_push(c, p)
-    if op == "beta":
-        return beta_push(c, p)
-    if op == "w":
-        return atkin_lehner(c, p)
-    if op == "galois":
-        return galois(c, k)
-    raise ValueError(f"unknown operator {op!r}")
 
 
 def ramification_index(op: str, c: Cusp, p: int) -> int:

@@ -263,23 +263,3 @@ def pi12_pull_div_p(D: CuspDivisor, p: int) -> CuspDivisor:
         if c % p:
             raise ArithmeticError("pi12 pullback not divisible by p")
     return CuspDivisor(img.n, tuple(c // p for c in img.coeffs))
-
-
-def apply(op: str, D: CuspDivisor, p: int, k: int = 1) -> CuspDivisor:
-    """Dispatch by tag: alpha_push/beta_push/alpha_pull/beta_pull/w/T/
-    pi1_pull/pi2_pull/pi12_pull/pi12_pull_div_p."""
-    table = {
-        "alpha_push": lambda: alpha_push(D, p),
-        "beta_push": lambda: beta_push(D, p),
-        "alpha_pull": lambda: alpha_pull(D, p),
-        "beta_pull": lambda: beta_pull(D, p),
-        "w": lambda: atkin_lehner(D, p),
-        "T": lambda: hecke(D, p),
-        "pi1_pull": lambda: pi1_pull(D, p, k),
-        "pi2_pull": lambda: pi2_pull(D, p, k),
-        "pi12_pull": lambda: pi12_pull(D, p),
-        "pi12_pull_div_p": lambda: pi12_pull_div_p(D, p),
-    }
-    if op not in table:
-        raise ValueError(f"unknown operator {op!r}")
-    return table[op]()

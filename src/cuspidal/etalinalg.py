@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .divisors import CuspDivisor
-from .intarith import as_factored, divisors, kappa, valuation, z_of
+from .intarith import as_factored, divisors, valuation, z_of
 
 
 def a_entry(n: int, d: int, delta: int) -> Fraction:
@@ -22,11 +22,6 @@ def a_entry(n: int, d: int, delta: int) -> Fraction:
     z = z_of(n, d)
     g = math.gcd(d, delta)
     return Fraction(n * g * g, z * d * delta)
-
-
-def lambda_entry(n: int, d: int, delta: int) -> Fraction:
-    """Order of vanishing of eta(delta * tau)^24... scaled: a_N(d, delta)/24."""
-    return a_entry(n, d, delta) / 24
 
 
 @lru_cache(maxsize=None)
@@ -72,16 +67,12 @@ def upsilon(n: int) -> tuple:
     return tuple(rows)
 
 
-def upsilon_column(n: int, d: int) -> tuple:
-    j = divisors(n).index(d)
-    return tuple(row[j] for row in upsilon(n))
-
-
 def upsilon_column_profile(n: int, d: int) -> dict:
     """The column identities: plain/delta-weighted/(N/delta)-weighted sums and
     the gcd of the entries."""
-    col = upsilon_column(n, d)
     ds = divisors(n)
+    j = ds.index(d)
+    col = tuple(row[j] for row in upsilon(n))
     return {
         "sum": sum(col),
         "delta_weighted": sum(c * delta for c, delta in zip(col, ds)),

@@ -16,12 +16,12 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
-                       pi2_pull, pi12_pull_div_p, tensor_join, zero_divisor)
+                       pi2_pull, pi12_pull_div_p, tensor_join)
 from .intarith import (FactoredInteger, as_factored, A_tuple, E_tuple,
-                       divisor_of, exponent_tuple, factor, in_delta,
-                       in_E_set, in_F_set, in_F1_set, in_G_set, in_G1_set,
-                       in_H_u, in_H_u1, in_square, in_T_u, kappa, tuple_k,
-                       tuple_m, tuple_n, valuation)
+                       divisor_of, exponent_tuple, in_delta, in_E_set,
+                       in_F_set, in_F1_set, in_G_set, in_G1_set, in_H_u,
+                       in_H_u1, in_square, in_T_u, tuple_k, tuple_m, tuple_n,
+                       valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +240,6 @@ def base_vector_B2(r: int, f: int) -> CuspDivisor:
     else:
         coeffs = _E_vec(r, (r - f + 3) // 2)
     return CuspDivisor(n, coeffs)
-
-
-def base_vector(kind: str, p: int, r: int, f: int) -> CuspDivisor:
-    if kind == "A":
-        return base_vector_A(p, r, f)
-    if kind == "B":
-        return base_vector_B(p, r, f)
-    if kind == "B2":
-        assert p == 2
-        return base_vector_B2(r, f)
-    raise ValueError(f"unknown base vector kind {kind!r}")
 
 
 def g_scalar(p: int, r: int, f: int) -> int:

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import CuspDivisor, tensor_join
+from .divisors import CuspDivisor
 from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
-from .intarith import as_factored, divisors, factor, kappa, valuation
+from .intarith import divisors, factor, kappa, valuation
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ Two independent routes are implemented and cross-checked:
 * compute_group: the canonical decomposition into cyclic pieces generated by
   Z(d) (non-squarefree d) and Y2(d) (squarefree d, per target prime ell), with
   closed-form orders; and
-* snf_oracle: C(N) = S2(N)^0 / Lambda(N) * U_N computed directly by
-  HNF kernel + Smith normal form, knowing nothing about the generators.
+* snf_oracle: C(N) = S2(N)^0 / Lambda(N) * U_N computed directly from the
+  eta-unit lattice, knowing nothing about the generators.  Its integer
+  lattice code lives here too: a row Hermite normal form (HNF), kernel bases
+  from it, and invariant factors by alternating row and column HNFs.
 
 verify_certificates re-runs the split-off hypotheses (unipotence of the
 normalized-profile matrices, the h and parity side conditions) on the
@@ -18,18 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
-
-from .divisors import C_generator, CuspDivisor, pi1_pull, pi2_pull
+from .divisors import C_generator, pi1_pull, pi2_pull
 from .etalinalg import eta_divisor
 from .intarith import (as_factored, divisors, exponent_tuple, factor,
                        in_delta, in_square, kappa, valuation)
-from .generators import (DivisorOrdering, OrderedLevel, base_vector_B,
-                         construct_Y, construct_Z, default_level,
-                         divisor_orderings, in_E_set, in_F_set, in_F1_set,
-                         in_G_set, in_G1_set, in_T_u, order_primes,
-                         predicted_order, tuple_m, tuple_n)
+from .generators import (base_vector_B, construct_Y, construct_Z,
+                         default_level, divisor_orderings, in_F_set,
+                         in_F1_set, in_G_set, in_G1_set, in_T_u, order_primes,
+                         predicted_order)
 from .orderengine import profile
 
 
@@ -102,16 +100,26 @@ def kernel_basis(rows, moduli):
 
 def invariant_factors_of_quotient(rows, ncols):
     """Invariant factors (> 1, ascending divisibility) of Z^ncols / <rows>;
-    raises if the quotient is infinite."""
+    raises if the quotient is infinite.
+
+    Row HNFs of the matrix and of its transpose alternate until it is
+    diagonal (Cohen, GTM 138, section 2.4); pairwise gcd/lcm then turns the
+    diagonal into a divisibility chain."""
     if ncols == 0:
         return ()
     if not rows:
         raise ArithmeticError("quotient is infinite (no relations)")
-    S = smith_normal_form(Matrix([list(r) for r in rows]))
-    diag = [abs(int(S[i, i])) for i in range(min(S.shape))]
-    if len(diag) < ncols or 0 in diag:
+    M = hnf(rows)
+    if len(M) < ncols:
         raise ArithmeticError("quotient is infinite (relation lattice not full rank)")
-    return tuple(d for d in sorted(diag) if d > 1)
+    while any(M[i][j] for i in range(ncols) for j in range(ncols) if i != j):
+        M = hnf(zip(*M))
+    diag = [M[i][i] for i in range(ncols)]
+    for i in range(ncols):
+        for j in range(i + 1, ncols):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return tuple(d for d in diag if d > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +186,14 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
     rels = []
     for r in eta_unit_lattice(n):
         v = eta_divisor(n, r)
-        assert all(isinstance(c, int) for c in v.coeffs)
+        if not all(isinstance(c, int) for c in v.coeffs):
+            raise ArithmeticError(f"eta unit {r} has a non-integral divisor at N={n}")
         # Coordinates in the basis {C_d : d > 1} of S2(N)^0.
         rels.append(tuple(-c for c in v.coeffs[1:]))
     invs = invariant_factors_of_quotient(rels, len(ds) - 1)
     prim, invs2 = _merge_invariants(invs)
-    assert invs == invs2
+    if invs != invs2:
+        raise ArithmeticError(f"invariant factors {invs} are not a divisibility chain")
     return AbelianGroupStructure(n, (), prim, invs, math.prod(invs))
 
 

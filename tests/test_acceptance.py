@@ -101,7 +101,9 @@ def test_criterion_5_prime_power_structure():
 
 def test_criterion_6_oracle_equivalence():
     start = time.time()
-    for n in range(1, 301):
+    larger = [720, 840, 960, 2310, 5040]
+    larger += [2 ** k for k in range(9, 21)] + [3 ** k for k in range(6, 13)]
+    for n in [*range(1, 301), *larger]:
         G = compute_group(n)
         assert G.invariant_factors == snf_oracle(n).invariant_factors, n
         for lab, vec, o in G.cyclic_factors:

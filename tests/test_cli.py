@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cuspidal
 from cuspidal.cli import main, parse_divisor_spec
 from cuspidal.divisors import C_generator
 
@@ -77,6 +80,21 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "cusps", "0")
     assert code == 1
+    for q in ("0", "-1"):
+        code, _, err = run(capsys, "eta", "11", "--divisor", "12*(1),-12*(11)", "--qexp", q)
+        assert code == 1 and "--qexp" in err
+    code, _, err = run(capsys, "order", "11", "--divisor", '{"N": 11}')
+    assert code == 1 and "coeffs" in err
+
+
+def test_cli_import_does_not_load_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cuspidal.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, cuspidal.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_eta_rejects_nonzero_degree(capsys):

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from sympy import factorint
 
 from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, E_u_tuple,
                                F_tuple, as_factored, divisor_lattice, divisor_of,
@@ -17,9 +20,27 @@ def test_factor_basic():
     assert factor(1).t == 0
 
 
+def test_factor_matches_sympy():
+    for n in range(1, 20001):
+        assert factor(n).factors == tuple(sorted(factorint(n).items())), n
+    rng = random.Random(3)
+    for _ in range(300):
+        k = kappa(rng.randrange(1, 10 ** 6 + 1))
+        assert factor(k).factors == tuple(sorted(factorint(k).items())), k
+
+
+def test_factored_integer_rejects_bad_factors():
+    with pytest.raises(ValueError):
+        FactoredInteger(12, ((2, 2),))
+    with pytest.raises(ValueError):
+        FactoredInteger(4, ((2, 1), (2, 1)))
+
+
 def test_reorder():
     f = factor(12).reorder((1, 0))
     assert f.primes == (3, 2) and f.u == 2
+    with pytest.raises(ValueError):
+        factor(12).reorder((0, 0))
 
 
 def test_divisors_and_phi():

@@ -1,8 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
+from cuspidal import structure
+from cuspidal.divisors import CuspDivisor
+from cuspidal.etalinalg import eta_divisor
 from cuspidal.intarith import divisors, factor
 from cuspidal.orderengine import profile
 from cuspidal.structure import (AbelianGroupStructure, compute_ell_primary,
@@ -49,6 +55,60 @@ def test_invariant_factors():
     assert invariant_factors_of_quotient([(1, 0), (0, 1)], 2) == ()
     with pytest.raises(ArithmeticError):
         invariant_factors_of_quotient([(1, 0)], 2)
+
+
+def _sympy_invariant_factors(rows, ncols):
+    """Reference: invariant factors from sympy's Smith normal form, or None
+    when the quotient is infinite."""
+    S = smith_normal_form(Matrix([list(r) for r in rows]))
+    diag = [abs(int(S[i, i])) for i in range(min(S.shape))]
+    if len(diag) < ncols or 0 in diag:
+        return None
+    return tuple(d for d in sorted(diag) if d > 1)
+
+
+def test_invariant_factors_match_sympy_on_oracle_relations():
+    for n in range(2, 301):
+        rels = [tuple(-c for c in eta_divisor(n, r).coeffs[1:])
+                for r in eta_unit_lattice(n)]
+        ncols = len(divisors(n)) - 1
+        assert invariant_factors_of_quotient(rels, ncols) == \
+            _sympy_invariant_factors(rels, ncols), n
+
+
+def test_invariant_factors_match_sympy_on_random_matrices():
+    rng = random.Random(7)
+    finite = infinite = 0
+    for trial in range(300):
+        nr, nc = rng.randrange(1, 7), rng.randrange(1, 6)
+        rows = [[rng.randrange(-30, 31) for _ in range(nc)] for _ in range(nr)]
+        if trial % 3 == 0:
+            # make the last column a combination of the others: rank < nc
+            for r in rows:
+                r[-1] = 2 * r[0] - (r[1] if nc > 2 else 0)
+        expected = _sympy_invariant_factors(rows, nc)
+        if expected is None:
+            infinite += 1
+            with pytest.raises(ArithmeticError):
+                invariant_factors_of_quotient(rows, nc)
+        else:
+            finite += 1
+            assert invariant_factors_of_quotient(rows, nc) == expected, rows
+    assert finite > 50 and infinite > 100
+
+
+def test_snf_oracle_rejects_non_integral_relations(monkeypatch):
+    def halves(n, r):
+        return CuspDivisor(n, tuple(Fraction(1, 2) for _ in divisors(n)))
+    monkeypatch.setattr(structure, "eta_divisor", halves)
+    with pytest.raises(ArithmeticError):
+        snf_oracle(11)
+
+
+def test_snf_oracle_rejects_inconsistent_invariants(monkeypatch):
+    monkeypatch.setattr(structure, "_merge_invariants", lambda orders: ({}, ()))
+    with pytest.raises(ArithmeticError):
+        snf_oracle(11)
 
 
 def test_eta_unit_lattice_level_11():
