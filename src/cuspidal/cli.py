@@ -149,16 +149,25 @@ def _cache_path(out):
 
 
 def cmd_batch(args) -> int:
+    if not 1 <= args.max <= MAX_LEVEL:
+        print(f"--max must be in [1, {MAX_LEVEL}]", file=sys.stderr)
+        return 1
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        print(f"--jobs must be in [1, {cpus}]", file=sys.stderr)
+        return 1
     path = _cache_path(args.out)
     cached = {}
-    if os.path.exists(path) and not args.force:
+    if os.path.exists(path):
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
                 if line:
                     rec = json.loads(line)
+                    if not (isinstance(rec, dict) and isinstance(rec.get("N"), int)):
+                        raise ValueError(f"{path} holds a line that is not a batch record")
                     cached[rec["N"]] = rec
-    todo = [n for n in range(1, args.max + 1) if n not in cached]
+    todo = [n for n in range(1, args.max + 1) if args.force or n not in cached]
     if todo:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
@@ -167,10 +176,17 @@ def cmd_batch(args) -> int:
         else:
             for n in todo:
                 cached[n] = crosscheck(n)
-    records = [cached[n] for n in sorted(cached) if n <= args.max]
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    # Every record goes back, those above --max too; the rename is atomic.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for n in sorted(cached):
+                fh.write(json.dumps(cached[n], sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    records = [cached[n] for n in range(1, args.max + 1)]
     npass = sum(1 for rec in records if rec["pass"])
     print(f"{npass}/{len(records)} pass (results in {path})")
     if npass != len(records):

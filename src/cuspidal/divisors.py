@@ -23,7 +23,9 @@ class CuspDivisor:
     coeffs: tuple
 
     def __post_init__(self):
-        assert len(self.coeffs) == len(divisors(self.n))
+        if len(self.coeffs) != len(divisors(self.n)):
+            raise ValueError(f"a divisor at level {self.n} needs {len(divisors(self.n))} "
+                             f"coefficients, not {len(self.coeffs)}")
 
     def coeff(self, d: int):
         return self.coeffs[divisors(self.n).index(d)]
@@ -35,11 +37,13 @@ class CuspDivisor:
         return sum(c * w for c, (_, _, w) in zip(self.coeffs, divisor_lattice(self.n)))
 
     def __add__(self, other):
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"divisors at levels {self.n} and {other.n} do not combine")
         return CuspDivisor(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"divisors at levels {self.n} and {other.n} do not combine")
         return CuspDivisor(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):

@@ -33,7 +33,8 @@ def lambda24(n: int) -> tuple:
         row = []
         for delta in ds:
             e = a_entry(n, d, delta)
-            assert e.denominator == 1
+            if e.denominator != 1:
+                raise ArithmeticError(f"24 * Lambda({n}) has a non-integral entry at ({d}, {delta})")
             row.append(int(e))
         rows.append(tuple(row))
     return tuple(rows)
@@ -94,7 +95,8 @@ def ligozat_check(n: int, r) -> dict:
     """Conditions for prod eta(delta tau)^{r_delta} to be a modular unit on
     X0(N); returns a per-condition report with an overall 'pass' flag."""
     ds = divisors(n)
-    assert len(r) == len(ds)
+    if len(r) != len(ds):
+        raise ValueError(f"need {len(ds)} exponents at level {n}, not {len(r)}")
     integral = all(int(x) == x for x in r)
     report = {"integral": integral}
     if integral:
@@ -157,7 +159,8 @@ def _series_mul(a, b, K):
 
 
 def _series_inv(a, K):
-    assert a[0] in (1, -1)
+    if a[0] not in (1, -1):
+        raise ValueError("only a series with constant term 1 or -1 is invertible")
     out = [0] * K
     out[0] = a[0]
     for i in range(1, K):
@@ -170,7 +173,8 @@ def eta_qexpansion(n: int, r, K: int = 20):
     (leading exponent as a Fraction with denominator dividing 24,
      list of the first K integer series coefficients)."""
     ds = divisors(n)
-    assert len(r) == len(ds)
+    if len(r) != len(ds):
+        raise ValueError(f"need {len(ds)} exponents at level {n}, not {len(r)}")
     lead = Fraction(sum(rd * d for rd, d in zip(r, ds)), 24)
     series = [0] * K
     series[0] = 1

@@ -132,7 +132,6 @@ class DivisorOrdering:
     level: OrderedLevel
     prec_tuples: tuple  # exponent tuples: d_1, d_2, ... in the prec order
     tri_tuples: tuple   # exponent tuples: delta_1, delta_2, ... in the tri order
-    iota: tuple         # iota applied to prec_tuples (equals tri_tuples entrywise)
 
     def prec_divisors(self):
         return tuple(divisor_of(self.level.base, I) for I in self.prec_tuples)
@@ -157,8 +156,7 @@ def divisor_orderings(L: OrderedLevel) -> DivisorOrdering:
         r = rs[0]
         prec = tuple((f,) for f in prec_ladder(r) if f >= 1)
         im = iota_r(r)
-        tri = tuple((im[f],) for f, in prec)
-        return DivisorOrdering(L, prec, tri, tri)
+        return DivisorOrdering(L, prec, tuple((im[f],) for f, in prec))
     prec_ranks = [{f: i for i, f in enumerate(prec_ladder(r))} for r in rs]
     tri_ranks = [{f: i for i, f in enumerate(tri_ladder(r))} for r in rs]
     delta = [I for I in product(*[range(0, 2)] * t) if any(I)]
@@ -167,11 +165,7 @@ def divisor_orderings(L: OrderedLevel) -> DivisorOrdering:
     prec_delta = sorted(delta, key=lambda I: _colex_key(iota_delta(I, u), u, tri_ranks))
     tri_square = sorted(square, key=lambda I: _colex_key(I, u, tri_ranks))
     prec_square = sorted(square, key=lambda I: _colex_key(I, u, prec_ranks))
-    prec = tuple(prec_delta + prec_square)
-    tri = tuple(tri_delta + tri_square)
-    iot = tuple([iota_delta(I, u) for I in prec_delta]
-                + [tuple(iota_r(r)[f] for r, f in zip(rs, I)) for I in prec_square])
-    return DivisorOrdering(L, prec, tri, iot)
+    return DivisorOrdering(L, tuple(prec_delta + prec_square), tuple(tri_delta + tri_square))
 
 
 # ---------------------------------------------------------------------------

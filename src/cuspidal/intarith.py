@@ -138,7 +138,8 @@ def divisor_lattice(n: int):
 
 def exponent_tuple(N: FactoredInteger, d: int) -> tuple[int, ...]:
     """The tuple of p_i-valuations of the divisor d, in the ordering of N."""
-    assert N.value % d == 0
+    if N.value % d:
+        raise ValueError(f"{d} does not divide {N.value}")
     return tuple(valuation(d, p) for p in N.primes)
 
 
@@ -195,13 +196,9 @@ def F_tuple(k: int, t: int) -> tuple[int, ...]:
 
 
 def E_u_tuple(k: int, u: int, t: int) -> tuple[int, ...]:
-    assert k != u
+    if k == u:
+        raise ValueError("need k != u")
     return tuple(0 if i in (k, u) else 1 for i in range(1, t + 1))
-
-
-def F_u_tuple(k: int, u: int, t: int) -> tuple[int, ...]:
-    assert k != u
-    return tuple(1 if i in (k, u) else 0 for i in range(1, t + 1))
 
 
 def in_T_u(I, exponents, u: int) -> bool:

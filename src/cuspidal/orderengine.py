@@ -52,18 +52,22 @@ def profile(C: CuspDivisor) -> OrderProfile:
 def eta_certificate(C: CuspDivisor, n_order: int | None = None) -> tuple:
     """The exponent vector r with div(g_r) = n * C, n the order of C."""
     prof = profile(C)
-    assert prof.degree == 0, "eta certificates require degree 0"
+    if prof.degree != 0:
+        raise ValueError("eta certificates require degree 0")
     if n_order is None:
         n_order = prof.order
     k = kappa(C.n)
     r = []
     for v in prof.V:
         e = Fraction(24 * n_order * v, k)
-        assert e.denominator == 1, "certificate exponents must be integral"
+        if e.denominator != 1:
+            raise ArithmeticError("certificate exponents must be integral")
         r.append(int(e))
     r = tuple(r)
-    assert ligozat_check(C.n, r)["pass"]
-    assert eta_divisor(C.n, r) == n_order * C
+    if not ligozat_check(C.n, r)["pass"]:
+        raise ArithmeticError(f"the eta quotient {r} fails the Ligozat conditions")
+    if eta_divisor(C.n, r) != n_order * C:
+        raise ArithmeticError(f"the eta quotient {r} does not have divisor {n_order} * C")
     return r
 
 

@@ -10,21 +10,28 @@ Two independent routes are implemented and cross-checked:
   lattice code lives here too: a row Hermite normal form (HNF), kernel bases
   from it, and invariant factors by alternating row and column HNFs.
 
-verify_certificates re-runs the split-off hypotheses (unipotence of the
-normalized-profile matrices, the h and parity side conditions) on the
-concrete level N.
+The generators come from one walk, _blocks(N), over Yoo's table: one block
+per prime ordering (the Z block on the default level, then B(p, r, 1) when
+N = p^r, else one Y2 block per relevant ell), each with rows (d, label,
+closed-form order) in ascending d and a builder for the vector at d.
+compute_group keeps the rows of order > 1 and builds only their vectors;
+compute_ell_primary filters compute_group; verify_certificates re-sorts each
+block into its divisor ordering, profiles each vector once and re-runs the
+split-off hypotheses (unipotence of the normalized-profile matrices, the h
+and parity side conditions) on the concrete level N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .divisors import C_generator, pi1_pull, pi2_pull
 from .etalinalg import eta_divisor
-from .intarith import (as_factored, divisors, exponent_tuple, factor,
-                       in_delta, in_square, kappa, valuation)
-from .generators import (base_vector_B, construct_Y, construct_Z,
+from .intarith import (A_tuple, E_tuple, as_factored, divisors, exponent_tuple,
+                       factor, in_square, kappa, valuation)
+from .generators import (OrderedLevel, base_vector_B, construct_Y, construct_Z,
                          default_level, divisor_orderings, in_F_set,
                          in_F1_set, in_G_set, in_G1_set, in_T_u, order_primes,
                          predicted_order)
@@ -198,98 +205,82 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
 
 
 # ---------------------------------------------------------------------------
-# The canonical decomposition
+# The canonical decomposition: one table of generators
 # ---------------------------------------------------------------------------
+
+class _Block(NamedTuple):
+    """The generators of one prime ordering: rows (d, label, closed-form
+    order) in ascending d, and build(d), the vector at d.  kind is "Z" for
+    the non-squarefree block, "B" for B(p, r, 1) at N = p^r and "Y2" for the
+    squarefree block of the target prime level.ell."""
+    kind: str
+    level: OrderedLevel
+    rows: tuple
+    build: Callable
+
 
 def _relevant_ells(n: int):
     return tuple(sorted(set(factor(kappa(n)).primes) | {2}))
 
 
-def _nsf_factors(n: int):
-    """(label, vector, order) for the non-squarefree block, order-1 kept."""
-    L0 = default_level(n)
-    N = L0.base
-    out = []
-    for d in divisors(n):
-        if d == 1:
-            continue
-        I = exponent_tuple(N, d)
-        if not in_square(I):
-            continue
-        order = predicted_order(L0, d, "Z")
-        vec = construct_Z(L0, d, "Z")
-        if N.t == 1:
-            p, r = N.factors[0]
-            f = I[0]
-            if p == 2 and in_T_u(I, N.exponents, L0.u):
-                label = f"B2({r},{f})"
-            else:
-                label = f"B({p},{r},{f})"
-        else:
-            label = f"Z({d})"
-        out.append((label, vec, order))
-    return out
-
-
-def _sf_factors(n: int):
-    """(ell, label, vector, ell-power order) for the squarefree block, plus the
-    per-ell prime orderings used; order-1 contributions skipped."""
+def _blocks(n: int):
+    """Yoo's table for C(N): the Z block on the default level, then B(p, r, 1)
+    when N = p^r, else one Y2 block per relevant ell on order_primes(N, ell).
+    Orders of 1 are kept; vectors are built only on request."""
     fn = factor(n)
-    out = []
-    orderings = {}
     if fn.t == 0:
-        return out, orderings
+        return
+    L0 = default_level(n)
+    nsf, sf = [], []
+    for d in divisors(n)[1:]:
+        (nsf if in_square(exponent_tuple(fn, d)) else sf).append(d)
     if fn.t == 1:
-        p, r = fn.factors[0]
-        L0 = default_level(n)
-        order = predicted_order(L0, p, "Z")
-        if order > 1:
-            out.append((None, f"B({p},{r},1)", base_vector_B(p, r, 1), order))
-        return out, orderings
-    sf_divs = [d for d in divisors(n) if d > 1 and in_delta(exponent_tuple(fn, d))]
+        (p, r), = fn.factors
+
+        def label(d):
+            f = valuation(d, p)
+            return f"B2({r},{f})" if in_T_u((f,), fn.exponents, L0.u) else f"B({p},{r},{f})"
+    else:
+        label = lambda d: f"Z({d})"
+    yield _Block("Z", L0, tuple((d, label(d), predicted_order(L0, d, "Z")) for d in nsf),
+                 lambda d: construct_Z(L0, d, "Z"))
+    if fn.t == 1:
+        yield _Block("B", L0, ((p, f"B({p},{r},1)", predicted_order(L0, p, "Z")),),
+                     lambda d: base_vector_B(p, r, 1))
+        return
     for ell in _relevant_ells(n):
         L = order_primes(n, ell)
-        contributed = False
-        for d in sf_divs:
-            full = predicted_order(L, d, "Y2")
-            e = valuation(full, ell)
-            if e:
-                out.append((ell, f"Y2({d})", construct_Y(L, d, "Y2"), ell ** e))
-                contributed = True
-        if contributed:
-            orderings[ell] = L.base.primes
-    return out, orderings
+        yield _Block("Y2", L, tuple((d, f"Y2({d})", predicted_order(L, d, "Y2")) for d in sf),
+                     lambda d, L=L: construct_Y(L, d, "Y2"))
 
 
 def compute_group(n) -> AbelianGroupStructure:
-    """The decomposition of C(N) into explicit cyclic factors."""
+    """The decomposition of C(N) into explicit cyclic factors: the rows of the
+    table of order > 1, each Y2 row taken with the ell-part of its order."""
     n = as_factored(n).value
-    if factor(n).t == 0:
-        return AbelianGroupStructure(n, (), {}, (), 1)
-    factors = [(lab, vec, o) for lab, vec, o in _nsf_factors(n) if o > 1]
-    sf, orderings = _sf_factors(n)
-    factors += [(lab, vec, o) for _, lab, vec, o in sf]
-    prim, invs = _merge_invariants([o for _, _, o in factors])
-    return AbelianGroupStructure(n, tuple(factors), prim, invs,
-                                 math.prod(o for _, _, o in factors),
+    factors, orderings = [], {}
+    for blk in _blocks(n):
+        ell = blk.level.ell if blk.kind == "Y2" else None
+        for d, label, order in blk.rows:
+            if ell:
+                order = ell ** valuation(order, ell)
+            if order > 1:
+                factors.append((label, blk.build(d), order))
+                if ell:
+                    orderings[ell] = blk.level.base.primes
+    orders = [o for _, _, o in factors]
+    prim, invs = _merge_invariants(orders)
+    return AbelianGroupStructure(n, tuple(factors), prim, invs, math.prod(orders),
                                  orderings)
 
 
 def compute_ell_primary(n, ell: int):
     """The ell-primary part: (label, vector, ell-power order) with order > 1."""
-    n = as_factored(n).value
     out = []
-    for lab, vec, o in _nsf_factors(n):
+    for lab, vec, o in compute_group(n).cyclic_factors:
         e = valuation(o, ell)
         if e:
             out.append((lab, vec, ell ** e))
-    for l, lab, vec, o in _sf_factors(n)[0]:
-        if l is None:  # t = 1: one factor of full order; take its ell-part
-            e = valuation(o, ell)
-            if e:
-                out.append((lab, vec, ell ** e))
-        elif l == ell:
-            out.append((lab, vec, o))
     return out
 
 
@@ -330,64 +321,64 @@ class CertificateReport:
         return [s for s in self.steps if not s["pass"]]
 
 
-def _vbar_at(prof, n, delta):
-    return prof.Vbar[divisors(n).index(delta)] if prof.Vbar else 0
+def _tri_rows(n, deltas, profs):
+    """Vbar(C) of each profile read at delta_1, delta_2, ... (zeros if V = 0)."""
+    col = {d: i for i, d in enumerate(divisors(n))}
+    cols = [col[delta] for delta in deltas]
+    return [[p.Vbar[c] for c in cols] if p.Vbar else [0] * len(cols) for p in profs]
 
 
-def _check_unipotent(rep, n, DO, vectors, start, stop, label, modulus=None):
-    """Lower-triangular unipotence of the matrix (Vbar(C_i)_{delta_j}):
-    diagonal a unit (mod modulus if given, else absolute value 1) and exact
-    zeros to the right."""
-    deltas = DO.tri_divisors()
-    for i in range(start, stop):
-        prof = profile(vectors[i])
-        diag = _vbar_at(prof, n, deltas[i])
-        ok = abs(diag) == 1 if modulus is None else diag % modulus != 0
-        rep.record(label, f"diagonal at d={DO.prec_divisors()[i]}, delta={deltas[i]}", ok)
-        tail_ok = all(_vbar_at(prof, n, deltas[j]) == 0 for j in range(i + 1, len(deltas)))
-        rep.record(label, f"zero tail at d={DO.prec_divisors()[i]}", tail_ok)
+def _check_unipotent(rep, n, precs, deltas, profs, start, label, modulus=None):
+    """Lower-triangular unipotence of the matrix (Vbar(C_i)_{delta_j}), rows
+    i = start, start + 1, ...: diagonal a unit (mod modulus if given, else
+    absolute value 1) and exact zeros to the right."""
+    for i, row in enumerate(_tri_rows(n, deltas, profs), start):
+        ok = abs(row[i]) == 1 if modulus is None else row[i] % modulus != 0
+        rep.record(label, f"diagonal at d={precs[i]}, delta={deltas[i]}", ok)
+        rep.record(label, f"zero tail at d={precs[i]}", not any(row[i + 1:]))
 
 
 def verify_certificates(n) -> CertificateReport:
+    """Re-check every block of the table on N: closed-form orders against the
+    profiles, and unipotence or the ell = 2 split conditions in the divisor
+    orderings of the block's prime ordering."""
     n = as_factored(n).value
     rep = CertificateReport(n)
-    fn = factor(n)
-    if fn.t == 0:
+    if n == 1:
         rep.record("trivial", "N=1", True)
         return rep
-    L0 = default_level(n)
-    DO0 = divisor_orderings(L0)
-    prec_divs = DO0.prec_divisors()
-    m_sf = sum(1 for d in prec_divs if in_delta(exponent_tuple(L0.base, d)))
-    # (a) the non-squarefree block: Z1 vectors are unipotent in absolute value.
-    vecs_a = [construct_Z(L0, d, "Z1") for d in prec_divs]
-    _check_unipotent(rep, n, DO0, vecs_a, m_sf, len(prec_divs), "nsf-unipotence")
-    # order consistency of the actual Z vectors against the closed forms
-    for d in prec_divs[m_sf:]:
-        pz = profile(construct_Z(L0, d, "Z"))
-        ok = pz.order == predicted_order(L0, d, "Z")
-        rep.record("order/Z", f"d={d}", ok)
-    if fn.t == 1:
-        p, r = fn.factors[0]
-        pz = profile(base_vector_B(p, r, 1))
-        rep.record("order/Z", f"d={p}",
-                   pz.order == predicted_order(L0, p, "Z"))
-    # (b)+(c) the squarefree block, per target prime ell
-    if fn.t >= 2:
-        for ell in _relevant_ells(n):
-            L = order_primes(n, ell)
-            DO = divisor_orderings(L)
-            divs = DO.prec_divisors()
-            vecs = [construct_Y(L, d, "Y2") for d in divs[:m_sf]]
-            profs = [profile(v) for v in vecs]
-            for j, d in enumerate(divs[:m_sf]):
-                rep.record(f"order/Y2/ell={ell}", f"d={d}",
-                           profs[j].order == predicted_order(L, d, "Y2"))
-            if ell % 2:
-                _check_unipotent(rep, n, DO, vecs, 0, m_sf,
-                                 f"sf-unipotence/ell={ell}", modulus=ell)
-            else:
-                _ell2_split_conditions(rep, L, DO, profs, m_sf)
+    for blk in _blocks(n):
+        if blk.kind == "B":
+            (d, _, order), = blk.rows
+            rep.record("order/Z", f"d={d}", profile(blk.build(d)).order == order)
+            continue
+        if not blk.rows:
+            continue
+        DO = divisor_orderings(blk.level)
+        precs, deltas = DO.prec_divisors(), DO.tri_divisors()
+        rank = {d: i for i, d in enumerate(precs)}
+        rows = sorted(blk.rows, key=lambda row: rank[row[0]])
+        vecs = [blk.build(d) for d, _, _ in rows]
+        profs = [profile(v) for v in vecs]
+        if blk.kind == "Z":
+            # (a) the Z1 vectors are unipotent in absolute value; Z1 differs
+            # from Z only on the exceptional 2-power set.
+            z1 = [construct_Z(blk.level, d, "Z1") for d, _, _ in rows]
+            profs1 = [pz if v1 == v else profile(v1) for v, v1, pz in zip(vecs, z1, profs)]
+            _check_unipotent(rep, n, precs, deltas, profs1, rank[rows[0][0]],
+                             "nsf-unipotence")
+            for (d, _, order), pz in zip(rows, profs):
+                rep.record("order/Z", f"d={d}", pz.order == order)
+            continue
+        # (b)+(c) the squarefree block of the target prime ell
+        ell = blk.level.ell
+        for (d, _, order), py in zip(rows, profs):
+            rep.record(f"order/Y2/ell={ell}", f"d={d}", py.order == order)
+        if ell % 2:
+            _check_unipotent(rep, n, precs, deltas, profs, 0,
+                             f"sf-unipotence/ell={ell}", modulus=ell)
+        else:
+            _ell2_split_conditions(rep, blk.level, precs, deltas, profs)
     # (d) 2-power relations through the genus-zero level 16
     r2 = valuation(n, 2)
     if n == 2 ** r2 and r2 >= 5:
@@ -399,16 +390,14 @@ def verify_certificates(n) -> CertificateReport:
     return rep
 
 
-def _ell2_split_conditions(rep, L, DO, profs, m_sf):
+def _ell2_split_conditions(rep, L, precs, deltas, profs):
     """Independence certificate for ell = 2: every squarefree generator after the first either
     has h = 1 with an odd anchor entry and zeros above it in its column, or
     an odd parity sum Pw_{p_h} vanishing on all earlier generators."""
     N, u, s = L.base, L.u, L.s
     t = N.t
-    divs = DO.prec_divisors()
-    deltas = DO.tri_divisors()
-    from .intarith import A_tuple, E_tuple
-    for j, d in enumerate(divs[:m_sf]):
+    M = _tri_rows(N.value, deltas, profs)
+    for j, d in enumerate(precs[:len(profs)]):
         I = exponent_tuple(N, d)
         in_Hp = (in_F1_set(I, u) or in_G1_set(I, u)) and not (
             in_F_set(I, s) or in_G_set(I, s))
@@ -417,10 +406,9 @@ def _ell2_split_conditions(rep, L, DO, profs, m_sf):
         if j == 0:
             continue
         if not in_H:
-            anchor = deltas[j]
-            diag_odd = _vbar_at(profs[j], N.value, anchor) % 2 == 1
-            above = all(_vbar_at(profs[i], N.value, anchor) == 0 for i in range(j))
-            rep.record("ell2/column", f"d={d}, anchor delta={anchor}",
+            diag_odd = M[j][j] % 2 == 1
+            above = all(M[i][j] == 0 for i in range(j))
+            rep.record("ell2/column", f"d={d}, anchor delta={deltas[j]}",
                        diag_odd and above)
         else:
             # the splitting index h != u from the parity lemma

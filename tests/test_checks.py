@@ -1,0 +1,80 @@
+"""Runtime checks are explicit raises, so they hold under python -O too."""
+
+import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import cuspidal
+from cuspidal import etalinalg, orderengine
+from cuspidal.divisors import CuspDivisor, from_dict, zero_divisor
+from cuspidal.etalinalg import _series_inv, eta_qexpansion, lambda24, ligozat_check
+from cuspidal.intarith import E_u_tuple, exponent_tuple, factor
+from cuspidal.orderengine import eta_certificate
+
+PACKAGE = os.path.dirname(os.path.abspath(cuspidal.__file__))
+
+
+def test_no_bare_asserts_in_the_package():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not lines, f"{name}: assert on lines {lines}"
+
+
+def test_checks_hold_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.dirname(PACKAGE), os.environ.get("PYTHONPATH")) if p))
+    code = ("from cuspidal.divisors import from_dict\n"
+            "from cuspidal.orderengine import eta_certificate\n"
+            "try:\n"
+            "    eta_certificate(from_dict(11, {1: 1}))\n"
+            "except ValueError as e:\n"
+            "    print('ValueError', e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("ValueError"), out.stdout
+
+
+def test_bad_arguments_raise_value_error():
+    with pytest.raises(ValueError):
+        CuspDivisor(11, (1,))
+    with pytest.raises(ValueError):
+        from_dict(11, {1: 1}) + zero_divisor(12)
+    with pytest.raises(ValueError):
+        from_dict(11, {1: 1}) - zero_divisor(12)
+    with pytest.raises(ValueError):
+        ligozat_check(11, (1,))
+    with pytest.raises(ValueError):
+        eta_qexpansion(11, (1, 2, 3), 5)
+    with pytest.raises(ValueError):
+        _series_inv([2, 1], 3)
+    with pytest.raises(ValueError):
+        exponent_tuple(factor(12), 5)
+    with pytest.raises(ValueError):
+        E_u_tuple(2, 2, 3)
+    with pytest.raises(ValueError):
+        eta_certificate(from_dict(11, {1: 1}))
+
+
+def test_failed_identities_raise_arithmetic_error(monkeypatch):
+    C = from_dict(11, {1: 1, 11: -1})
+    assert eta_certificate(C) == (12, -12)
+    with pytest.raises(ArithmeticError):
+        eta_certificate(C, n_order=1)  # 24 * V / kappa(11) is not integral
+    monkeypatch.setattr(orderengine, "ligozat_check", lambda n, r: {"pass": False})
+    with pytest.raises(ArithmeticError):
+        eta_certificate(C)
+    monkeypatch.undo()
+    monkeypatch.setattr(orderengine, "eta_divisor", lambda n, r: zero_divisor(n))
+    with pytest.raises(ArithmeticError):
+        eta_certificate(C)
+    monkeypatch.setattr(etalinalg, "a_entry", lambda n, d, delta: Fraction(1, 2))
+    with pytest.raises(ArithmeticError):
+        lambda24.__wrapped__(11)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import cuspidal
+from cuspidal import cli
 from cuspidal.cli import main, parse_divisor_spec
 from cuspidal.divisors import C_generator
 
@@ -120,3 +121,56 @@ def test_batch_cache_dir_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "batch", "--max", "5")
     assert code == 0
     assert (tmp_path / "batch.jsonl").exists()
+
+
+def test_batch_keeps_records_above_max(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "batch.jsonl"
+    code, out, _ = run(capsys, "batch", "--max", "30", "--out", str(out_file))
+    assert code == 0 and "30/30 pass" in out
+    full = out_file.read_text()
+    # a smaller --max serves N <= 5 and writes every record back
+    code, out, _ = run(capsys, "batch", "--max", "5", "--out", str(out_file))
+    assert code == 0 and "5/5 pass" in out
+    assert out_file.read_text() == full
+    # --force recomputes N <= --max only
+    seen = []
+    inner = cli.crosscheck
+    monkeypatch.setattr(cli, "crosscheck", lambda n: seen.append(n) or inner(n))
+    code, out, _ = run(capsys, "batch", "--max", "5", "--out", str(out_file), "--force")
+    assert code == 0 and seen == [1, 2, 3, 4, 5]
+    assert out_file.read_text() == full
+    # the pass count and the FAIL list cover N <= --max only
+    recs = [json.loads(line) for line in full.splitlines()]
+    recs[19]["pass"] = False
+    out_file.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
+    code, out, _ = run(capsys, "batch", "--max", "5", "--out", str(out_file))
+    assert code == 0 and "FAIL" not in out
+    code, out, _ = run(capsys, "batch", "--max", "25", "--out", str(out_file))
+    assert code == 2 and "24/25 pass" in out and "FAIL N=20" in out
+    assert len(out_file.read_text().splitlines()) == 30
+    assert sorted(os.listdir(tmp_path)) == ["batch.jsonl"]  # no temporary file left
+
+
+def test_batch_rejects_bad_cache(tmp_path, capsys):
+    out_file = tmp_path / "batch.jsonl"
+    out_file.write_text('{"pass": true}\n')
+    code, _, err = run(capsys, "batch", "--max", "3", "--out", str(out_file))
+    assert code == 1 and "batch record" in err
+
+
+def test_batch_argument_bounds(tmp_path, capsys, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(cli, "crosscheck", NoPool)
+    out_file = tmp_path / "batch.jsonl"
+    for argv in (["--max", "0"], ["--max", str(cli.MAX_LEVEL + 1)], ["--max", "2000000"]):
+        code, _, err = run(capsys, "batch", *argv, "--out", str(out_file))
+        assert code == 1 and "--max" in err
+    cpus = os.cpu_count() or 1
+    for jobs in ("0", "-1", str(cpus + 1)):
+        code, _, err = run(capsys, "batch", "--max", "5", "--jobs", jobs, "--out", str(out_file))
+        assert code == 1 and "--jobs" in err
+    assert not out_file.exists()

@@ -8,9 +8,9 @@ from cuspidal.etalinalg import upsilon_apply
 from cuspidal.generators import (D_vector, base_vector_A, base_vector_B,
                                  base_vector_B2, base_vector_image,
                                  construct_Y, construct_Z, default_level,
-                                 divisor_orderings, g_scalar, iota_r,
-                                 order_primes, prec_ladder, predicted_order,
-                                 tri_ladder)
+                                 divisor_orderings, g_scalar, iota_delta,
+                                 iota_r, order_primes, prec_ladder,
+                                 predicted_order, tri_ladder)
 from cuspidal.intarith import divisors, kappa, valuation
 from cuspidal.orderengine import profile
 
@@ -39,8 +39,28 @@ def test_orderings_are_permutations():
         DO = divisor_orderings(L)
         all_divs = set(divisors(n)) - {1}
         assert set(DO.prec_divisors()) == all_divs
-        assert set(DO.tri_divisors()) == set(DO.tri_divisors())
+        if L.t >= 2:
+            assert set(DO.tri_divisors()) == all_divs
+        else:  # iota_r maps {1..r} onto {0, 2..r}: delta runs over 1, p^2, ..., p^r
+            p = L.base.primes[0]
+            assert set(DO.tri_divisors()) == all_divs - {p} | {1}
         assert len(DO.prec_tuples) == len(all_divs)
+
+
+def test_iota_maps_prec_to_tri():
+    # iota(d_i) = delta_i: iota_delta on the squarefree block, iota_r slotwise
+    # on the rest (iota_r alone when t = 1)
+    levels = [default_level(n) for n in range(2, 800)]
+    levels += [order_primes(n, ell) for n in (30, 60, 210, 360, 2310, 5040, 30030)
+               for ell in (2, 3, 5, 7)]
+    for L in levels:
+        DO = divisor_orderings(L)
+        rs = L.base.exponents
+        for I, J in zip(DO.prec_tuples, DO.tri_tuples):
+            if L.t >= 2 and all(f <= 1 for f in I):
+                assert iota_delta(I, L.u) == J
+            else:
+                assert tuple(iota_r(r)[f] for r, f in zip(rs, I)) == J
 
 
 def test_ordering_anchors():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,51 @@ def test_group_json_schema():
     assert set(obj) == {"N", "ordering", "generators", "ell_primary",
                         "invariant_factors", "group_order",
                         "cuspidal_equals_rational_flag"}
+
+
+# Per-criterion step counts of verify_certificates on the certify ladder.
+CERTIFICATE_COUNTS = {
+    5040: {"ell2/column": 11, "ell2/h-table": 15, "ell2/parity": 3,
+           "nsf-unipotence": 88, "order/Y2/ell=2": 15, "order/Y2/ell=3": 15,
+           "order/Z": 44, "sf-unipotence/ell=3": 30},
+    30030: {"ell2/column": 57, "ell2/h-table": 63, "ell2/parity": 5,
+            "order/Y2/ell=2": 63, "order/Y2/ell=3": 63, "order/Y2/ell=5": 63,
+            "order/Y2/ell=7": 63, "sf-unipotence/ell=3": 126,
+            "sf-unipotence/ell=5": 126, "sf-unipotence/ell=7": 126},
+    55440: {"ell2/column": 26, "ell2/h-table": 31, "ell2/parity": 4,
+            "nsf-unipotence": 176, "order/Y2/ell=2": 31, "order/Y2/ell=3": 31,
+            "order/Y2/ell=5": 31, "order/Z": 88, "sf-unipotence/ell=3": 62,
+            "sf-unipotence/ell=5": 62},
+    2 ** 20: {"level16-relation": 2, "nsf-unipotence": 38, "order/Z": 20},
+    3 ** 12: {"nsf-unipotence": 22, "order/Z": 12},
+}
+
+
+def test_certificate_criterion_counts():
+    for n, want in CERTIFICATE_COUNTS.items():
+        rep = verify_certificates(n)
+        assert rep.passed, rep.failures()[:4]
+        assert Counter(s["criterion"] for s in rep.steps) == Counter(want), n
+
+
+def _generator_divisor(label):
+    """The divisor d a generator label stands for: Z(d), Y2(d), B(p,r,f) = p^f,
+    B2(r,f) = 2^f."""
+    args = [int(x) for x in label[label.index("(") + 1:-1].split(",")]
+    if label.startswith("B2("):
+        return 2 ** args[1]
+    if label.startswith("B("):
+        return args[0] ** args[2]
+    return args[0]
+
+
+def test_every_generator_has_a_passing_order_step():
+    for n in range(2, 301):
+        passed = {(s["criterion"], s["detail"])
+                  for s in verify_certificates(n).steps if s["pass"]}
+        for label, _, o in compute_group(n).cyclic_factors:
+            if label.startswith("Y2("):
+                criterion = f"order/Y2/ell={factor(o).primes[0]}"
+            else:
+                criterion = "order/Z"
+            assert (criterion, f"d={_generator_divisor(label)}") in passed, (n, label)
