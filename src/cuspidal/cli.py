@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs: cusps, order, eta, group, verify, batch.  Exit codes: 0 success,
-1 usage/parse error, 2 verification failure.
+1 usage/parse error, 2 verification failure (a failed check, or an
+ArithmeticError from an identity that does not hold).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .cusps import enumerate_cusps, width
 from .divisors import CuspDivisor, from_dict
@@ -170,6 +170,7 @@ def cmd_batch(args) -> int:
     todo = [n for n in range(1, args.max + 1) if args.force or n not in cached]
     if todo:
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
                 for rec in ex.map(crosscheck, todo):
                     cached[rec["N"]] = rec
@@ -236,6 +237,9 @@ def main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ArithmeticError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

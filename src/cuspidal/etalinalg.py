@@ -5,6 +5,12 @@ Ligozat's modularity conditions, and exact q-expansions.
 Matrix convention: rows are indexed by the output divisor, columns by the
 input divisor, both ascending.  Lambda maps eta exponent vectors (S1) to
 divisor coefficient vectors (S2); Upsilon maps the other way.
+
+Upsilon(N) is the Kronecker product of one tridiagonal (r+1) x (r+1) block
+per prime power p^r || N.  upsilon_apply uses that structure and applies
+the blocks prime by prime, so the dense sigma0(N)^2 matrix is never built on
+the profile path; upsilon(N) materialises it from upsilon_apply for the
+callers that want the entries.
 """
 
 from __future__ import annotations
@@ -51,40 +57,59 @@ def _upsilon_block_entry(p: int, r: int, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def upsilon(n: int) -> tuple:
-    """Upsilon(N): tensor over prime powers of the tridiagonal blocks.
-    Rows delta (S1 index), columns d (S2 index)."""
-    fn = as_factored(n)
+def _upsilon_axes(n: int) -> tuple:
+    """One tuple of rows per prime power p^r || N, one row per divisor d:
+    (a, i, b, j, c, k) with i, j, k the positions of d, d/p, d*p and a, b, c
+    the entries (f, f), (f, f-1), (f, f+1) of the p-block, f = v_p(d).  At the
+    ends of the block j or k is i with a zero coefficient."""
     ds = divisors(n)
-    rows = []
-    for delta in ds:
-        row = []
-        for d in ds:
-            e = 1
-            for p, r in fn.factors:
-                e *= _upsilon_block_entry(p, r, valuation(delta, p), valuation(d, p))
-            row.append(e)
-        rows.append(tuple(row))
-    return tuple(rows)
+    pos = {d: i for i, d in enumerate(ds)}
+    axes = []
+    for p, r in as_factored(n).factors:
+        rows = []
+        for i, d in enumerate(ds):
+            f = valuation(d, p)
+            b, j = (_upsilon_block_entry(p, r, f, f - 1), pos[d // p]) if f else (0, i)
+            c, k = (_upsilon_block_entry(p, r, f, f + 1), pos[d * p]) if f < r else (0, i)
+            rows.append((_upsilon_block_entry(p, r, f, f), i, b, j, c, k))
+        axes.append(tuple(rows))
+    return tuple(axes)
+
+
+def upsilon_apply(n: int, vec) -> tuple:
+    """Upsilon(N) times a coefficient vector over divisors of N, one prime
+    power (tensor mode) at a time: O(sigma0(N) * t) operations."""
+    x = vec
+    for rows in _upsilon_axes(n):
+        x = [a * x[i] + b * x[j] + c * x[k] for a, i, b, j, c, k in rows]
+    return tuple(x)
+
+
+def _unit(n: int, d: int) -> tuple:
+    """The coefficient vector of the single divisor d of N."""
+    ds = divisors(n)
+    j = ds.index(d)
+    return tuple(int(i == j) for i in range(len(ds)))
+
+
+@lru_cache(maxsize=None)
+def upsilon(n: int) -> tuple:
+    """Upsilon(N) as a matrix: rows delta (S1 index), columns d (S2 index),
+    column d being upsilon_apply(N, e_d)."""
+    return tuple(zip(*(upsilon_apply(n, _unit(n, d)) for d in divisors(n))))
 
 
 def upsilon_column_profile(n: int, d: int) -> dict:
     """The column identities: plain/delta-weighted/(N/delta)-weighted sums and
     the gcd of the entries."""
     ds = divisors(n)
-    j = ds.index(d)
-    col = tuple(row[j] for row in upsilon(n))
+    col = upsilon_apply(n, _unit(n, d))
     return {
         "sum": sum(col),
         "delta_weighted": sum(c * delta for c, delta in zip(col, ds)),
         "codelta_weighted": sum(c * (n // delta) for c, delta in zip(col, ds)),
         "gcd": math.gcd(*col) if len(col) > 1 else abs(col[0]),
     }
-
-
-def upsilon_apply(n: int, vec) -> tuple:
-    """Upsilon(N) times a coefficient vector over divisors of N."""
-    return tuple(sum(e * v for e, v in zip(row, vec)) for row in upsilon(n))
 
 
 # ---------------------------------------------------------------------------

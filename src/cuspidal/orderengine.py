@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .divisors import CuspDivisor
 from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
@@ -30,6 +31,14 @@ class OrderProfile:
     degree: int
 
 
+@lru_cache(maxsize=None)
+def _odd_positions(n: int) -> tuple:
+    """(p, positions of the divisors d of N with v_p(d) odd), primes ascending."""
+    ds = divisors(n)
+    return tuple((p, tuple(i for i, d in enumerate(ds) if valuation(d, p) % 2))
+                 for p in factor(n).primes)
+
+
 def profile(C: CuspDivisor) -> OrderProfile:
     n = C.n
     V = upsilon_apply(n, C.coeffs)
@@ -38,10 +47,7 @@ def profile(C: CuspDivisor) -> OrderProfile:
     if g == 0:
         return OrderProfile(n, V, 0, None, {}, 1, 1 if deg == 0 else None, deg)
     vbar = tuple(v // g for v in V)
-    ds = divisors(n)
-    pw = {}
-    for p in factor(n).primes:
-        pw[p] = sum(v for v, d in zip(vbar, ds) if valuation(d, p) % 2 == 1)
+    pw = {p: sum(vbar[i] for i in odd) for p, odd in _odd_positions(n)}
     h = 2 if any(v % 2 for v in pw.values()) else 1
     order = None
     if deg == 0:

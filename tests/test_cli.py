@@ -88,14 +88,34 @@ def test_usage_errors(capsys):
     assert code == 1 and "coeffs" in err
 
 
-def test_cli_import_does_not_load_sympy():
+def _loaded_by_cli_import(module):
+    """Whether a fresh `import cuspidal.cli` puts `module` in sys.modules."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cuspidal.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, cuspidal.cli; print('sympy' in sys.modules)"
+    code = f"import sys, cuspidal.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_sympy():
+    assert not _loaded_by_cli_import("sympy")
+
+
+def test_cli_import_does_not_load_process_pool():
+    # only batch --jobs > 1 needs it
+    assert not _loaded_by_cli_import("concurrent.futures.process")
+
+
+def test_arithmetic_error_exits_2(capsys, monkeypatch):
+    def broken(n):
+        raise ArithmeticError(f"an identity fails at {n}")
+
+    monkeypatch.setattr(cli, "crosscheck", broken)
+    code, out, err = run(capsys, "verify", "11")
+    assert code == 2 and out == ""
+    assert err == "error: an identity fails at 11\n"
 
 
 def test_eta_rejects_nonzero_degree(capsys):
@@ -163,7 +183,7 @@ def test_batch_argument_bounds(tmp_path, capsys, monkeypatch):
         def __init__(self, *args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(cli, "crosscheck", NoPool)
     out_file = tmp_path / "batch.jsonl"
     for argv in (["--max", "0"], ["--max", str(cli.MAX_LEVEL + 1)], ["--max", "2000000"]):

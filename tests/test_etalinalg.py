@@ -1,13 +1,18 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from cuspidal.divisors import C_generator
-from cuspidal.etalinalg import (a_entry, eta_divisor, eta_qexpansion,
-                                format_qexpansion, lambda24, ligozat_check,
-                                upsilon, upsilon_apply, upsilon_column_profile)
+from cuspidal.etalinalg import (_upsilon_block_entry, a_entry, eta_divisor,
+                                eta_qexpansion, format_qexpansion, lambda24,
+                                ligozat_check, upsilon, upsilon_apply,
+                                upsilon_column_profile)
 from cuspidal.intarith import divisors, factor, kappa, phi, z_of
+
+LADDER = (5040, 30030, 55440, 720720, 2 ** 20, 3 ** 12)
 
 
 def test_a_entries_integral():
@@ -30,6 +35,42 @@ def test_upsilon_lambda_identity():
         for i in range(m):
             for j in range(m):
                 assert sum(U[i][a] * L[a][j] for a in range(m)) == (k if i == j else 0)
+
+
+def _kronecker_upsilon(n):
+    """Upsilon(N) as the dense Kronecker product of the per-prime blocks,
+    rows and columns sorted by divisor."""
+    fs = factor(n).factors
+    exps = list(itertools.product(*(range(r + 1) for _, r in fs)))
+    order = sorted(range(len(exps)), key=lambda a: math.prod(
+        p ** e for (p, _), e in zip(fs, exps[a])))
+    return [[math.prod(_upsilon_block_entry(p, r, i, j)
+                       for (p, r), i, j in zip(fs, exps[a], exps[b]))
+             for b in order] for a in order]
+
+
+def test_upsilon_apply_matches_kronecker_product():
+    rng = random.Random(4)
+    for n in list(range(1, 2000)) + list(LADDER):
+        U = _kronecker_upsilon(n)
+        for _ in range(2):
+            x = [rng.randint(-9, 9) for _ in U]
+            assert upsilon_apply(n, x) == tuple(
+                sum(e * v for e, v in zip(row, x)) for row in U), n
+
+
+def _lambda24_column(n, delta):
+    return [int(a_entry(n, d, delta)) for d in divisors(n)]
+
+
+def test_upsilon_apply_inverts_lambda():
+    # Upsilon * (24 Lambda) = kappa(N) * Id, one column at a time
+    for n in (5040, 30030, 55440, 720720):
+        ds = divisors(n)
+        cols = range(len(ds)) if n < 10 ** 5 else random.Random(n).sample(range(len(ds)), 12)
+        for j in cols:
+            col = upsilon_apply(n, _lambda24_column(n, ds[j]))
+            assert col == tuple(kappa(n) if i == j else 0 for i in range(len(ds))), (n, j)
 
 
 def test_column_profiles():

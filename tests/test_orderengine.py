@@ -6,7 +6,7 @@ import pytest
 
 from cuspidal.divisors import C_generator, from_dict, tensor_join
 from cuspidal.etalinalg import eta_qexpansion
-from cuspidal.intarith import divisors, kappa
+from cuspidal.intarith import divisors, factor, kappa, valuation
 from cuspidal.orderengine import (closed_order_CN, closed_order_Cd,
                                   eta_certificate, profile, profile_to_json,
                                   tensor_profile)
@@ -22,6 +22,22 @@ def test_level_11():
     assert pr.pw == {11: -1}
     assert pr.h == 2
     assert pr.order == 5
+
+
+def test_pw_matches_valuation_sums():
+    # Pw_p = sum of Vbar over the divisors with odd p-valuation
+    rng = random.Random(11)
+    for n in range(2, 501):
+        ds = divisors(n)
+        for _ in range(3):
+            c = [rng.randint(-5, 5) for _ in ds[1:]]
+            D = from_dict(n, {**dict(zip(ds[1:], c)), 1: -sum(c)})
+            pr = profile(D)
+            if pr.Vbar is None:
+                continue
+            assert pr.pw == {p: sum(v for v, d in zip(pr.Vbar, ds) if valuation(d, p) % 2)
+                             for p in factor(n).primes}, n
+            assert list(pr.pw) == list(factor(n).primes)
 
 
 def test_p_squared():
