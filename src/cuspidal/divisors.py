@@ -5,14 +5,20 @@ S2(N) is the lattice of integer combinations of the Galois-orbit divisors
 degree-0 sublattice.  All operator actions (degeneracy pushforward/pullback,
 Atkin-Lehner, Hecke, and the pi compositions) act on this basis by the
 case-by-case exponent formulas, extended linearly.
+
+tensor_join takes any number of factors at pairwise coprime levels and forms
+the dense Kronecker product of their coefficient tuples in one pass, then
+gathers it into ascending-divisor order; tensor_split undoes one join.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .intarith import as_factored, divisor_lattice, divisors, phi, valuation
+from .intarith import (as_factored, divisor_lattice, divisor_positions, divisors,
+                       phi, valuation)
 
 
 @dataclass(frozen=True)
@@ -26,9 +32,6 @@ class CuspDivisor:
         if len(self.coeffs) != len(divisors(self.n)):
             raise ValueError(f"a divisor at level {self.n} needs {len(divisors(self.n))} "
                              f"coefficients, not {len(self.coeffs)}")
-
-    def coeff(self, d: int):
-        return self.coeffs[divisors(self.n).index(d)]
 
     def as_dict(self) -> dict:
         return {d: c for d, c in zip(divisors(self.n), self.coeffs) if c}
@@ -64,11 +67,13 @@ def zero_divisor(n) -> CuspDivisor:
 
 def from_dict(n, coeffs: dict) -> CuspDivisor:
     n = as_factored(n).value
-    ds = divisors(n)
-    for d in coeffs:
-        if d not in ds:
+    pos = divisor_positions(n)
+    out = [0] * len(pos)
+    for d, c in coeffs.items():
+        if d not in pos:
             raise ValueError(f"{d} does not divide {n}")
-    return CuspDivisor(n, tuple(coeffs.get(d, 0) for d in ds))
+        out[pos[d]] = c
+    return CuspDivisor(n, tuple(out))
 
 
 def orbit_divisor(n, d: int) -> CuspDivisor:
@@ -88,16 +93,29 @@ def C_generator(n, d: int) -> CuspDivisor:
 # Tensor structure over coprime factorizations
 # ---------------------------------------------------------------------------
 
-def tensor_join(v: CuspDivisor, w: CuspDivisor) -> CuspDivisor:
-    """e(M)_d1 (x) e(Q)_d2 -> e(MQ)_{d1 d2}, extended bilinearly (gcd(M,Q)=1)."""
-    if math.gcd(v.n, w.n) != 1:
+@lru_cache(maxsize=None)
+def _kronecker_gather(levels: tuple) -> tuple:
+    """For factors at these levels, the position in their Kronecker product
+    (first factor most significant) of each divisor of the product, divisors
+    ascending.  The products of divisors are all distinct exactly when the
+    levels are pairwise coprime."""
+    prods = [1]
+    for m in levels:
+        prods = [a * b for a in prods for b in divisors(m)]
+    if len(prods) != len(divisors(math.prod(levels))):
         raise ValueError("tensor factors must have coprime levels")
-    n = v.n * w.n
-    out = {}
-    for d1, c1 in v.as_dict().items():
-        for d2, c2 in w.as_dict().items():
-            out[d1 * d2] = out.get(d1 * d2, 0) + c1 * c2
-    return from_dict(n, out)
+    return tuple(sorted(range(len(prods)), key=prods.__getitem__))
+
+
+def tensor_join(*vecs: CuspDivisor) -> CuspDivisor:
+    """e(M_1)_d1 (x) ... (x) e(M_k)_dk -> e(M_1...M_k)_{d1...dk}, extended
+    multilinearly, for any number of factors at pairwise coprime levels (no
+    factors give the unit at level 1)."""
+    gather = _kronecker_gather(tuple(v.n for v in vecs))
+    flat = [1]
+    for v in vecs:
+        flat = [a * c for a in flat for c in v.coeffs]
+    return CuspDivisor(math.prod(v.n for v in vecs), tuple([flat[i] for i in gather]))
 
 
 def tensor_split(v: CuspDivisor, m: int, q: int) -> dict:

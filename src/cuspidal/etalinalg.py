@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .divisors import CuspDivisor
-from .intarith import as_factored, divisors, valuation, z_of
+from .intarith import as_factored, divisor_positions, divisors, valuation, z_of
 
 
 def a_entry(n: int, d: int, delta: int) -> Fraction:
@@ -63,7 +63,7 @@ def _upsilon_axes(n: int) -> tuple:
     the entries (f, f), (f, f-1), (f, f+1) of the p-block, f = v_p(d).  At the
     ends of the block j or k is i with a zero coefficient."""
     ds = divisors(n)
-    pos = {d: i for i, d in enumerate(ds)}
+    pos = divisor_positions(n)
     axes = []
     for p, r in as_factored(n).factors:
         rows = []
@@ -87,9 +87,8 @@ def upsilon_apply(n: int, vec) -> tuple:
 
 def _unit(n: int, d: int) -> tuple:
     """The coefficient vector of the single divisor d of N."""
-    ds = divisors(n)
-    j = ds.index(d)
-    return tuple(int(i == j) for i in range(len(ds)))
+    j = divisor_positions(n)[d]
+    return tuple(int(i == j) for i in range(len(divisors(n))))
 
 
 @lru_cache(maxsize=None)

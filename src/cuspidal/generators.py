@@ -76,7 +76,7 @@ def order_primes(n, ell: int) -> OrderedLevel:
     for perm in permutations(sorted(fn.factors)):
         if _admissible(perm, ell):
             return _make_level(perm, ell)
-    raise AssertionError(f"no admissible prime ordering for N={fn.value}, ell={ell}")
+    raise ArithmeticError(f"no admissible prime ordering for N={fn.value}, ell={ell}")
 
 
 def default_level(n) -> OrderedLevel:
@@ -283,25 +283,22 @@ def D_vector(L: OrderedLevel, i: int, j: int) -> CuspDivisor:
     """The two-prime degree-0 correction vector at level p_i^r_i * p_j^r_j."""
     if not 1 <= i < j <= L.t:
         raise ValueError("need 1 <= i < j <= t")
-    (pi, ri), (pj, rj) = L.base.factors[i - 1], L.base.factors[j - 1]
-    gi, gj = L.gammas[i - 1], L.gammas[j - 1]
+    return _two_prime_D(*L.base.factors[i - 1], *L.base.factors[j - 1])
+
+
+@lru_cache(maxsize=None)
+def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
+    gi, gj = _gamma(pi, ri), _gamma(pj, rj)
     G = math.gcd(gi, gj)
     left = tensor_join(base_vector_B(pi, ri, 1), base_vector_A(pj, rj, 0))
     right = tensor_join(base_vector_A(pi, ri, 0), base_vector_B(pj, rj, 1))
     return (gj // G) * left - (gi // G) * right
 
 
-def _fold(vecs) -> CuspDivisor:
-    out = CuspDivisor(1, (1,))
-    for v in vecs:
-        out = tensor_join(out, v)
-    return out
-
-
 def _tensor_with_D(L: OrderedLevel, I, i1: int, i2: int) -> CuspDivisor:
     parts = [base_vector_A(p, r, I[i - 1])
              for i, (p, r) in enumerate(L.base.factors, start=1) if i not in (i1, i2)]
-    return _fold(parts + [D_vector(L, i1, i2)])
+    return tensor_join(*parts, D_vector(L, i1, i2))
 
 
 def construct_Z(L: OrderedLevel, d: int, variant: str = "Z") -> CuspDivisor:
@@ -321,11 +318,11 @@ def construct_Z(L: OrderedLevel, d: int, variant: str = "Z") -> CuspDivisor:
                 parts.append(base_vector_B2(r, I[i - 1]))
             else:
                 parts.append(base_vector_A(p, r, I[i - 1]))
-        return _fold(parts)
+        return tensor_join(*parts)
     m = tuple_m(I)
     parts = [base_vector_B(p, r, 1) if i == m else base_vector_A(p, r, I[i - 1])
              for i, (p, r) in enumerate(N.factors, start=1)]
-    return _fold(parts)
+    return tensor_join(*parts)
 
 
 def construct_Y(L: OrderedLevel, d: int, variant: str = "Y2") -> CuspDivisor:
@@ -343,17 +340,17 @@ def construct_Y(L: OrderedLevel, d: int, variant: str = "Y2") -> CuspDivisor:
         y = max(1, 3 - s)
         parts = [base_vector_B(p, r, 1) if i == s else base_vector_A(p, r, I[i - 1])
                  for i, (p, r) in enumerate(N.factors, start=1) if i not in (y, n_)]
-        return _fold(parts + [D_vector(L, y, n_)])
+        return tensor_join(*parts, D_vector(L, y, n_))
     if variant == "Y2" and in_G_set(I, s):
         parts = [base_vector_B(p, r, 1) if i == 1 else base_vector_A(p, r, I[i - 1])
                  for i, (p, r) in enumerate(N.factors, start=1)]
-        return _fold(parts)
+        return tensor_join(*parts)
     if in_E_set(I):
         if variant == "Y0":
             return construct_Z(L, d, "Z")
         parts = [base_vector_B(p, r, 1) if i == x else base_vector_A(p, r, I[i - 1])
                  for i, (p, r) in enumerate(N.factors, start=1)]
-        return _fold(parts)
+        return tensor_join(*parts)
     if variant in ("Y1", "Y2") and in_H_u(I, u):
         return _tensor_with_D(L, I, m, tuple_k(I))
     return _tensor_with_D(L, I, m, tuple_n(I))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,11 @@ class FactoredInteger:
     def t(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @property
+    @cached_property
     def exponents(self) -> tuple[int, ...]:
         return tuple(r for _, r in self.factors)
 
@@ -96,6 +96,12 @@ def divisors(n: int) -> tuple[int, ...]:
     for p, r in fn.factors:
         ds = [d * p ** k for d in ds for k in range(r + 1)]
     return tuple(sorted(ds))
+
+
+@lru_cache(maxsize=None)
+def divisor_positions(n: int) -> dict:
+    """{d: position of d in divisors(n)}; shared, so never mutate it."""
+    return {d: i for i, d in enumerate(divisors(n))}
 
 
 def phi(n: int) -> int:
@@ -229,24 +235,36 @@ def in_H_u1(I, u: int) -> bool:
     return tuple_n(I) == u and tuple_k(I) == len(I) + 1
 
 
-def I_set(u: int, t: int) -> tuple[int, ...]:
-    if u == 1:
-        return tuple(range(3, t + 1))
-    return tuple(n for n in range(2, t + 1) if n != u)
+def _zero_positions(I):
+    """The 1-based positions of the 0 entries of I if every other entry is 1,
+    else None."""
+    zeros = []
+    for i, f in enumerate(I, start=1):
+        if f == 0:
+            zeros.append(i)
+        elif f != 1:
+            return None
+    return zeros
 
 
 def in_F_set(I, u: int) -> bool:
+    """I = E(n) for some n in I_u: {3..t} if u = 1, else {2..t} without u."""
     if u == 0:
         return False
-    t = len(I)
-    return any(I == E_tuple(n, t) for n in I_set(u, t))
+    zeros = _zero_positions(I)
+    if zeros is None or len(zeros) != 1:
+        return False
+    return zeros[0] != u and zeros[0] >= (3 if u == 1 else 2)
 
 
 def in_F1_set(I, u: int) -> bool:
+    """I = E_u(n) (zeros at n and u) for some n in I_u."""
     if u == 0:
         return False
-    t = len(I)
-    return any(I == E_u_tuple(n, u, t) for n in I_set(u, t) if n != u)
+    zeros = _zero_positions(I)
+    if zeros is None or len(zeros) != 2 or u not in zeros:
+        return False
+    return sum(zeros) - u >= (3 if u == 1 else 2)
 
 
 def in_G_set(I, u: int) -> bool:
@@ -254,6 +272,6 @@ def in_G_set(I, u: int) -> bool:
 
 
 def in_G1_set(I, u: int) -> bool:
-    t = len(I)
-    lo = 1 if u == 1 else 2
-    return any(I == E_tuple(n, t) for n in range(lo, t + 1))
+    """I = E(n) for some n >= 1 if u = 1, else n >= 2."""
+    zeros = _zero_positions(I)
+    return zeros is not None and len(zeros) == 1 and zeros[0] >= (1 if u == 1 else 2)

@@ -29,8 +29,8 @@ from typing import Callable, NamedTuple
 
 from .divisors import C_generator, pi1_pull, pi2_pull
 from .etalinalg import eta_divisor
-from .intarith import (A_tuple, E_tuple, as_factored, divisors, exponent_tuple,
-                       factor, in_square, kappa, valuation)
+from .intarith import (A_tuple, E_tuple, as_factored, divisor_positions, divisors,
+                       exponent_tuple, factor, in_square, kappa, valuation)
 from .generators import (OrderedLevel, base_vector_B, construct_Y, construct_Z,
                          default_level, divisor_orderings, in_F_set,
                          in_F1_set, in_G_set, in_G1_set, in_T_u, order_primes,
@@ -323,7 +323,7 @@ class CertificateReport:
 
 def _tri_rows(n, deltas, profs):
     """Vbar(C) of each profile read at delta_1, delta_2, ... (zeros if V = 0)."""
-    col = {d: i for i, d in enumerate(divisors(n))}
+    col = divisor_positions(n)
     cols = [col[delta] for delta in deltas]
     return [[p.Vbar[c] for c in cols] if p.Vbar else [0] * len(cols) for p in profs]
 
@@ -358,13 +358,14 @@ def verify_certificates(n) -> CertificateReport:
         precs, deltas = DO.prec_divisors(), DO.tri_divisors()
         rank = {d: i for i, d in enumerate(precs)}
         rows = sorted(blk.rows, key=lambda row: rank[row[0]])
-        vecs = [blk.build(d) for d, _, _ in rows]
-        profs = [profile(v) for v in vecs]
+        profs = [profile(blk.build(d)) for d, _, _ in rows]
         if blk.kind == "Z":
-            # (a) the Z1 vectors are unipotent in absolute value; Z1 differs
-            # from Z only on the exceptional 2-power set.
-            z1 = [construct_Z(blk.level, d, "Z1") for d, _, _ in rows]
-            profs1 = [pz if v1 == v else profile(v1) for v, v1, pz in zip(vecs, z1, profs)]
+            # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
+            # outside the exceptional 2-power set T_u.
+            fn, u = blk.level.base, blk.level.u
+            profs1 = [profile(construct_Z(blk.level, d, "Z1"))
+                      if in_T_u(exponent_tuple(fn, d), fn.exponents, u) else pz
+                      for (d, _, _), pz in zip(rows, profs)]
             _check_unipotent(rep, n, precs, deltas, profs1, rank[rows[0][0]],
                              "nsf-unipotence")
             for (d, _, order), pz in zip(rows, profs):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import cuspidal
-from cuspidal import cli
+from cuspidal import cli, generators
 from cuspidal.cli import main, parse_divisor_spec
 from cuspidal.divisors import C_generator
 
@@ -116,6 +116,14 @@ def test_arithmetic_error_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "11")
     assert code == 2 and out == ""
     assert err == "error: an identity fails at 11\n"
+
+
+def test_no_admissible_ordering_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(generators, "_admissible", lambda factors, ell: False)
+    code, out, err = run(capsys, "group", "30")
+    assert code == 2 and out == ""
+    assert err == "error: no admissible prime ordering for N=30, ell=2\n"
+    assert "Traceback" not in err
 
 
 def test_eta_rejects_nonzero_degree(capsys):

@@ -114,3 +114,43 @@ def test_tensor_roundtrip():
         back = tensor_split(v, m, q)
         assert {d1: w.as_dict() for d1, w in back.items()} == \
                {d1: w.as_dict() for d1, w in ws.items() if w.as_dict()}
+
+
+def _dict_tensor(*vecs):
+    """The tensor product by definition: sum over one divisor per factor."""
+    out = {1: 1}
+    for v in vecs:
+        nxt = {}
+        for d1, c1 in out.items():
+            for d2, c2 in v.as_dict().items():
+                nxt[d1 * d2] = nxt.get(d1 * d2, 0) + c1 * c2
+        out = nxt
+    return from_dict(math.prod(v.n for v in vecs), out)
+
+
+def test_tensor_join_matches_dict_product():
+    rng = random.Random(11)
+    groups = [(1, 12), (4, 9), (8, 3, 25), (1, 7, 16, 9), (2, 3, 5, 7),
+              (27, 4, 1, 11), (32, 5, 49)]
+    for levels in groups:
+        for _ in range(8):
+            vecs = [CuspDivisor(m, tuple(rng.randrange(-4, 5) for _ in divisors(m)))
+                    for m in levels]
+            rng.shuffle(vecs)
+            got = tensor_join(*vecs)
+            assert got.n == math.prod(levels)
+            assert got.coeffs == _dict_tensor(*vecs).coeffs
+    unit = CuspDivisor(1, (1,))
+    assert tensor_join() == unit
+    v = C_generator(36, 6)
+    assert tensor_join(unit, v) == tensor_join(v, unit) == v
+    for levels in [(4, 6), (2, 3, 9), (5, 7, 11, 35), (3, 3)]:
+        with pytest.raises(ValueError):
+            tensor_join(*(orbit_divisor(m, 1) for m in levels))
+
+
+def test_from_dict_rejects_non_divisors():
+    assert from_dict(12, {12: 3, 1: -1}).coeffs == (-1, 0, 0, 0, 0, 3)
+    for d in (5, 24, 36, 13):
+        with pytest.raises(ValueError, match="does not divide 12"):
+            from_dict(12, {1: 1, d: 1})

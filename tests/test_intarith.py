@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,9 +7,9 @@ from sympy import factorint
 from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, E_u_tuple,
                                F_tuple, as_factored, divisor_lattice, divisor_of,
                                divisors, exponent_tuple, factor, in_delta,
-                               in_E_set, in_F_set, in_G_set, in_H_u, in_square,
-                               in_T_u, kappa, phi, tuple_k, tuple_m, tuple_n,
-                               valuation, z_of)
+                               in_E_set, in_F_set, in_F1_set, in_G_set,
+                               in_G1_set, in_H_u, in_square, in_T_u, kappa, phi,
+                               tuple_k, tuple_m, tuple_n, valuation, z_of)
 
 
 def test_factor_basic():
@@ -108,3 +109,59 @@ def test_T_u():
     assert not in_T_u((2, 1), exps, 1)
     assert not in_T_u((3, 0), exps, 1)
     assert not in_T_u((3, 1), (4, 1), 1)
+
+
+# The index-set predicates as first written: one E_tuple / E_u_tuple compare
+# per candidate position n, kept here as the definitions.
+def _E_tuple(k, t):
+    return tuple(0 if i == k else 1 for i in range(1, t + 1))
+
+
+def _E_u_tuple(k, u, t):
+    if k == u:
+        raise ValueError("need k != u")
+    return tuple(0 if i in (k, u) else 1 for i in range(1, t + 1))
+
+
+def _I_set(u, t):
+    if u == 1:
+        return tuple(range(3, t + 1))
+    return tuple(n for n in range(2, t + 1) if n != u)
+
+
+def _in_F_set(I, u):
+    if u == 0:
+        return False
+    t = len(I)
+    return any(I == _E_tuple(n, t) for n in _I_set(u, t))
+
+
+def _in_F1_set(I, u):
+    if u == 0:
+        return False
+    t = len(I)
+    return any(I == _E_u_tuple(n, u, t) for n in _I_set(u, t) if n != u)
+
+
+def _in_G_set(I, u):
+    return u == 1 and I == _E_tuple(2, len(I))
+
+
+def _in_G1_set(I, u):
+    t = len(I)
+    lo = 1 if u == 1 else 2
+    return any(I == _E_tuple(n, t) for n in range(lo, t + 1))
+
+
+def test_index_sets_match_definitions():
+    pairs = [(in_F_set, _in_F_set), (in_F1_set, _in_F1_set),
+             (in_G_set, _in_G_set), (in_G1_set, _in_G1_set)]
+    hits = [0] * len(pairs)
+    for t in range(7):
+        for I in itertools.product(range(4), repeat=t):
+            for u in range(t + 1):
+                for k, (fast, slow) in enumerate(pairs):
+                    want = slow(I, u)
+                    assert fast(I, u) == want, (fast.__name__, I, u)
+                    hits[k] += want
+    assert all(hits)
