@@ -18,16 +18,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .divisors import CuspDivisor
-from .intarith import as_factored, divisor_positions, divisors, valuation, z_of
+from .intarith import (as_factored, divisor_positions, divisors,
+                       odd_valuation_positions, valuation, z_of)
 
 
-def a_entry(n: int, d: int, delta: int) -> Fraction:
-    """a_N(d, delta) = (N/z) * gcd(d, delta)^2 / (d * delta); 24 * Lambda entry."""
-    z = z_of(n, d)
+def a_entry(n: int, d: int, delta: int):
+    """a_N(d, delta) = (N/z) * gcd(d, delta)^2 / (d * delta); 24 * Lambda entry.
+    An int when it is integral, else a Fraction."""
     g = math.gcd(d, delta)
-    return Fraction(n * g * g, z * d * delta)
+    num, den = n * g * g, z_of(n, d) * d * delta
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -128,11 +131,8 @@ def ligozat_check(n: int, r) -> dict:
         report["weight0"] = sum(r) == 0
         report["delta_sum_24"] = sum(rd * d for rd, d in zip(r, ds)) % 24 == 0
         report["codelta_sum_24"] = sum(rd * (n // d) for rd, d in zip(r, ds)) % 24 == 0
-        square = True
-        for p in as_factored(n).primes:
-            if sum(valuation(d, p) * rd for rd, d in zip(r, ds)) % 2:
-                square = False
-        report["product_square"] = square
+        report["product_square"] = all(sum(r[i] for i in odd) % 2 == 0
+                                       for _, odd in odd_valuation_positions(n))
     report["pass"] = all(report.values())
     return report
 
@@ -140,12 +140,10 @@ def ligozat_check(n: int, r) -> dict:
 def eta_divisor(n: int, r) -> CuspDivisor:
     """div(g_r) = Lambda(N) * r as a divisor supported on the (P_d); the
     coefficients are exact rationals (integers for genuine modular units)."""
-    ds = divisors(n)
-    l24 = lambda24(n)
     coeffs = []
-    for row in l24:
-        c = Fraction(sum(e * rd for e, rd in zip(row, r)), 24)
-        coeffs.append(int(c) if c.denominator == 1 else c)
+    for row in lambda24(n):
+        s = sum(map(mul, row, r))
+        coeffs.append(s // 24 if s % 24 == 0 else Fraction(s, 24))
     return CuspDivisor(n, tuple(coeffs))
 
 

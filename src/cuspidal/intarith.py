@@ -104,6 +104,14 @@ def divisor_positions(n: int) -> dict:
     return {d: i for i, d in enumerate(divisors(n))}
 
 
+@lru_cache(maxsize=None)
+def odd_valuation_positions(n: int) -> tuple:
+    """(p, positions of the divisors d of n with v_p(d) odd), primes ascending."""
+    ds = divisors(n)
+    return tuple((p, tuple(i for i, d in enumerate(ds) if valuation(d, p) % 2))
+                 for p in factor(n).primes)
+
+
 def phi(n: int) -> int:
     """Euler totient."""
     fn = as_factored(n)

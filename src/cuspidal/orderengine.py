@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .divisors import CuspDivisor
 from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
-from .intarith import divisors, factor, kappa, valuation
+from .intarith import divisors, factor, kappa, odd_valuation_positions, valuation
 
 
 @dataclass(frozen=True)
@@ -31,14 +30,6 @@ class OrderProfile:
     degree: int
 
 
-@lru_cache(maxsize=None)
-def _odd_positions(n: int) -> tuple:
-    """(p, positions of the divisors d of N with v_p(d) odd), primes ascending."""
-    ds = divisors(n)
-    return tuple((p, tuple(i for i, d in enumerate(ds) if valuation(d, p) % 2))
-                 for p in factor(n).primes)
-
-
 def profile(C: CuspDivisor) -> OrderProfile:
     n = C.n
     V = upsilon_apply(n, C.coeffs)
@@ -47,7 +38,7 @@ def profile(C: CuspDivisor) -> OrderProfile:
     if g == 0:
         return OrderProfile(n, V, 0, None, {}, 1, 1 if deg == 0 else None, deg)
     vbar = tuple(v // g for v in V)
-    pw = {p: sum(vbar[i] for i in odd) for p, odd in _odd_positions(n)}
+    pw = {p: sum(vbar[i] for i in odd) for p, odd in odd_valuation_positions(n)}
     h = 2 if any(v % 2 for v in pw.values()) else 1
     order = None
     if deg == 0:

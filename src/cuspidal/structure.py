@@ -6,19 +6,24 @@ Two independent routes are implemented and cross-checked:
   Z(d) (non-squarefree d) and Y2(d) (squarefree d, per target prime ell), with
   closed-form orders; and
 * snf_oracle: C(N) = S2(N)^0 / Lambda(N) * U_N computed directly from the
-  eta-unit lattice, knowing nothing about the generators.  Its integer
-  lattice code lives here too: a row Hermite normal form (HNF), kernel bases
-  from it, and invariant factors by alternating row and column HNFs.
+  eta-unit lattice, knowing nothing about the generators.  It first checks
+  with Ligozat's conditions that kappa(N) kills C(N), then reads the ell-part
+  for each prime ell | kappa(N) off an elimination modulo a power of ell,
+  where entries never grow.  Its integer lattice code lives here too: a row
+  Hermite normal form (HNF), the kernel bases from it, and the local Smith
+  normal form.
 
 The generators come from one walk, _blocks(N), over Yoo's table: one block
 per prime ordering (the Z block on the default level, then B(p, r, 1) when
 N = p^r, else one Y2 block per relevant ell), each with rows (d, label,
-closed-form order) in ascending d and a builder for the vector at d.
-compute_group keeps the rows of order > 1 and builds only their vectors;
-compute_ell_primary filters compute_group; verify_certificates re-sorts each
-block into its divisor ordering, profiles each vector once and re-runs the
-split-off hypotheses (unipotence of the normalized-profile matrices, the h
-and parity side conditions) on the concrete level N.
+closed-form order) in ascending d and a builder for the vector at d; a
+block builds and profiles each vector at most once.  compute_group keeps the
+rows of order > 1 and builds only their vectors; compute_ell_primary filters
+compute_group; verify_certificates re-sorts each block into its divisor
+ordering, profiles each vector and re-runs the split-off hypotheses
+(unipotence of the normalized-profile matrices, the h and parity side
+conditions) on the concrete level N.  crosscheck hands one walk to both, so
+its generator order check reads the profiles verify_certificates made.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .divisors import C_generator, pi1_pull, pi2_pull
-from .etalinalg import eta_divisor
+from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
 from .intarith import (A_tuple, E_tuple, as_factored, divisor_positions, divisors,
                        exponent_tuple, factor, in_square, kappa, valuation)
 from .generators import (OrderedLevel, base_vector_B, construct_Y, construct_Z,
@@ -80,12 +85,6 @@ def hnf_with_transform(rows):
     return [tuple(r) for r in H], [tuple(r) for r in U]
 
 
-def hnf(rows):
-    """Canonical HNF basis of the row lattice (zero rows dropped)."""
-    H, _ = hnf_with_transform(rows)
-    return tuple(r for r in H if any(r))
-
-
 def kernel_basis(rows, moduli):
     """Basis of {v : rows[j] . v == 0 mod moduli[j]} (modulus 0 = exact)."""
     k = len(rows)
@@ -105,28 +104,66 @@ def kernel_basis(rows, moduli):
     return tuple(out)
 
 
-def invariant_factors_of_quotient(rows, ncols):
-    """Invariant factors (> 1, ascending divisibility) of Z^ncols / <rows>;
-    raises if the quotient is infinite.
+def _local_exponents(rows, ncols: int, ell: int, k: int) -> list:
+    """The exponents e of the ell-part of Z^ncols / <rows>, one per column,
+    from an elimination over Z/ell^k.  Each pivot has the least ell-valuation
+    e left: once no entry is a unit, every entry is divided by ell and e goes
+    up by one.  Raises if a factor reaches ell^k, i.e. the quotient is
+    infinite or its ell-part is not killed by ell^(k-1)."""
+    q = ell ** k
+    A = [r for r in ([x % q for x in row] for row in rows) if any(r)]
+    exps, e = [], 0
+    while len(exps) < ncols:
+        if not A:
+            raise ArithmeticError(f"the quotient has a factor divisible by {ell}^{k}: "
+                                  "it is infinite or the modulus does not kill it")
+        for i, row in enumerate(A):
+            j = next((j for j, x in enumerate(row) if x % ell), None)
+            if j is not None:
+                break
+        else:
+            q //= ell
+            e += 1
+            A = [r for r in ([x // ell for x in row] for row in A) if any(r)]
+            continue
+        prow = A.pop(i)
+        inv = pow(prow[j], -1, q)
+        del prow[j]
+        rest = []
+        for row in A:
+            # clear column j with the pivot row, then drop the column
+            c = row.pop(j) * inv % q
+            if c:
+                row = [(a - c * b) % q for a, b in zip(row, prow)]
+                if not any(row):
+                    continue
+            rest.append(row)
+        A = rest
+        exps.append(e)
+    return exps
 
-    Row HNFs of the matrix and of its transpose alternate until it is
-    diagonal (Cohen, GTM 138, section 2.4); pairwise gcd/lcm then turns the
-    diagonal into a divisibility chain."""
+
+def invariant_factors_of_quotient(rows, ncols: int, modulus: int):
+    """Invariant factors (> 1, ascending divisibility) of Z^ncols / <rows>,
+    given that modulus kills the quotient.
+
+    For each prime ell^v || modulus the ell-part is read off an elimination
+    over Z/ell^(v+1), where entries stay below ell^(v+1) (Cohen, GTM 138,
+    section 2.4, on normal forms modulo a multiple of the index).  A factor
+    that reaches ell^(v+1) means the quotient is infinite or modulus does not
+    kill it, and raises ArithmeticError; primes outside modulus are not
+    seen."""
     if ncols == 0:
         return ()
     if not rows:
         raise ArithmeticError("quotient is infinite (no relations)")
-    M = hnf(rows)
-    if len(M) < ncols:
-        raise ArithmeticError("quotient is infinite (relation lattice not full rank)")
-    while any(M[i][j] for i in range(ncols) for j in range(ncols) if i != j):
-        M = hnf(zip(*M))
-    diag = [M[i][i] for i in range(ncols)]
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            g = math.gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return tuple(d for d in diag if d > 1)
+    local = [ell ** e for ell, v in factor(modulus).factors
+             for e in _local_exponents(rows, ncols, ell, v + 1) if e]
+    _, invs = _merge_invariants(local)
+    if math.prod(invs) != math.prod(local):
+        raise ArithmeticError(f"invariant factors {invs} do not multiply to the "
+                              f"order {math.prod(local)} of the local parts")
+    return invs
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +211,32 @@ def cuspidal_equals_rational(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def eta_unit_lattice(n: int):
-    """HNF basis of U_N: exponent vectors of rational modular units on X0(N)."""
+    """A basis of U_N: exponent vectors of rational modular units on X0(N)."""
     ds = divisors(n)
     rows = [[1] * len(ds), [d % 24 for d in ds], [(n // d) % 24 for d in ds]]
     moduli = [0, 24, 24]
     for p in factor(n).primes:
         rows.append([valuation(d, p) % 2 for d in ds])
         moduli.append(2)
-    return hnf(kernel_basis(rows, moduli))
+    return kernel_basis(rows, moduli)
 
 
 def snf_oracle(n: int) -> AbelianGroupStructure:
-    """C(N) = S2(N)^0 / Lambda(N) * U_N, via HNF kernel + Smith normal form.
-    Independent of the generator constructions."""
+    """C(N) = S2(N)^0 / Lambda(N) * U_N, read off the eta-unit lattice one
+    prime of kappa(N) at a time.  Independent of the generator constructions.
+
+    Upsilon * 24 Lambda = kappa * Id, so Lambda(24 Upsilon C_d) = kappa C_d.
+    When every 24 Upsilon C_d, d > 1, meets Ligozat's conditions it lies in
+    U_N, kappa kills C(N), and the local SNF modulo kappa is exact; otherwise
+    this raises ArithmeticError."""
     ds = divisors(n)
     if len(ds) == 1:
         return AbelianGroupStructure(n, (), {}, (), 1)
+    for d in ds[1:]:
+        r = [24 * x for x in upsilon_apply(n, C_generator(n, d).coeffs)]
+        if not ligozat_check(n, r)["pass"]:
+            raise ArithmeticError(f"24 * Upsilon(C_{d}) is not an eta unit at N={n}, "
+                                  "so kappa(N) need not kill C(N)")
     rels = []
     for r in eta_unit_lattice(n):
         v = eta_divisor(n, r)
@@ -197,10 +244,8 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
             raise ArithmeticError(f"eta unit {r} has a non-integral divisor at N={n}")
         # Coordinates in the basis {C_d : d > 1} of S2(N)^0.
         rels.append(tuple(-c for c in v.coeffs[1:]))
-    invs = invariant_factors_of_quotient(rels, len(ds) - 1)
-    prim, invs2 = _merge_invariants(invs)
-    if invs != invs2:
-        raise ArithmeticError(f"invariant factors {invs} are not a divisibility chain")
+    invs = invariant_factors_of_quotient(rels, len(ds) - 1, kappa(n))
+    prim, _ = _merge_invariants(invs)
     return AbelianGroupStructure(n, (), prim, invs, math.prod(invs))
 
 
@@ -212,11 +257,25 @@ class _Block(NamedTuple):
     """The generators of one prime ordering: rows (d, label, closed-form
     order) in ascending d, and build(d), the vector at d.  kind is "Z" for
     the non-squarefree block, "B" for B(p, r, 1) at N = p^r and "Y2" for the
-    squarefree block of the target prime level.ell."""
+    squarefree block of the target prime level.ell.  vector(d) and
+    profile_of(d) build and profile the vector at d once per walk; vectors
+    and profiles hold what they made."""
     kind: str
     level: OrderedLevel
     rows: tuple
     build: Callable
+    vectors: dict
+    profiles: dict
+
+    def vector(self, d):
+        if d not in self.vectors:
+            self.vectors[d] = self.build(d)
+        return self.vectors[d]
+
+    def profile_of(self, d):
+        if d not in self.profiles:
+            self.profiles[d] = profile(self.vector(d))
+        return self.profiles[d]
 
 
 def _relevant_ells(n: int):
@@ -243,31 +302,39 @@ def _blocks(n: int):
     else:
         label = lambda d: f"Z({d})"
     yield _Block("Z", L0, tuple((d, label(d), predicted_order(L0, d, "Z")) for d in nsf),
-                 lambda d: construct_Z(L0, d, "Z"))
+                 lambda d: construct_Z(L0, d, "Z"), {}, {})
     if fn.t == 1:
         yield _Block("B", L0, ((p, f"B({p},{r},1)", predicted_order(L0, p, "Z")),),
-                     lambda d: base_vector_B(p, r, 1))
+                     lambda d: base_vector_B(p, r, 1), {}, {})
         return
     for ell in _relevant_ells(n):
         L = order_primes(n, ell)
         yield _Block("Y2", L, tuple((d, f"Y2({d})", predicted_order(L, d, "Y2")) for d in sf),
-                     lambda d, L=L: construct_Y(L, d, "Y2"))
+                     lambda d, L=L: construct_Y(L, d, "Y2"), {}, {})
 
 
-def compute_group(n) -> AbelianGroupStructure:
-    """The decomposition of C(N) into explicit cyclic factors: the rows of the
-    table of order > 1, each Y2 row taken with the ell-part of its order."""
-    n = as_factored(n).value
-    factors, orderings = [], {}
-    for blk in _blocks(n):
+def _generator_rows(blocks):
+    """The rows of the table of order > 1 as (block, d, label, order), each
+    Y2 row taken with the ell-part of its order."""
+    for blk in blocks:
         ell = blk.level.ell if blk.kind == "Y2" else None
         for d, label, order in blk.rows:
             if ell:
                 order = ell ** valuation(order, ell)
             if order > 1:
-                factors.append((label, blk.build(d), order))
-                if ell:
-                    orderings[ell] = blk.level.base.primes
+                yield blk, d, label, order
+
+
+def compute_group(n, blocks=None) -> AbelianGroupStructure:
+    """The decomposition of C(N) into explicit cyclic factors, one per row of
+    _generator_rows.  blocks, if given, is a walk of _blocks(N) whose vectors
+    are shared with the caller."""
+    n = as_factored(n).value
+    factors, orderings = [], {}
+    for blk, d, label, order in _generator_rows(_blocks(n) if blocks is None else blocks):
+        factors.append((label, blk.vector(d), order))
+        if blk.kind == "Y2":
+            orderings[blk.level.ell] = blk.level.base.primes
     orders = [o for _, _, o in factors]
     prim, invs = _merge_invariants(orders)
     return AbelianGroupStructure(n, tuple(factors), prim, invs, math.prod(orders),
@@ -338,19 +405,20 @@ def _check_unipotent(rep, n, precs, deltas, profs, start, label, modulus=None):
         rep.record(label, f"zero tail at d={precs[i]}", not any(row[i + 1:]))
 
 
-def verify_certificates(n) -> CertificateReport:
+def verify_certificates(n, blocks=None) -> CertificateReport:
     """Re-check every block of the table on N: closed-form orders against the
     profiles, and unipotence or the ell = 2 split conditions in the divisor
-    orderings of the block's prime ordering."""
+    orderings of the block's prime ordering.  blocks, if given, is a walk of
+    _blocks(N) whose vectors and profiles are shared with the caller."""
     n = as_factored(n).value
     rep = CertificateReport(n)
     if n == 1:
         rep.record("trivial", "N=1", True)
         return rep
-    for blk in _blocks(n):
+    for blk in _blocks(n) if blocks is None else blocks:
         if blk.kind == "B":
             (d, _, order), = blk.rows
-            rep.record("order/Z", f"d={d}", profile(blk.build(d)).order == order)
+            rep.record("order/Z", f"d={d}", blk.profile_of(d).order == order)
             continue
         if not blk.rows:
             continue
@@ -358,7 +426,7 @@ def verify_certificates(n) -> CertificateReport:
         precs, deltas = DO.prec_divisors(), DO.tri_divisors()
         rank = {d: i for i, d in enumerate(precs)}
         rows = sorted(blk.rows, key=lambda row: rank[row[0]])
-        profs = [profile(blk.build(d)) for d, _, _ in rows]
+        profs = [blk.profile_of(d) for d, _, _ in rows]
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
             # outside the exceptional 2-power set T_u.
@@ -430,18 +498,20 @@ def _ell2_split_conditions(rep, L, precs, deltas, profs):
 
 def crosscheck(n) -> dict:
     """compute_group vs snf_oracle vs verify_certificates; full agreement
-    expected for every N."""
+    expected for every N.  compute_group and verify_certificates share one
+    walk of _blocks(N), so each generator is built and profiled once."""
     n = as_factored(n).value
-    G = compute_group(n)
+    blocks = tuple(_blocks(n))
+    G = compute_group(n, blocks)
     O = snf_oracle(n)
-    cert = verify_certificates(n)
+    cert = verify_certificates(n, blocks)
     mismatches = []
     if G.invariant_factors != O.invariant_factors:
         mismatches.append({"kind": "invariant_factors",
                            "computed": list(G.invariant_factors),
                            "oracle": list(O.invariant_factors)})
-    for lab, vec, o in G.cyclic_factors:
-        prof = profile(vec)
+    for blk, d, lab, o in _generator_rows(blocks):
+        prof = blk.profile_of(d)
         if prof.order is None or prof.order % o:
             mismatches.append({"kind": "generator_order", "label": lab,
                                "claimed": o, "profile": prof.order})

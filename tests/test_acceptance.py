@@ -101,7 +101,7 @@ def test_criterion_5_prime_power_structure():
 
 def test_criterion_6_oracle_equivalence():
     start = time.time()
-    larger = [720, 840, 960, 2310, 5040]
+    larger = [720, 840, 960, 2310, 5040, 30030, 55440]
     larger += [2 ** k for k in range(9, 21)] + [3 ** k for k in range(6, 13)]
     for n in [*range(1, 301), *larger]:
         G = compute_group(n)

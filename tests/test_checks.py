@@ -1,6 +1,8 @@
 """Runtime checks are explicit raises, so they hold under python -O too."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -78,3 +80,15 @@ def test_failed_identities_raise_arithmetic_error(monkeypatch):
     monkeypatch.setattr(etalinalg, "a_entry", lambda n, d, delta: Fraction(1, 2))
     with pytest.raises(ArithmeticError):
         lambda24.__wrapped__(11)
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark tracer wraps exists under that name."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, fn_name in spans.TRACED:
+        module = importlib.import_module(f"cuspidal.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"

@@ -1,4 +1,7 @@
+import ast
+import json
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,19 +10,26 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from cuspidal import structure
+from cuspidal import cli, structure
 from cuspidal.divisors import CuspDivisor
 from cuspidal.etalinalg import eta_divisor
-from cuspidal.intarith import divisors, factor
+from cuspidal.intarith import divisors, factor, kappa
 from cuspidal.orderengine import profile
 from cuspidal.structure import (AbelianGroupStructure, compute_ell_primary,
                                 compute_group, crosscheck,
                                 cuspidal_equals_rational, eta_unit_lattice,
-                                group_to_json, hnf, hnf_with_transform,
+                                group_to_json, hnf_with_transform,
                                 invariant_factors_of_quotient, kernel_basis,
                                 snf_oracle, verify_certificates)
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GENUS_ZERO = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25]
+
+
+def hnf(rows):
+    """Canonical HNF basis of the row lattice (zero rows dropped)."""
+    H, _ = hnf_with_transform(rows)
+    return tuple(r for r in H if any(r))
 
 
 def test_hnf_transform():
@@ -52,10 +62,17 @@ def test_kernel_basis():
 
 
 def test_invariant_factors():
-    assert invariant_factors_of_quotient([(2, 0), (0, 6)], 2) == (2, 6)
-    assert invariant_factors_of_quotient([(1, 0), (0, 1)], 2) == ()
+    assert invariant_factors_of_quotient([(2, 0), (0, 6)], 2, 6) == (2, 6)
+    assert invariant_factors_of_quotient([(2, 0), (0, 6)], 2, 36) == (2, 6)
+    assert invariant_factors_of_quotient([(1, 0), (0, 1)], 2, 6) == ()
     with pytest.raises(ArithmeticError):
-        invariant_factors_of_quotient([(1, 0)], 2)
+        invariant_factors_of_quotient([(1, 0)], 2, 6)
+    assert invariant_factors_of_quotient([(4,)], 1, 4) == (4,)
+    # a factor that reaches ell^(v+1): the modulus does not kill the quotient
+    with pytest.raises(ArithmeticError):
+        invariant_factors_of_quotient([(4,)], 1, 2)
+    with pytest.raises(ArithmeticError):
+        invariant_factors_of_quotient([(2, 0), (0, 9)], 2, 6)
 
 
 def _sympy_invariant_factors(rows, ncols):
@@ -73,12 +90,13 @@ def test_invariant_factors_match_sympy_on_oracle_relations():
         rels = [tuple(-c for c in eta_divisor(n, r).coeffs[1:])
                 for r in eta_unit_lattice(n)]
         ncols = len(divisors(n)) - 1
-        assert invariant_factors_of_quotient(rels, ncols) == \
+        assert invariant_factors_of_quotient(rels, ncols, kappa(n)) == \
             _sympy_invariant_factors(rels, ncols), n
 
 
 def test_invariant_factors_match_sympy_on_random_matrices():
     rng = random.Random(7)
+    pick = random.Random(8)  # the moduli; rng alone draws the matrices
     finite = infinite = 0
     for trial in range(300):
         nr, nc = rng.randrange(1, 7), rng.randrange(1, 6)
@@ -89,12 +107,15 @@ def test_invariant_factors_match_sympy_on_random_matrices():
                 r[-1] = 2 * r[0] - (r[1] if nc > 2 else 0)
         expected = _sympy_invariant_factors(rows, nc)
         if expected is None:
+            # any prime of the modulus sees the zero factor
             infinite += 1
             with pytest.raises(ArithmeticError):
-                invariant_factors_of_quotient(rows, nc)
+                invariant_factors_of_quotient(rows, nc, pick.randrange(2, 1000))
         else:
+            # a multiple of the exponent of the quotient kills it
             finite += 1
-            assert invariant_factors_of_quotient(rows, nc) == expected, rows
+            modulus = max(expected, default=1) * pick.randrange(1, 5)
+            assert invariant_factors_of_quotient(rows, nc, modulus) == expected, rows
     assert finite > 50 and infinite > 100
 
 
@@ -110,6 +131,20 @@ def test_snf_oracle_rejects_inconsistent_invariants(monkeypatch):
     monkeypatch.setattr(structure, "_merge_invariants", lambda orders: ({}, ()))
     with pytest.raises(ArithmeticError):
         snf_oracle(11)
+
+
+@pytest.mark.parametrize("patch", [
+    ("upsilon_apply", lambda n, vec: (1,) + (0,) * (len(vec) - 1)),
+    ("ligozat_check", lambda n, r: {"pass": False}),
+])
+def test_snf_oracle_checks_that_kappa_kills_the_group(monkeypatch, capsys, patch):
+    monkeypatch.setattr(structure, *patch)
+    with pytest.raises(ArithmeticError):
+        snf_oracle(11)
+    assert cli.main(["verify", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 24 * Upsilon(C_11) is not an eta unit at N=11")
+    assert "Traceback" not in err
 
 
 def test_eta_unit_lattice_level_11():
@@ -175,6 +210,39 @@ def test_crosscheck_range():
     for n in range(1, 120):
         rec = crosscheck(n)
         assert rec["pass"], rec["mismatches"]
+
+
+def test_crosscheck_matches_the_batch_reference():
+    with open(os.path.join(REPO, "perfbench", "reference", "batch-720.jsonl")) as fh:
+        lines = fh.read().splitlines()[:300]
+    for n, line in enumerate(lines, start=1):
+        assert json.dumps(crosscheck(n), sort_keys=True) == line, n
+
+
+ORACLE = ("snf_oracle", "invariant_factors_of_quotient", "eta_unit_lattice")
+
+
+def test_oracle_is_independent_of_the_generators():
+    """The oracle functions, and every structure.py function they reach,
+    name nothing imported from cuspidal.generators and no generator walk."""
+    with open(structure.__file__) as fh:
+        tree = ast.parse(fh.read())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    forbidden = {"_blocks", "_generator_rows", "compute_group", "verify_certificates"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "generators":
+            forbidden |= {alias.asname or alias.name for alias in node.names}
+    assert "construct_Z" in forbidden and "predicted_order" in forbidden
+    seen, todo = set(), list(ORACLE)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        used = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
+        assert not used & forbidden, (name, sorted(used & forbidden))
+        todo += [u for u in used if u in funcs]
+    assert {"_local_exponents", "kernel_basis", "_merge_invariants"} <= seen
 
 
 def test_ordering_independence_spotcheck():
