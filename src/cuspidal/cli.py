@@ -21,8 +21,15 @@ from .orderengine import eta_certificate, profile, profile_to_json
 from .structure import compute_group, crosscheck, group_to_json
 
 MAX_LEVEL = 10 ** 6
+MAX_QEXP = 1000  # eta --qexp costs about K^2 series steps
 
 _TERM = re.compile(r"([+-]?\d+)\*\((\d+)\)")
+
+
+def _is_int(x) -> bool:
+    """An integer parsed from JSON; bool is a subclass of int, so true and
+    false are ruled out by hand."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
@@ -32,10 +39,13 @@ def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
     if text.startswith("{"):
         obj = json.loads(text)
         if not (isinstance(obj, dict) and isinstance(obj.get("coeffs"), dict)
-                and all(isinstance(c, int) for c in obj["coeffs"].values())):
+                and all(_is_int(c) for c in obj["coeffs"].values())):
             raise ValueError('a JSON divisor needs "coeffs": {"d": c, ...} with integer c')
-        if obj.get("N", n) != n:
-            raise ValueError(f"divisor level {obj.get('N')} does not match N={n}")
+        level = obj.get("N", n)
+        if not _is_int(level):
+            raise ValueError(f'a JSON divisor\'s "N" must be an integer, not {level!r}')
+        if level != n:
+            raise ValueError(f"divisor level {level} does not match N={n}")
         coeffs = {int(d): int(c) for d, c in obj["coeffs"].items()}
     else:
         compact = text.replace(",", "+").replace(" ", "")
@@ -90,8 +100,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    if args.qexp < 1:
-        print("--qexp must be at least 1", file=sys.stderr)
+    if not 1 <= args.qexp <= MAX_QEXP:
+        print(f"--qexp must be in [1, {MAX_QEXP}]", file=sys.stderr)
         return 1
     D = parse_divisor_spec(args.divisor, args.N)
     prof = profile(D)

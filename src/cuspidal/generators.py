@@ -3,8 +3,13 @@
 This module fixes the prime ordering for a target prime ell, the twisted
 orderings on exponent tuples with the bijection iota between them, the base
 vectors A_p(r,f) / B_p(r,f) / B2(r,f) at prime-power levels, the two-prime
-correction vectors D, the composite generators Z (one per divisor) and
-Y0/Y1/Y2 (one per squarefree divisor), and the closed-form predicted orders.
+correction vectors D, the composite generators Z (one per divisor) and Y2
+(one per squarefree divisor), and their closed-form predicted orders.
+
+Yoo's case split is made once, in _recipe: each generator is a tensor of
+one base vector per prime slot (A, B or B2), with at most one two-prime D
+in place of two slots.  construct_Z and construct_Y tensor the parts of the
+recipe, and predicted_order multiplies one G factor per part.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from itertools import permutations, product
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
@@ -295,65 +299,63 @@ def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
     return (gj // G) * left - (gi // G) * right
 
 
-def _tensor_with_D(L: OrderedLevel, I, i1: int, i2: int) -> CuspDivisor:
-    parts = [base_vector_A(p, r, I[i - 1])
-             for i, (p, r) in enumerate(L.base.factors, start=1) if i not in (i1, i2)]
-    return tensor_join(*parts, D_vector(L, i1, i2))
+def _exponents(L: OrderedLevel, d: int) -> tuple:
+    if d == 1 or L.base.value % d:
+        raise ValueError("need a divisor 1 < d of N")
+    return exponent_tuple(L.base, d)
+
+
+def _recipe(L: OrderedLevel, I, kind: str):
+    """Yoo's case split for the generator of kind "Z", "Z1" or "Y2" at the
+    exponent tuple I, as (parts, pair).  pair is the (i, j) of the two-prime
+    correction D_vector(L, i, j), which fills slots i and j, or None.  parts
+    holds (vector, p, r, f) for every other slot: vector "A" is A_p(r, f),
+    "B" is B_p(r, 1) (f is 1 there) and "B2" is B2(r, f) at the slot of 2.
+    Z1 is Z without the B2 replacement on T_u."""
+    N, u, s = L.base, L.u, L.s
+    slot, vector, pair = 0, "A", None  # at most one slot holds a B or B2
+    if kind in ("Z", "Z1"):
+        if not in_square(I):
+            slot, vector = tuple_m(I), "B"
+        elif kind == "Z" and in_T_u(I, N.exponents, u):
+            slot, vector = u, "B2"
+    elif not in_delta(I):
+        raise ValueError("Y2 exists only for squarefree divisors > 1")
+    elif in_F_set(I, s):
+        slot, vector, pair = s, "B", (max(1, 3 - s), tuple_n(I))
+    elif in_G_set(I, s):
+        slot, vector = 1, "B"
+    elif in_E_set(I):
+        slot, vector = max(tuple_m(I), u), "B"
+    else:
+        pair = (tuple_m(I), tuple_k(I) if in_H_u(I, u) else tuple_n(I))
+    parts = [(vector if i == slot else "A", p, r, f)
+             for i, ((p, r), f) in enumerate(zip(N.factors, I), start=1)
+             if not (pair and i in pair)]
+    return parts, pair
+
+
+def _build(L: OrderedLevel, parts, pair) -> CuspDivisor:
+    vecs = [base_vector_B2(r, f) if vector == "B2" else
+            base_vector_B(p, r, f) if vector == "B" else base_vector_A(p, r, f)
+            for vector, p, r, f in parts]
+    if pair:
+        vecs.append(D_vector(L, *pair))
+    return tensor_join(*vecs)
 
 
 def construct_Z(L: OrderedLevel, d: int, variant: str = "Z") -> CuspDivisor:
-    """Z(d) / Z1(d): tensors of A-vectors with one B (squarefree slot m) or,
-    for variant Z on the exceptional 2-power set, with B2 at the slot of 2."""
+    """Z(d) / Z1(d) for a divisor 1 < d of N: tensors of A-vectors with one B
+    (squarefree d, at slot m) or, for variant Z on the exceptional 2-power
+    set T_u, with B2 at the slot of 2."""
     if variant not in ("Z", "Z1"):
         raise ValueError("variant must be 'Z' or 'Z1'")
-    N = L.base
-    if d == 1 or N.value % d:
-        raise ValueError("need a divisor 1 < d of N")
-    I = exponent_tuple(N, d)
-    if in_square(I):
-        use_b2 = variant == "Z" and in_T_u(I, N.exponents, L.u)
-        parts = []
-        for i, (p, r) in enumerate(N.factors, start=1):
-            if use_b2 and i == L.u:
-                parts.append(base_vector_B2(r, I[i - 1]))
-            else:
-                parts.append(base_vector_A(p, r, I[i - 1]))
-        return tensor_join(*parts)
-    m = tuple_m(I)
-    parts = [base_vector_B(p, r, 1) if i == m else base_vector_A(p, r, I[i - 1])
-             for i, (p, r) in enumerate(N.factors, start=1)]
-    return tensor_join(*parts)
+    return _build(L, *_recipe(L, _exponents(L, d), variant))
 
 
-def construct_Y(L: OrderedLevel, d: int, variant: str = "Y2") -> CuspDivisor:
-    """Y0/Y1/Y2(d) for squarefree d > 1, relative to the ordering L."""
-    if variant not in ("Y0", "Y1", "Y2"):
-        raise ValueError("variant must be 'Y0', 'Y1' or 'Y2'")
-    N, u, s = L.base, L.u, L.s
-    I = exponent_tuple(N, d)
-    if not in_delta(I):
-        raise ValueError("Y vectors exist only for squarefree divisors > 1")
-    m = tuple_m(I)
-    x = max(m, u)
-    if variant == "Y2" and in_F_set(I, s):
-        n_ = tuple_n(I)
-        y = max(1, 3 - s)
-        parts = [base_vector_B(p, r, 1) if i == s else base_vector_A(p, r, I[i - 1])
-                 for i, (p, r) in enumerate(N.factors, start=1) if i not in (y, n_)]
-        return tensor_join(*parts, D_vector(L, y, n_))
-    if variant == "Y2" and in_G_set(I, s):
-        parts = [base_vector_B(p, r, 1) if i == 1 else base_vector_A(p, r, I[i - 1])
-                 for i, (p, r) in enumerate(N.factors, start=1)]
-        return tensor_join(*parts)
-    if in_E_set(I):
-        if variant == "Y0":
-            return construct_Z(L, d, "Z")
-        parts = [base_vector_B(p, r, 1) if i == x else base_vector_A(p, r, I[i - 1])
-                 for i, (p, r) in enumerate(N.factors, start=1)]
-        return tensor_join(*parts)
-    if variant in ("Y1", "Y2") and in_H_u(I, u):
-        return _tensor_with_D(L, I, m, tuple_k(I))
-    return _tensor_with_D(L, I, m, tuple_n(I))
+def construct_Y(L: OrderedLevel, d: int) -> CuspDivisor:
+    """Y2(d) for squarefree d > 1, relative to the ordering L."""
+    return _build(L, *_recipe(L, _exponents(L, d), "Y2"))
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +379,6 @@ def G_slot(p: int, r: int, f: int) -> int:
     return p ** (r - 1 - j) * (p * p - 1)
 
 
-def _frak_G(L: OrderedLevel, I) -> int:
-    N = L.base
-    if in_square(I):
-        return math.prod(G_slot(p, r, f) for (p, r), f in zip(N.factors, I))
-    m = tuple_m(I)
-    out = N.primes[m - 1] - 1
-    for i, ((p, r), f) in enumerate(zip(N.factors, I), start=1):
-        if i != m:
-            out *= G_slot(p, r, f)
-    return out
-
-
 def _frak_H(L: OrderedLevel, I) -> int:
     N, u = L.base, L.u
     t = N.t
@@ -406,29 +396,6 @@ def _frak_H(L: OrderedLevel, I) -> int:
     return 1
 
 
-def _script_G(L: OrderedLevel, I) -> int:
-    N, u, s = L.base, L.u, L.s
-    m = tuple_m(I)
-    x = max(m, u)
-    if in_E_set(I):
-        out = N.primes[x - 1] - 1
-        for i, ((p, r), f) in enumerate(zip(N.factors, I), start=1):
-            if i != x:
-                out *= G_slot(p, r, f)
-        return out
-    if in_F_set(I, s):
-        return G_pair(L, max(1, 3 - s), tuple_n(I))
-    if in_G_set(I, s):
-        p2, r2 = N.factors[1]
-        return G_slot(p2, r2, 0)
-    pair = (m, tuple_k(I)) if in_H_u(I, u) else (m, tuple_n(I))
-    out = G_pair(L, *pair)
-    for i, ((p, r), f) in enumerate(zip(N.factors, I), start=1):
-        if i not in pair:
-            out *= G_slot(p, r, f)
-    return out
-
-
 def _script_H(L: OrderedLevel, I) -> int:
     u, s = L.u, L.s
     t = L.t
@@ -438,15 +405,16 @@ def _script_H(L: OrderedLevel, I) -> int:
 
 
 def predicted_order(L: OrderedLevel, d: int, kind: str) -> int:
-    """The closed-form order of Z(d) (kind 'Z') or Y2(d) (kind 'Y2')."""
-    N = L.base
-    if d == 1 or N.value % d:
-        raise ValueError("need a divisor 1 < d of N")
-    I = exponent_tuple(N, d)
-    if kind == "Z":
-        return Fraction(_frak_G(L, I) * _frak_H(L, I), 24).numerator
-    if kind == "Y2":
-        if not in_delta(I):
-            raise ValueError("Y2 orders exist only for squarefree divisors")
-        return Fraction(_script_G(L, I) * _script_H(L, I), 24).numerator
-    raise ValueError(f"unknown kind {kind!r}")
+    """The closed-form order of Z(d) (kind 'Z') or Y2(d) (kind 'Y2'),
+    numerator(G * H / 24), read off the recipe that builds the vector: G is
+    G_pair(i, j) for a D pair times, over the other slots, p - 1 for a B and
+    G_slot(p, r, f) for an A or B2."""
+    if kind not in ("Z", "Y2"):
+        raise ValueError(f"unknown kind {kind!r}")
+    I = _exponents(L, d)
+    parts, pair = _recipe(L, I, kind)
+    G = G_pair(L, *pair) if pair else 1
+    for vector, p, r, f in parts:
+        G *= p - 1 if vector == "B" else G_slot(p, r, f)
+    GH = G * (_frak_H(L, I) if kind == "Z" else _script_H(L, I))
+    return GH // math.gcd(GH, 24)

@@ -205,16 +205,6 @@ def E_tuple(k: int, t: int) -> tuple[int, ...]:
     return tuple(0 if i == k else 1 for i in range(1, t + 1))
 
 
-def F_tuple(k: int, t: int) -> tuple[int, ...]:
-    return tuple(1 if i == k else 0 for i in range(1, t + 1))
-
-
-def E_u_tuple(k: int, u: int, t: int) -> tuple[int, ...]:
-    if k == u:
-        raise ValueError("need k != u")
-    return tuple(0 if i in (k, u) else 1 for i in range(1, t + 1))
-
-
 def in_T_u(I, exponents, u: int) -> bool:
     """The exceptional 2-power set: nonempty only when 2 | N with r_u >= 5."""
     if u == 0 or exponents[u - 1] <= 4:

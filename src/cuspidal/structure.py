@@ -34,12 +34,11 @@ from typing import Callable, NamedTuple
 
 from .divisors import C_generator, pi1_pull, pi2_pull
 from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
-from .intarith import (A_tuple, E_tuple, as_factored, divisor_positions, divisors,
+from .intarith import (E_tuple, as_factored, divisor_positions, divisors,
                        exponent_tuple, factor, in_square, kappa, valuation)
-from .generators import (OrderedLevel, base_vector_B, construct_Y, construct_Z,
-                         default_level, divisor_orderings, in_F_set,
-                         in_F1_set, in_G_set, in_G1_set, in_T_u, order_primes,
-                         predicted_order)
+from .generators import (OrderedLevel, _script_H, base_vector_B, construct_Y,
+                         construct_Z, default_level, divisor_orderings, in_T_u,
+                         order_primes, predicted_order)
 from .orderengine import profile
 
 
@@ -310,7 +309,7 @@ def _blocks(n: int):
     for ell in _relevant_ells(n):
         L = order_primes(n, ell)
         yield _Block("Y2", L, tuple((d, f"Y2({d})", predicted_order(L, d, "Y2")) for d in sf),
-                     lambda d, L=L: construct_Y(L, d, "Y2"), {}, {})
+                     lambda d, L=L: construct_Y(L, d), {}, {})
 
 
 def _generator_rows(blocks):
@@ -463,18 +462,16 @@ def _ell2_split_conditions(rep, L, precs, deltas, profs):
     """Independence certificate for ell = 2: every squarefree generator after the first either
     has h = 1 with an odd anchor entry and zeros above it in its column, or
     an odd parity sum Pw_{p_h} vanishing on all earlier generators."""
-    N, u, s = L.base, L.u, L.s
+    N, s = L.base, L.s
     t = N.t
     M = _tri_rows(N.value, deltas, profs)
     for j, d in enumerate(precs[:len(profs)]):
         I = exponent_tuple(N, d)
-        in_Hp = (in_F1_set(I, u) or in_G1_set(I, u)) and not (
-            in_F_set(I, s) or in_G_set(I, s))
-        in_H = in_Hp or I == A_tuple(1, t)
-        rep.record("ell2/h-table", f"d={d}", profs[j].h == (2 if in_H else 1))
+        h_closed = _script_H(L, I)  # the H factor of the closed-form Y2 order
+        rep.record("ell2/h-table", f"d={d}", profs[j].h == h_closed)
         if j == 0:
             continue
-        if not in_H:
+        if h_closed == 1:
             diag_odd = M[j][j] % 2 == 1
             above = all(M[i][j] == 0 for i in range(j))
             rep.record("ell2/column", f"d={d}, anchor delta={deltas[j]}",

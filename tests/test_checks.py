@@ -14,7 +14,7 @@ import cuspidal
 from cuspidal import etalinalg, orderengine
 from cuspidal.divisors import CuspDivisor, from_dict, zero_divisor
 from cuspidal.etalinalg import _series_inv, eta_qexpansion, lambda24, ligozat_check
-from cuspidal.intarith import E_u_tuple, exponent_tuple, factor
+from cuspidal.intarith import exponent_tuple, factor
 from cuspidal.orderengine import eta_certificate
 
 PACKAGE = os.path.dirname(os.path.abspath(cuspidal.__file__))
@@ -59,8 +59,6 @@ def test_bad_arguments_raise_value_error():
         _series_inv([2, 1], 3)
     with pytest.raises(ValueError):
         exponent_tuple(factor(12), 5)
-    with pytest.raises(ValueError):
-        E_u_tuple(2, 2, 3)
     with pytest.raises(ValueError):
         eta_certificate(from_dict(11, {1: 1}))
 

@@ -81,11 +81,15 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "cusps", "0")
     assert code == 1
-    for q in ("0", "-1"):
+    for q in ("0", "-1", "1001"):
         code, _, err = run(capsys, "eta", "11", "--divisor", "12*(1),-12*(11)", "--qexp", q)
         assert code == 1 and "--qexp" in err
     code, _, err = run(capsys, "order", "11", "--divisor", '{"N": 11}')
     assert code == 1 and "coeffs" in err
+    code, _, err = run(capsys, "order", "12", "--divisor", '{"coeffs": {"1": true}}')
+    assert code == 1 and "coeffs" in err
+    code, _, err = run(capsys, "order", "12", "--divisor", '{"N": "12", "coeffs": {"1": 1}}')
+    assert code == 1 and '"N" must be an integer' in err
 
 
 def _loaded_by_cli_import(module):

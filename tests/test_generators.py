@@ -187,14 +187,13 @@ def test_Z_and_Y_profiles_match_predictions():
             L = order_primes(n, ell)
             for d in divisors(n):
                 if d > 1 and all(valuation(d, p) <= 1 for p in L.base.primes):
-                    assert profile(construct_Y(L, d, "Y2")).order == \
+                    assert profile(construct_Y(L, d)).order == \
                         predicted_order(L, d, "Y2")
 
 
 def test_Y_variants_degree_zero():
     L = order_primes(60, 2)
     for d in (2, 3, 5, 6, 10, 15, 30):
-        for variant in ("Y0", "Y1", "Y2"):
-            assert construct_Y(L, d, variant).degree() == 0
+        assert construct_Y(L, d).degree() == 0
     with pytest.raises(ValueError):
-        construct_Y(L, 4, "Y2")
+        construct_Y(L, 4)

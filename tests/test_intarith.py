@@ -4,9 +4,9 @@ import random
 import pytest
 from sympy import factorint
 
-from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, E_u_tuple,
-                               F_tuple, as_factored, divisor_lattice, divisor_of,
-                               divisors, exponent_tuple, factor, in_delta,
+from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, as_factored,
+                               divisor_lattice, divisor_of, divisors,
+                               exponent_tuple, factor, in_delta,
                                in_E_set, in_F_set, in_F1_set, in_G_set,
                                in_G1_set, in_H_u, in_square, in_T_u, kappa, phi,
                                tuple_k, tuple_m, tuple_n, valuation, z_of)
@@ -86,8 +86,6 @@ def test_m_n_k():
 def test_named_tuples():
     assert A_tuple(2, 4) == (0, 1, 1, 1)
     assert E_tuple(3, 4) == (1, 1, 0, 1)
-    assert F_tuple(1, 3) == (1, 0, 0)
-    assert E_u_tuple(3, 1, 4) == (0, 1, 0, 1)
 
 
 def test_special_sets():

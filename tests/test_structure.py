@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -217,6 +218,19 @@ def test_crosscheck_matches_the_batch_reference():
         lines = fh.read().splitlines()[:300]
     for n, line in enumerate(lines, start=1):
         assert json.dumps(crosscheck(n), sort_keys=True) == line, n
+
+
+def test_group_matches_the_seed0_reference():
+    """group_to_json on every 16th level (sorted) of the benchmark's seed-0
+    sample, levels up to 10^6; the digest is the first 16 hex digits of the
+    sha256 of the sorted-key JSON, as in perfbench/worker.py."""
+    with open(os.path.join(REPO, "perfbench", "reference", "group-seed0.json")) as fh:
+        digests = json.load(fh)["digests"]
+    levels = sorted(map(int, digests))[::16]
+    assert len(levels) == 250
+    for n in levels:
+        text = json.dumps(group_to_json(compute_group(n)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digests[str(n)], n
 
 
 ORACLE = ("snf_oracle", "invariant_factors_of_quotient", "eta_unit_lattice")
