@@ -46,20 +46,23 @@ def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
             raise ValueError(f'a JSON divisor\'s "N" must be an integer, not {level!r}')
         if level != n:
             raise ValueError(f"divisor level {level} does not match N={n}")
-        coeffs = {int(d): int(c) for d, c in obj["coeffs"].items()}
+        terms = [(int(d), c) for d, c in obj["coeffs"].items()]
     else:
         compact = text.replace(",", "+").replace(" ", "")
-        coeffs: dict = {}
+        terms = []
         pos = 0
         for m in _TERM.finditer(compact):
             gap = compact[pos: m.start()]
             if gap not in ("", "+"):
                 raise ValueError(f"parse error at position {pos}: {gap!r}")
-            c, d = int(m.group(1)), int(m.group(2))
-            coeffs[d] = coeffs.get(d, 0) + c
+            terms.append((int(m.group(2)), int(m.group(1))))
             pos = m.end()
         if pos != len(compact) or not compact:
             raise ValueError(f"parse error at position {pos}: {compact[pos:]!r}")
+    # Keys such as "1" and "01" name one divisor: their terms are summed.
+    coeffs: dict = {}
+    for d, c in terms:
+        coeffs[d] = coeffs.get(d, 0) + c
     for d in coeffs:
         if d <= 0 or n % d:
             raise ValueError(f"{d} does not divide {n}")

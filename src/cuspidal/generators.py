@@ -6,10 +6,12 @@ vectors A_p(r,f) / B_p(r,f) / B2(r,f) at prime-power levels, the two-prime
 correction vectors D, the composite generators Z (one per divisor) and Y2
 (one per squarefree divisor), and their closed-form predicted orders.
 
-Yoo's case split is made once, in _recipe: each generator is a tensor of
-one base vector per prime slot (A, B or B2), with at most one two-prime D
-in place of two slots.  construct_Z and construct_Y tensor the parts of the
-recipe, and predicted_order multiplies one G factor per part.
+Generators are keyed by their exponent tuple I.  Yoo's case split depends
+only on the shape (I, u, s, r_u, kind), so _case makes it once per shape:
+one base vector per prime slot (A, B or B2), at most one two-prime D in
+place of two slots, and the H factor of the order.  generator_vector and
+generator_order read it; construct_Z, construct_Y and predicted_order wrap
+them for a divisor d.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ class OrderedLevel:
     @property
     def t(self) -> int:
         return self.base.t
+
+    @property
+    def r_u(self) -> int:
+        """The exponent of 2 in N, or 0 if N is odd."""
+        return self.base.exponents[self.u - 1] if self.u else 0
 
 
 def _gamma(p: int, r: int) -> int:
@@ -240,45 +247,6 @@ def base_vector_B2(r: int, f: int) -> CuspDivisor:
     return CuspDivisor(n, coeffs)
 
 
-def g_scalar(p: int, r: int, f: int) -> int:
-    """g_p(r, f) with Upsilon(p^r) * A_p(r,f) = g * (primitive image vector)."""
-    if f == 0:
-        return 1
-    if f == 1:
-        return p ** (r - 1) * (p * p - 1)
-    if f == 2:
-        return p ** (r - 1)
-    return p ** ((r + 1 - f) // 2)
-
-
-def image_vector_A(p: int, r: int, f: int) -> tuple:
-    """The primitive vector with Upsilon(p^r) * A_p(r,f) = g_p(r,f) * it."""
-    if f == 0:
-        return (p, -1) + (0,) * (r - 1)
-    if f == 1:
-        return (1,) + (0,) * r
-    if f == 2:
-        if r % 2 == 0:
-            return (1,) + (0,) * (r - 1) + (-1,)
-        return (0, 1) + (0,) * (r - 2) + (-1,)
-    if (r - f) % 2 == 0:
-        j = (r - f) // 2
-        return (p, -1) + (0,) * (r - 3 - j) + (1, -p) + (0,) * j
-    j = (r + 1 - f) // 2
-    return (0,) * j + (p, -1) + (0,) * (r - 3 - j) + (1, -p)
-
-
-def base_vector_image(kind: str, p: int, r: int, f: int):
-    """(scalar, primitive vector) with Upsilon * base_vector = scalar * vector."""
-    if kind == "A":
-        return g_scalar(p, r, f), image_vector_A(p, r, f)
-    if kind == "B":
-        if f == 1:
-            return p ** (r - 1) * (p + 1), (1, -1) + (0,) * (r - 1)
-        return g_scalar(p, r, f), image_vector_A(p, r, f)
-    raise ValueError(f"no closed image table for kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Composite generators
 # ---------------------------------------------------------------------------
@@ -299,25 +267,21 @@ def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
     return (gj // G) * left - (gi // G) * right
 
 
-def _exponents(L: OrderedLevel, d: int) -> tuple:
-    if d == 1 or L.base.value % d:
-        raise ValueError("need a divisor 1 < d of N")
-    return exponent_tuple(L.base, d)
-
-
-def _recipe(L: OrderedLevel, I, kind: str):
+@lru_cache(maxsize=None)
+def _case(I, u: int, s: int, r_u: int, kind: str):
     """Yoo's case split for the generator of kind "Z", "Z1" or "Y2" at the
-    exponent tuple I, as (parts, pair).  pair is the (i, j) of the two-prime
-    correction D_vector(L, i, j), which fills slots i and j, or None.  parts
-    holds (vector, p, r, f) for every other slot: vector "A" is A_p(r, f),
-    "B" is B_p(r, 1) (f is 1 there) and "B2" is B2(r, f) at the slot of 2.
-    Z1 is Z without the B2 replacement on T_u."""
-    N, u, s = L.base, L.u, L.s
+    exponent tuple I, with 2 at slot u (0 if N is odd) to the power r_u,
+    s = u for ell = 2 and 0 for odd ell, as (parts, pair, H).  pair is the (i, j) of the
+    two-prime correction D_vector(L, i, j), which fills slots i and j, or
+    None.  parts holds (i, vector, f) for every other slot i: vector "A" is
+    A_p(r, f), "B" is B_p(r, 1) (f is 1 there) and "B2" is B2(r, f) at the
+    slot of 2.  H is _frak_H (Z) or _script_H (Y2).  Z1 is Z without the B2
+    replacement on T_u."""
     slot, vector, pair = 0, "A", None  # at most one slot holds a B or B2
     if kind in ("Z", "Z1"):
         if not in_square(I):
             slot, vector = tuple_m(I), "B"
-        elif kind == "Z" and in_T_u(I, N.exponents, u):
+        elif kind == "Z" and in_T_u(I, r_u, u):
             slot, vector = u, "B2"
     elif not in_delta(I):
         raise ValueError("Y2 exists only for squarefree divisors > 1")
@@ -329,19 +293,30 @@ def _recipe(L: OrderedLevel, I, kind: str):
         slot, vector = max(tuple_m(I), u), "B"
     else:
         pair = (tuple_m(I), tuple_k(I) if in_H_u(I, u) else tuple_n(I))
-    parts = [(vector if i == slot else "A", p, r, f)
-             for i, ((p, r), f) in enumerate(zip(N.factors, I), start=1)
-             if not (pair and i in pair)]
-    return parts, pair
+    parts = tuple((i, vector if i == slot else "A", f)
+                  for i, f in enumerate(I, start=1) if not (pair and i in pair))
+    H = _script_H(I, u, s) if kind == "Y2" else _frak_H(I, u, r_u)
+    return parts, pair, H
 
 
-def _build(L: OrderedLevel, parts, pair) -> CuspDivisor:
-    vecs = [base_vector_B2(r, f) if vector == "B2" else
-            base_vector_B(p, r, f) if vector == "B" else base_vector_A(p, r, f)
-            for vector, p, r, f in parts]
+def generator_vector(L: OrderedLevel, I, kind: str) -> CuspDivisor:
+    """The generator of kind "Z", "Z1" or "Y2" at the exponent tuple I of L."""
+    parts, pair, _ = _case(I, L.u, L.s, L.r_u, kind)
+    factors = L.base.factors
+    vecs = []
+    for i, vector, f in parts:
+        p, r = factors[i - 1]
+        vecs.append(base_vector_B2(r, f) if vector == "B2" else
+                    base_vector_B(p, r, f) if vector == "B" else base_vector_A(p, r, f))
     if pair:
         vecs.append(D_vector(L, *pair))
     return tensor_join(*vecs)
+
+
+def _exponents(L: OrderedLevel, d: int) -> tuple:
+    if d == 1 or L.base.value % d:
+        raise ValueError("need a divisor 1 < d of N")
+    return exponent_tuple(L.base, d)
 
 
 def construct_Z(L: OrderedLevel, d: int, variant: str = "Z") -> CuspDivisor:
@@ -350,12 +325,12 @@ def construct_Z(L: OrderedLevel, d: int, variant: str = "Z") -> CuspDivisor:
     set T_u, with B2 at the slot of 2."""
     if variant not in ("Z", "Z1"):
         raise ValueError("variant must be 'Z' or 'Z1'")
-    return _build(L, *_recipe(L, _exponents(L, d), variant))
+    return generator_vector(L, _exponents(L, d), variant)
 
 
 def construct_Y(L: OrderedLevel, d: int) -> CuspDivisor:
     """Y2(d) for squarefree d > 1, relative to the ordering L."""
-    return _build(L, *_recipe(L, _exponents(L, d), "Y2"))
+    return generator_vector(L, _exponents(L, d), "Y2")
 
 
 # ---------------------------------------------------------------------------
@@ -379,42 +354,46 @@ def G_slot(p: int, r: int, f: int) -> int:
     return p ** (r - 1 - j) * (p * p - 1)
 
 
-def _frak_H(L: OrderedLevel, I) -> int:
-    N, u = L.base, L.u
-    t = N.t
+def _frak_H(I, u: int, r_u: int) -> int:
+    t = len(I)
     if I == A_tuple(1, t):
         return 2
     if u >= 1 and I == E_tuple(u, t):
         return 2
     if u >= 1:
-        ru, fu = N.exponents[u - 1], I[u - 1]
+        fu = I[u - 1]
         others_one = all(f == 1 for i, f in enumerate(I, start=1) if i != u)
-        if 3 <= ru <= 4 and fu == 3 and others_one:
+        if 3 <= r_u <= 4 and fu == 3 and others_one:
             return 2
-        if ru >= 5 and fu == ru + 1 - math.gcd(2, ru) and others_one:
+        if r_u >= 5 and fu == r_u + 1 - math.gcd(2, r_u) and others_one:
             return 2
     return 1
 
 
-def _script_H(L: OrderedLevel, I) -> int:
-    u, s = L.u, L.s
-    t = L.t
+def _script_H(I, u: int, s: int) -> int:
+    t = len(I)
     in_numer = in_F1_set(I, u) or in_G1_set(I, u) or I == A_tuple(1, t)
     in_denom = in_F_set(I, s) or in_G_set(I, s)
     return 2 if in_numer and not in_denom else 1
 
 
+def generator_order(L: OrderedLevel, I, kind: str) -> int:
+    """The closed-form order of the generator of kind "Z" or "Y2" at the
+    exponent tuple I of L, numerator(G * H / 24), read off the case that
+    builds the vector: G is G_pair(i, j) for a D pair times, over the other
+    slots, p - 1 for a B and G_slot(p, r, f) for an A or B2."""
+    parts, pair, H = _case(I, L.u, L.s, L.r_u, kind)
+    G = G_pair(L, *pair) if pair else 1
+    factors = L.base.factors
+    for i, vector, f in parts:
+        p, r = factors[i - 1]
+        G *= p - 1 if vector == "B" else G_slot(p, r, f)
+    GH = G * H
+    return GH // math.gcd(GH, 24)
+
+
 def predicted_order(L: OrderedLevel, d: int, kind: str) -> int:
-    """The closed-form order of Z(d) (kind 'Z') or Y2(d) (kind 'Y2'),
-    numerator(G * H / 24), read off the recipe that builds the vector: G is
-    G_pair(i, j) for a D pair times, over the other slots, p - 1 for a B and
-    G_slot(p, r, f) for an A or B2."""
+    """The closed-form order of Z(d) (kind 'Z') or Y2(d) (kind 'Y2')."""
     if kind not in ("Z", "Y2"):
         raise ValueError(f"unknown kind {kind!r}")
-    I = _exponents(L, d)
-    parts, pair = _recipe(L, I, kind)
-    G = G_pair(L, *pair) if pair else 1
-    for vector, p, r, f in parts:
-        G *= p - 1 if vector == "B" else G_slot(p, r, f)
-    GH = G * (_frak_H(L, I) if kind == "Z" else _script_H(L, I))
-    return GH // math.gcd(GH, 24)
+    return generator_order(L, _exponents(L, d), kind)

@@ -91,11 +91,7 @@ def as_factored(n) -> FactoredInteger:
 @lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
-    fn = factor(n)
-    ds = [1]
-    for p, r in fn.factors:
-        ds = [d * p ** k for d in ds for k in range(r + 1)]
-    return tuple(sorted(ds))
+    return tuple(divisor_of(factor(n), I) for I in divisor_exponents(n))
 
 
 @lru_cache(maxsize=None)
@@ -105,11 +101,22 @@ def divisor_positions(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
+def divisor_exponents(n: int) -> tuple:
+    """The exponent tuple of each divisor of n over its primes ascending,
+    divisors ascending; divisors(n) is read off it."""
+    pairs = [(1, ())]
+    for p, r in factor(n).factors:
+        pairs = [(d * p ** k, I + (k,)) for d, I in pairs for k in range(r + 1)]
+    pairs.sort()
+    return tuple(I for _, I in pairs)
+
+
+@lru_cache(maxsize=None)
 def odd_valuation_positions(n: int) -> tuple:
     """(p, positions of the divisors d of n with v_p(d) odd), primes ascending."""
-    ds = divisors(n)
-    return tuple((p, tuple(i for i, d in enumerate(ds) if valuation(d, p) % 2))
-                 for p in factor(n).primes)
+    exps = divisor_exponents(n)
+    return tuple((p, tuple(i for i, I in enumerate(exps) if I[j] % 2))
+                 for j, p in enumerate(factor(n).primes))
 
 
 def phi(n: int) -> int:
@@ -166,7 +173,7 @@ def in_delta(I) -> bool:
 
 
 def in_square(I) -> bool:
-    return any(I) and any(f >= 2 for f in I)
+    return max(I, default=0) >= 2
 
 
 def tuple_m(I) -> int:
@@ -205,13 +212,14 @@ def E_tuple(k: int, t: int) -> tuple[int, ...]:
     return tuple(0 if i == k else 1 for i in range(1, t + 1))
 
 
-def in_T_u(I, exponents, u: int) -> bool:
-    """The exceptional 2-power set: nonempty only when 2 | N with r_u >= 5."""
-    if u == 0 or exponents[u - 1] <= 4:
+def in_T_u(I, r_u: int, u: int) -> bool:
+    """The exceptional 2-power set, for 2 at slot u with exponent r_u in N:
+    nonempty only when 2 | N with r_u >= 5."""
+    if u == 0 or r_u <= 4:
         return False
     if not in_square(I):
         return False
-    if not 3 <= I[u - 1] <= exponents[u - 1]:
+    if not 3 <= I[u - 1] <= r_u:
         return False
     return all(f == 1 for i, f in enumerate(I, start=1) if i != u)
 

@@ -16,8 +16,9 @@ Two independent routes are implemented and cross-checked:
 The generators come from one walk, _blocks(N), over Yoo's table: one block
 per prime ordering (the Z block on the default level, then B(p, r, 1) when
 N = p^r, else one Y2 block per relevant ell), each with rows (d, label,
-closed-form order) in ascending d and a builder for the vector at d; a
-block builds and profiles each vector at most once.  compute_group keeps the
+closed-form order) in ascending d, read off divisor_exponents(N), and a
+builder for the vector at d; Y2 blocks of equal orderings share one table,
+which builds and profiles each vector at most once.  compute_group keeps the
 rows of order > 1 and builds only their vectors; compute_ell_primary filters
 compute_group; verify_certificates re-sorts each block into its divisor
 ordering, profiles each vector and re-runs the split-off hypotheses
@@ -34,11 +35,11 @@ from typing import Callable, NamedTuple
 
 from .divisors import C_generator, pi1_pull, pi2_pull
 from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
-from .intarith import (E_tuple, as_factored, divisor_positions, divisors,
-                       exponent_tuple, factor, in_square, kappa, valuation)
-from .generators import (OrderedLevel, _script_H, base_vector_B, construct_Y,
-                         construct_Z, default_level, divisor_orderings, in_T_u,
-                         order_primes, predicted_order)
+from .intarith import (E_tuple, as_factored, divisor_exponents, divisor_positions,
+                       divisors, factor, in_square, kappa, valuation)
+from .generators import (OrderedLevel, _script_H, base_vector_B, default_level,
+                         divisor_orderings, generator_order, generator_vector,
+                         in_T_u, order_primes)
 from .orderengine import profile
 
 
@@ -284,32 +285,39 @@ def _relevant_ells(n: int):
 def _blocks(n: int):
     """Yoo's table for C(N): the Z block on the default level, then B(p, r, 1)
     when N = p^r, else one Y2 block per relevant ell on order_primes(N, ell).
-    Orders of 1 are kept; vectors are built only on request."""
+    Each row's exponent tuple is read off divisor_exponents(N) in the block's
+    prime ordering; Y2 blocks with equal (factors, s) share rows, vectors and
+    profiles.  Orders of 1 are kept; vectors are built only on request."""
     fn = factor(n)
     if fn.t == 0:
         return
     L0 = default_level(n)
-    nsf, sf = [], []
-    for d in divisors(n)[1:]:
-        (nsf if in_square(exponent_tuple(fn, d)) else sf).append(d)
+    nsf, sf = {}, {}
+    for d, I in zip(divisors(n)[1:], divisor_exponents(n)[1:]):
+        (nsf if in_square(I) else sf)[d] = I
     if fn.t == 1:
         (p, r), = fn.factors
-
-        def label(d):
-            f = valuation(d, p)
-            return f"B2({r},{f})" if in_T_u((f,), fn.exponents, L0.u) else f"B({p},{r},{f})"
+        label = lambda d, I: (f"B2({r},{I[0]})" if in_T_u(I, r, L0.u)
+                              else f"B({p},{r},{I[0]})")
     else:
-        label = lambda d: f"Z({d})"
-    yield _Block("Z", L0, tuple((d, label(d), predicted_order(L0, d, "Z")) for d in nsf),
-                 lambda d: construct_Z(L0, d, "Z"), {}, {})
+        label = lambda d, I: f"Z({d})"
+    yield _Block("Z", L0, tuple((d, label(d, I), generator_order(L0, I, "Z"))
+                                for d, I in nsf.items()),
+                 lambda d: generator_vector(L0, nsf[d], "Z"), {}, {})
     if fn.t == 1:
-        yield _Block("B", L0, ((p, f"B({p},{r},1)", predicted_order(L0, p, "Z")),),
+        yield _Block("B", L0, ((p, f"B({p},{r},1)", generator_order(L0, (1,), "Z")),),
                      lambda d: base_vector_B(p, r, 1), {}, {})
         return
+    tables = {}  # (factors, s) -> (rows, build, vectors, profiles)
     for ell in _relevant_ells(n):
         L = order_primes(n, ell)
-        yield _Block("Y2", L, tuple((d, f"Y2({d})", predicted_order(L, d, "Y2")) for d in sf),
-                     lambda d, L=L: construct_Y(L, d), {}, {})
+        key = (L.base.factors, L.s)
+        if key not in tables:
+            perm = [fn.primes.index(q) for q in L.base.primes]
+            Is = {d: tuple(I[k] for k in perm) for d, I in sf.items()}
+            rows = tuple((d, f"Y2({d})", generator_order(L, I, "Y2")) for d, I in Is.items())
+            tables[key] = (rows, lambda d, L=L, Is=Is: generator_vector(L, Is[d], "Y2"), {}, {})
+        yield _Block("Y2", L, *tables[key])
 
 
 def _generator_rows(blocks):
@@ -428,10 +436,11 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
         profs = [blk.profile_of(d) for d, _, _ in rows]
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
-            # outside the exceptional 2-power set T_u.
-            fn, u = blk.level.base, blk.level.u
-            profs1 = [profile(construct_Z(blk.level, d, "Z1"))
-                      if in_T_u(exponent_tuple(fn, d), fn.exponents, u) else pz
+            # outside the exceptional 2-power set T_u.  The Z block is on
+            # the default level, whose primes ascend as in divisor_exponents.
+            L0, exps, pos = blk.level, divisor_exponents(n), divisor_positions(n)
+            profs1 = [profile(generator_vector(L0, exps[pos[d]], "Z1"))
+                      if in_T_u(exps[pos[d]], L0.r_u, L0.u) else pz
                       for (d, _, _), pz in zip(rows, profs)]
             _check_unipotent(rep, n, precs, deltas, profs1, rank[rows[0][0]],
                              "nsf-unipotence")
@@ -446,7 +455,7 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
             _check_unipotent(rep, n, precs, deltas, profs, 0,
                              f"sf-unipotence/ell={ell}", modulus=ell)
         else:
-            _ell2_split_conditions(rep, blk.level, precs, deltas, profs)
+            _ell2_split_conditions(rep, DO, precs, deltas, profs)
     # (d) 2-power relations through the genus-zero level 16
     r2 = valuation(n, 2)
     if n == 2 ** r2 and r2 >= 5:
@@ -458,16 +467,17 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
     return rep
 
 
-def _ell2_split_conditions(rep, L, precs, deltas, profs):
+def _ell2_split_conditions(rep, DO, precs, deltas, profs):
     """Independence certificate for ell = 2: every squarefree generator after the first either
     has h = 1 with an odd anchor entry and zeros above it in its column, or
-    an odd parity sum Pw_{p_h} vanishing on all earlier generators."""
+    an odd parity sum Pw_{p_h} vanishing on all earlier generators.  The
+    exponent tuple of precs[j] is DO.prec_tuples[j]."""
+    L = DO.level
     N, s = L.base, L.s
     t = N.t
     M = _tri_rows(N.value, deltas, profs)
-    for j, d in enumerate(precs[:len(profs)]):
-        I = exponent_tuple(N, d)
-        h_closed = _script_H(L, I)  # the H factor of the closed-form Y2 order
+    for j, (d, I) in enumerate(zip(precs[:len(profs)], DO.prec_tuples)):
+        h_closed = _script_H(I, L.u, s)  # the H factor of the closed-form Y2 order
         rep.record("ell2/h-table", f"d={d}", profs[j].h == h_closed)
         if j == 0:
             continue

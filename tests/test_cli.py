@@ -32,6 +32,19 @@ def test_parse_divisor_spec():
         parse_divisor_spec("", 12)
 
 
+def test_json_divisor_sums_keys_naming_one_divisor(capsys):
+    # "1" and "01" both name the divisor 1: the terms add up, as in the text form
+    outs = []
+    for spec in ('{"coeffs": {"1": 1, "01": -1}}', "1*(1),-1*(01)"):
+        code, out, _ = run(capsys, "order", "12", "--divisor", spec, "--json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["divisor"]["coeffs"] == {}
+    D = parse_divisor_spec('{"coeffs": {"2": 3, "002": 4, "6": -7}}', 12)
+    assert D.as_dict() == {2: 7, 6: -7}
+
+
 def test_divisor_json_roundtrip():
     D = C_generator(36, 6)
     text = json.dumps({"N": D.n, "coeffs": {str(d): c for d, c in D.as_dict().items()}})

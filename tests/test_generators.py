@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from base_images import base_vector_image
 from cuspidal.divisors import orbit_divisor
 from cuspidal.etalinalg import upsilon_apply
 from cuspidal.generators import (D_vector, base_vector_A, base_vector_B,
-                                 base_vector_B2, base_vector_image,
-                                 construct_Y, construct_Z, default_level,
-                                 divisor_orderings, g_scalar, iota_delta,
+                                 base_vector_B2, construct_Y, construct_Z,
+                                 default_level, divisor_orderings, iota_delta,
                                  iota_r, order_primes, prec_ladder,
                                  predicted_order, tri_ladder)
 from cuspidal.intarith import divisors, kappa, valuation

@@ -5,10 +5,11 @@ import pytest
 from sympy import factorint
 
 from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, as_factored,
-                               divisor_lattice, divisor_of, divisors,
-                               exponent_tuple, factor, in_delta,
+                               divisor_exponents, divisor_lattice, divisor_of,
+                               divisors, exponent_tuple, factor, in_delta,
                                in_E_set, in_F_set, in_F1_set, in_G_set,
-                               in_G1_set, in_H_u, in_square, in_T_u, kappa, phi,
+                               in_G1_set, in_H_u, in_square, in_T_u, kappa,
+                               odd_valuation_positions, phi,
                                tuple_k, tuple_m, tuple_n, valuation, z_of)
 
 
@@ -73,6 +74,22 @@ def test_exponent_tuples():
     assert in_delta((1, 0, 1)) and not in_square((1, 0, 1))
 
 
+def test_divisor_exponents_match_exponent_tuple():
+    for n in range(1, 3001):
+        N = factor(n)
+        exps = divisor_exponents(n)
+        assert exps == tuple(exponent_tuple(N, d) for d in divisors(n)), n
+        assert tuple(divisor_of(N, I) for I in exps) == divisors(n), n
+
+
+def test_odd_valuation_positions_match_valuations():
+    for n in (1, 2, 12, 360, 720, 5040, 2 ** 10, 3 ** 6 * 5 ** 3):
+        ds = divisors(n)
+        assert odd_valuation_positions(n) == tuple(
+            (p, tuple(i for i, d in enumerate(ds) if valuation(d, p) % 2))
+            for p in factor(n).primes), n
+
+
 def test_m_n_k():
     # I = (0,1,1,0,1,0): m=2, n=4, k=6
     I = (0, 1, 1, 0, 1, 0)
@@ -101,12 +118,11 @@ def test_special_sets():
 
 def test_T_u():
     # only for 2-adic exponent >= 5
-    exps = (5, 1)
-    assert in_T_u((3, 1), exps, 1)
-    assert in_T_u((5, 1), exps, 1)
-    assert not in_T_u((2, 1), exps, 1)
-    assert not in_T_u((3, 0), exps, 1)
-    assert not in_T_u((3, 1), (4, 1), 1)
+    assert in_T_u((3, 1), 5, 1)
+    assert in_T_u((5, 1), 5, 1)
+    assert not in_T_u((2, 1), 5, 1)
+    assert not in_T_u((3, 0), 5, 1)
+    assert not in_T_u((3, 1), 4, 1)
 
 
 # The index-set predicates as first written: one E_tuple / E_u_tuple compare

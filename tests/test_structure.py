@@ -11,9 +11,11 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from cuspidal import cli, structure
+from cuspidal import cli, generators, intarith, structure
 from cuspidal.divisors import CuspDivisor
 from cuspidal.etalinalg import eta_divisor
+from cuspidal.generators import (base_vector_B, construct_Y, construct_Z,
+                                 predicted_order)
 from cuspidal.intarith import divisors, factor, kappa
 from cuspidal.orderengine import profile
 from cuspidal.structure import (AbelianGroupStructure, compute_ell_primary,
@@ -246,7 +248,7 @@ def test_oracle_is_independent_of_the_generators():
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "generators":
             forbidden |= {alias.asname or alias.name for alias in node.names}
-    assert "construct_Z" in forbidden and "predicted_order" in forbidden
+    assert "generator_vector" in forbidden and "generator_order" in forbidden
     seen, todo = set(), list(ORACLE)
     while todo:
         name = todo.pop()
@@ -331,3 +333,51 @@ def test_every_generator_has_a_passing_order_step():
             else:
                 criterion = "order/Z"
             assert (criterion, f"d={_generator_divisor(label)}") in passed, (n, label)
+
+
+LADDER = (5040, 30030, 55440, 720720, 2 ** 20, 3 ** 12)
+
+
+def _table_levels():
+    """N <= 2000, the certificate ladder and 200 seeded levels <= 10^6."""
+    rng = random.Random("blocks-table")
+    return list(range(1, 2001)) + list(LADDER) + [rng.randint(1, 10 ** 6) for _ in range(200)]
+
+
+def test_blocks_match_the_per_divisor_wrappers():
+    """Every row's order, and every vector, read off the exponent table equal
+    what the (L, d) wrappers derive from d alone."""
+    for n in _table_levels():
+        for blk in structure._blocks(n):
+            L = blk.level
+            for d, _, order in blk.rows:
+                if blk.kind == "Y2":
+                    want = predicted_order(L, d, "Y2"), construct_Y(L, d)
+                elif blk.kind == "Z":
+                    want = predicted_order(L, d, "Z"), construct_Z(L, d)
+                else:
+                    (p, r), = L.base.factors
+                    want = predicted_order(L, p, "Z"), base_vector_B(p, r, 1)
+                assert (order, blk.vector(d)) == want, (n, blk.kind, L.ell, d)
+
+
+def test_blocks_share_tables_exactly_when_orderings_agree():
+    for n in _table_levels():
+        y2 = [blk for blk in structure._blocks(n) if blk.kind == "Y2"]
+        for a in y2:
+            for b in y2:
+                same = (a.level.base.factors, a.level.s) == (b.level.base.factors, b.level.s)
+                assert (a.vectors is b.vectors) == same, (n, a.level.ell, b.level.ell)
+                assert (a.profiles is b.profiles) == same, (n, a.level.ell, b.level.ell)
+                assert (a.rows is b.rows) == same, (n, a.level.ell, b.level.ell)
+
+
+def test_table_path_never_recomputes_exponent_tuples(monkeypatch):
+    def refuse(N, d):
+        raise AssertionError(f"exponent_tuple({N.value}, {d}) called")
+
+    for module in (intarith, generators):
+        monkeypatch.setattr(module, "exponent_tuple", refuse)
+    for n in (5040, 720720, 2 ** 20):
+        assert compute_group(n).group_order > 1
+        assert verify_certificates(n).passed
