@@ -14,7 +14,7 @@ import re
 import sys
 
 from .cusps import enumerate_cusps, width
-from .divisors import CuspDivisor, from_dict
+from .divisors import CuspDivisor, divisor_to_json, from_dict
 from .etalinalg import eta_qexpansion, format_qexpansion
 from .intarith import divisors
 from .orderengine import eta_certificate, profile, profile_to_json
@@ -69,10 +69,6 @@ def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
     return from_dict(n, coeffs)
 
 
-def _divisor_to_json(D: CuspDivisor) -> dict:
-    return {"N": D.n, "coeffs": {str(d): c for d, c in D.as_dict().items()}}
-
-
 def cmd_cusps(args) -> int:
     cs = enumerate_cusps(args.N)
     if args.json:
@@ -89,7 +85,7 @@ def cmd_order(args) -> int:
     D = parse_divisor_spec(args.divisor, args.N)
     prof = profile(D)
     if args.json:
-        print(json.dumps({"N": args.N, "divisor": _divisor_to_json(D),
+        print(json.dumps({"N": args.N, "divisor": divisor_to_json(D),
                           **profile_to_json(prof)}))
     else:
         print(f"degree {prof.degree}")

@@ -1,6 +1,5 @@
 """Cusps of X0(N): canonical representatives <x : d>, widths, and the
-pointwise actions of degeneracy maps, Atkin-Lehner involutions and the
-Galois action.
+pointwise actions of degeneracy maps and Atkin-Lehner involutions.
 
 A cusp is written <x : d> with d | N and x taken modulo z = gcd(d, N/d),
 subject to gcd(x, d) = 1.  Two cusps are equal iff they share d and agree
@@ -45,23 +44,6 @@ def make_cusp(n, d: int, x: int) -> Cusp:
     if n % d != 0:
         raise ValueError(f"{d} does not divide {n}")
     return Cusp(n, d, _canonical_x(n, d, x))
-
-
-def normalize(a: int, b: int, n) -> Cusp:
-    """Canonical cusp equivalent to the point a/b (column vector (a, b))."""
-    n = as_factored(n).value
-    if (a, b) == (0, 0) or math.gcd(a, b) != 1:
-        raise ValueError("coprime (a, b) != (0, 0) required")
-    if b < 0:
-        a, b = -a, -b
-    d = math.gcd(b, n)
-    bp, npp = b // d, n // d
-    # Find y == b/d (mod N/d) with gcd(y, a*N) = 1; then <a : b> = <y*a : d>.
-    need = abs(a) * n if a else n
-    y = bp
-    while math.gcd(y, need) != 1:
-        y += npp
-    return make_cusp(n, d, y * a)
 
 
 def enumerate_cusps(n) -> tuple[Cusp, ...]:
@@ -117,24 +99,3 @@ def atkin_lehner(c: Cusp, p: int) -> Cusp:
     # x_new = x mod z_m and -x mod z_p (CRT); pow(., -1, 1) is 0.
     x_new = c.x - 2 * c.x * z_m * pow(z_m, -1, z_p)
     return make_cusp(n, d_new, x_new)
-
-
-def galois(c: Cusp, k: int) -> Cusp:
-    """The action of the Galois element sigma_k (k coprime to N) on cusps."""
-    if math.gcd(k, c.n) != 1:
-        raise ValueError("k must be coprime to the level")
-    kinv = pow(k, -1, c.n) if c.n > 1 else 1
-    return make_cusp(c.n, c.d, kinv * c.x)
-
-
-def ramification_index(op: str, c: Cusp, p: int) -> int:
-    """Ramification index of alpha_p or beta_p (level Np -> N) at a cusp of X0(Np)."""
-    if c.n % p != 0:
-        raise ValueError("p must divide the level")
-    r = valuation(c.n // p, p)
-    f = valuation(c.d, p)
-    if op == "alpha":
-        return p if 2 * f <= r else 1
-    if op == "beta":
-        return p if 2 * f >= r + 2 else 1
-    raise ValueError(f"unknown degeneracy map {op!r}")

@@ -8,7 +8,7 @@ case-by-case exponent formulas, extended linearly.
 
 tensor_join takes any number of factors at pairwise coprime levels and forms
 the dense Kronecker product of their coefficient tuples in one pass, then
-gathers it into ascending-divisor order; tensor_split undoes one join.
+gathers it into ascending-divisor order.
 """
 
 from __future__ import annotations
@@ -76,6 +76,11 @@ def from_dict(n, coeffs: dict) -> CuspDivisor:
     return CuspDivisor(n, tuple(out))
 
 
+def divisor_to_json(D: CuspDivisor) -> dict:
+    """{"N": N, "coeffs": {"d": c}} over the nonzero coefficients, d ascending."""
+    return {"N": D.n, "coeffs": {str(d): c for d, c in zip(divisors(D.n), D.coeffs) if c}}
+
+
 def orbit_divisor(n, d: int) -> CuspDivisor:
     """The orbit divisor (P_d): the sum of all cusps of level d."""
     return from_dict(n, {d: 1})
@@ -116,20 +121,6 @@ def tensor_join(*vecs: CuspDivisor) -> CuspDivisor:
     for v in vecs:
         flat = [a * c for a in flat for c in v.coeffs]
     return CuspDivisor(math.prod(v.n for v in vecs), tuple([flat[i] for i in gather]))
-
-
-def tensor_split(v: CuspDivisor, m: int, q: int) -> dict:
-    """Write v at level m*q as sum_d1 e(m)_d1 (x) w_d1; returns {d1: w_d1}."""
-    if m * q != v.n or math.gcd(m, q) != 1:
-        raise ValueError("levels must be a coprime factorization of v.n")
-    out = {}
-    for d, c in v.as_dict().items():
-        d1 = 1  # the full m-part of d
-        for p in as_factored(m).primes:
-            d1 *= p ** valuation(d, p)
-        w = out.setdefault(d1, dict())
-        w[d // d1] = w.get(d // d1, 0) + c
-    return {d1: from_dict(q, w) for d1, w in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Eta-quotient linear algebra: the vanishing-order matrix Lambda(N), its
 integral companion Upsilon(N) with Upsilon * Lambda = (kappa(N)/24) * Id,
-Ligozat's modularity conditions, and exact q-expansions.
+Ligozat's modularity conditions, and exact q-expansions from the integer
+recurrence that log eta gives.
 
 Matrix convention: rows are indexed by the output divisor, columns by the
 input divisor, both ascending.  Lambda maps eta exponent vectors (S1) to
@@ -151,70 +152,33 @@ def eta_divisor(n: int, r) -> CuspDivisor:
 # q-expansions
 # ---------------------------------------------------------------------------
 
-def _euler_product(scale: int, K: int) -> list:
-    """prod_{n>=1} (1 - q^(scale*n)) mod q^K via the pentagonal number theorem."""
-    out = [0] * K
-    out[0] = 1
-    k = 1
-    while True:
-        e1 = scale * k * (3 * k - 1) // 2
-        e2 = scale * k * (3 * k + 1) // 2
-        if e1 >= K and e2 >= K:
-            break
-        s = 1 if k % 2 == 0 else -1
-        if e1 < K:
-            out[e1] += s
-        if e2 < K:
-            out[e2] += s
-        k += 1
-    return out
-
-
-def _series_mul(a, b, K):
-    out = [0] * K
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b[: K - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a, K):
-    if a[0] not in (1, -1):
-        raise ValueError("only a series with constant term 1 or -1 is invertible")
-    out = [0] * K
-    out[0] = a[0]
-    for i in range(1, K):
-        out[i] = -a[0] * sum(a[j] * out[i - j] for j in range(1, i + 1) if j < len(a))
-    return out
-
-
 def eta_qexpansion(n: int, r, K: int = 20):
     """The formal expansion of prod eta(delta tau)^{r_delta}: returns
     (leading exponent as a Fraction with denominator dividing 24,
-     list of the first K integer series coefficients)."""
+     list of the first K integer series coefficients).
+
+    log prod (1 - q^m) = -sum sigma(m) q^m / m, so the series g satisfies
+    k g[k] = sum_{j=1..k} b[j] g[k-j] with b[k] = -sum_{delta | k} r_delta
+    delta sigma(k / delta): one exact O(K^2) pass."""
     ds = divisors(n)
     if len(r) != len(ds):
         raise ValueError(f"need {len(ds)} exponents at level {n}, not {len(r)}")
     lead = Fraction(sum(rd * d for rd, d in zip(r, ds)), 24)
-    series = [0] * K
-    series[0] = 1
+    sigma = [0] * K
+    for i in range(1, K):
+        for j in range(i, K, i):
+            sigma[j] += i
+    b = [0] * K
     for rd, d in zip(r, ds):
-        if rd == 0:
-            continue
-        base = _euler_product(d, K)
-        factor = base if rd > 0 else _series_inv(base, K)
-        e = abs(rd)
-        acc = factor
-        while True:  # binary exponentiation on truncated series
-            if e & 1:
-                series = _series_mul(series, acc, K)
-            e >>= 1
-            if not e:
-                break
-            acc = _series_mul(acc, acc, K)
-    return lead, series
+        for m in range(1, (K - 1) // d + 1):
+            b[d * m] -= rd * d * sigma[m]
+    g = [1]
+    for k in range(1, K):
+        total = sum(map(mul, b[1:k + 1], reversed(g)))
+        if total % k:
+            raise ArithmeticError(f"q-expansion coefficient {k} of {r} is not integral")
+        g.append(total // k)
+    return lead, g
 
 
 def format_qexpansion(lead: Fraction, series) -> str:

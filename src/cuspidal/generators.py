@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
                        pi2_pull, pi12_pull_div_p, tensor_join)
@@ -77,16 +77,15 @@ def _make_level(factors, ell: int) -> OrderedLevel:
 
 
 def order_primes(n, ell: int) -> OrderedLevel:
-    """Permute the prime factors to satisfy both valuation conditions for ell;
-    deterministic: constructive sort first, exhaustive fallback."""
+    """Permute the prime factors to satisfy both valuation conditions for ell,
+    by one deterministic sort."""
     fn = as_factored(n)
     key = lambda pr: (-valuation(_gamma(*pr), ell), valuation(pr[0] - 1, ell), pr[0])
     cand = tuple(sorted(fn.factors, key=key))
+    # The sort is always admissible: for odd ell no p != ell has ell | p - 1 and
+    # ell | p + 1; for ell = 2 and odd p, v2(p+1) >= 2 iff v2(p-1) = 1.
     if _admissible(cand, ell):
         return _make_level(cand, ell)
-    for perm in permutations(sorted(fn.factors)):
-        if _admissible(perm, ell):
-            return _make_level(perm, ell)
     raise ArithmeticError(f"no admissible prime ordering for N={fn.value}, ell={ell}")
 
 

@@ -53,13 +53,6 @@ class FactoredInteger:
     def divisors(self) -> tuple[int, ...]:
         return divisors(self.value)
 
-    def reorder(self, perm: tuple[int, ...]) -> "FactoredInteger":
-        """Return the same integer with prime factors permuted: new position i
-        holds old factors[perm[i]]."""
-        if sorted(perm) != list(range(self.t)):
-            raise ValueError(f"{perm} is not a permutation of range({self.t})")
-        return FactoredInteger(self.value, tuple(self.factors[i] for i in perm))
-
 
 @lru_cache(maxsize=None)
 def factor(n) -> FactoredInteger:

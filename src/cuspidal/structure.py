@@ -9,9 +9,8 @@ Two independent routes are implemented and cross-checked:
   eta-unit lattice, knowing nothing about the generators.  It first checks
   with Ligozat's conditions that kappa(N) kills C(N), then reads the ell-part
   for each prime ell | kappa(N) off an elimination modulo a power of ell,
-  where entries never grow.  Its integer lattice code lives here too: a row
-  Hermite normal form (HNF), the kernel bases from it, and the local Smith
-  normal form.
+  where entries never grow.  Its basis of U_N is the weight-0 lattice cut
+  down by one Ligozat congruence modulo 24 at a time.
 
 The generators come from one walk, _blocks(N), over Yoo's table: one block
 per prime ordering (the Z block on the default level, then B(p, r, 1) when
@@ -19,21 +18,22 @@ N = p^r, else one Y2 block per relevant ell), each with rows (d, label,
 closed-form order) in ascending d, read off divisor_exponents(N), and a
 builder for the vector at d; Y2 blocks of equal orderings share one table,
 which builds and profiles each vector at most once.  compute_group keeps the
-rows of order > 1 and builds only their vectors; compute_ell_primary filters
-compute_group; verify_certificates re-sorts each block into its divisor
-ordering, profiles each vector and re-runs the split-off hypotheses
-(unipotence of the normalized-profile matrices, the h and parity side
-conditions) on the concrete level N.  crosscheck hands one walk to both, so
-its generator order check reads the profiles verify_certificates made.
+rows of order > 1 and builds only their vectors; verify_certificates
+re-sorts each block into its divisor ordering, profiles each vector and
+re-runs the split-off hypotheses (unipotence of the normalized-profile
+matrices, the h and parity side conditions) on the concrete level N.
+crosscheck hands one walk to both, so its generator order check reads the
+profiles verify_certificates made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, NamedTuple
 
-from .divisors import C_generator, pi1_pull, pi2_pull
+from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
 from .intarith import (E_tuple, as_factored, divisor_exponents, divisor_positions,
                        divisors, factor, in_square, kappa, valuation)
@@ -44,65 +44,8 @@ from .orderengine import profile
 
 
 # ---------------------------------------------------------------------------
-# Integer lattice utilities
+# The local Smith normal form
 # ---------------------------------------------------------------------------
-
-def hnf_with_transform(rows):
-    """Row Hermite normal form with transform: returns (H, U), U * M = H with
-    U unimodular, pivots positive, entries above pivots reduced."""
-    H = [list(r) for r in rows]
-    nr = len(H)
-    nc = len(H[0]) if nr else 0
-    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
-
-    def subtract(i, j, q):
-        if q:
-            H[i] = [a - q * b for a, b in zip(H[i], H[j])]
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    row = 0
-    for col in range(nc):
-        while True:
-            nz = [i for i in range(row, nr) if H[i][col]]
-            if len(nz) <= 1:
-                break
-            i0 = min(nz, key=lambda i: abs(H[i][col]))
-            for i in nz:
-                if i != i0:
-                    subtract(i, i0, H[i][col] // H[i0][col])
-        nz = [i for i in range(row, nr) if H[i][col]]
-        if not nz:
-            continue
-        i0 = nz[0]
-        H[row], H[i0] = H[i0], H[row]
-        U[row], U[i0] = U[i0], U[row]
-        if H[row][col] < 0:
-            H[row] = [-a for a in H[row]]
-            U[row] = [-a for a in U[row]]
-        for i in range(row):
-            subtract(i, row, H[i][col] // H[row][col])
-        row += 1
-    return [tuple(r) for r in H], [tuple(r) for r in U]
-
-
-def kernel_basis(rows, moduli):
-    """Basis of {v : rows[j] . v == 0 mod moduli[j]} (modulus 0 = exact)."""
-    k = len(rows)
-    n = len(rows[0])
-    slack = [j for j in range(k) if moduli[j]]
-    # Columns of the constraint map: n variables then one slack per modular row.
-    M = [[rows[j][i] for j in range(k)] for i in range(n)]
-    for j in slack:
-        M.append([moduli[j] if jj == j else 0 for jj in range(k)])
-    H, U = hnf_with_transform(M)
-    out = []
-    for h, u in zip(H, U):
-        if not any(h):
-            v = u[:n]
-            if any(v):
-                out.append(tuple(v))
-    return tuple(out)
-
 
 def _local_exponents(rows, ncols: int, ell: int, k: int) -> list:
     """The exponents e of the ell-part of Z^ncols / <rows>, one per column,
@@ -211,14 +154,29 @@ def cuspidal_equals_rational(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def eta_unit_lattice(n: int):
-    """A basis of U_N: exponent vectors of rational modular units on X0(N)."""
-    ds = divisors(n)
-    rows = [[1] * len(ds), [d % 24 for d in ds], [(n // d) % 24 for d in ds]]
-    moduli = [0, 24, 24]
-    for p in factor(n).primes:
-        rows.append([valuation(d, p) % 2 for d in ds])
-        moduli.append(2)
-    return kernel_basis(rows, moduli)
+    """A basis of U_N: exponent vectors of rational modular units on X0(N).
+
+    Start from the weight-0 basis e_1 - e_d, d > 1, and cut it down by one
+    Ligozat congruence at a time, all modulo 24: sum r_d d, sum r_d N/d and
+    12 * sum r_d [v_p(d) odd] for each p.  Euclid on the residues leaves one
+    vector with a nonzero residue c; scaling it by 24 / gcd(c, 24) spans the
+    sublattice where the congruence holds."""
+    ds, exps = divisors(n), divisor_exponents(n)
+    basis = [[1] + [-(j == i) for j in range(1, len(ds))] for i in range(1, len(ds))]
+    weights = [ds, [n // d for d in ds]] + [[12 * (I[j] % 2) for I in exps]
+                                            for j in range(factor(n).t)]
+    for w in weights:
+        res = [sum(map(mul, w, b)) % 24 for b in basis]
+        while len(nz := [i for i, c in enumerate(res) if c]) > 1:
+            i = min(nz, key=res.__getitem__)
+            for j in nz:
+                if j != i:
+                    q = res[j] // res[i]
+                    basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
+                    res[j] -= q * res[i]
+        for i in nz:
+            basis[i] = [24 // math.gcd(res[i], 24) * a for a in basis[i]]
+    return tuple(map(tuple, basis))
 
 
 def snf_oracle(n: int) -> AbelianGroupStructure:
@@ -348,16 +306,6 @@ def compute_group(n, blocks=None) -> AbelianGroupStructure:
                                  orderings)
 
 
-def compute_ell_primary(n, ell: int):
-    """The ell-primary part: (label, vector, ell-power order) with order > 1."""
-    out = []
-    for lab, vec, o in compute_group(n).cyclic_factors:
-        e = valuation(o, ell)
-        if e:
-            out.append((lab, vec, ell ** e))
-    return out
-
-
 def group_to_json(G: AbelianGroupStructure) -> dict:
     return {
         "N": G.n,
@@ -365,7 +313,7 @@ def group_to_json(G: AbelianGroupStructure) -> dict:
                      for ell, ps in sorted(G.orderings.items())],
         "generators": [
             {"label": lab,
-             "divisor": {"N": vec.n, "coeffs": {str(d): c for d, c in vec.as_dict().items()}},
+             "divisor": divisor_to_json(vec),
              "order": str(o)}
             for lab, vec, o in G.cyclic_factors],
         "ell_primary": {str(ell): [str(o) for o in v] for ell, v in sorted(G.ell_primary.items())},

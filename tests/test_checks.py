@@ -13,7 +13,7 @@ import pytest
 import cuspidal
 from cuspidal import etalinalg, orderengine
 from cuspidal.divisors import CuspDivisor, from_dict, zero_divisor
-from cuspidal.etalinalg import _series_inv, eta_qexpansion, lambda24, ligozat_check
+from cuspidal.etalinalg import eta_qexpansion, lambda24, ligozat_check
 from cuspidal.intarith import exponent_tuple, factor
 from cuspidal.orderengine import eta_certificate
 
@@ -55,8 +55,6 @@ def test_bad_arguments_raise_value_error():
         ligozat_check(11, (1,))
     with pytest.raises(ValueError):
         eta_qexpansion(11, (1, 2, 3), 5)
-    with pytest.raises(ValueError):
-        _series_inv([2, 1], 3)
     with pytest.raises(ValueError):
         exponent_tuple(factor(12), 5)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from cuspidal.divisors import (C_generator, CuspDivisor, alpha_pull, alpha_push,
                                atkin_lehner, beta_pull, beta_push, from_dict,
                                hecke, orbit_divisor, pi1_pull, pi12_pull,
                                pi12_pull_div_p, pi2_pull, tensor_join,
-                               tensor_split, zero_divisor)
+                               zero_divisor)
 from cuspidal.intarith import divisors, phi, valuation, z_of
 
 
@@ -100,20 +100,6 @@ def test_pi1_on_P1():
         for r in range(1, 6):
             D = pi1_pull(orbit_divisor(1, 1), p, r)
             assert D.coeffs == tuple(p ** max(r - 2 * k, 0) for k in range(r + 1))
-
-
-def test_tensor_roundtrip():
-    rng = random.Random(5)
-    for _ in range(50):
-        m, q = rng.choice([(4, 9), (8, 3), (5, 16), (27, 4)])
-        ws = {d1: from_dict(q, {rng.choice(divisors(q)): rng.randrange(1, 5)})
-              for d1 in divisors(m)}
-        v = zero_divisor(m * q)
-        for d1, w in ws.items():
-            v = v + tensor_join(from_dict(m, {d1: 1}), w)
-        back = tensor_split(v, m, q)
-        assert {d1: w.as_dict() for d1, w in back.items()} == \
-               {d1: w.as_dict() for d1, w in ws.items() if w.as_dict()}
 
 
 def _dict_tensor(*vecs):

@@ -116,6 +116,31 @@ def test_qexpansion_leading_exponent():
         assert lead == Fraction(sum(rd * d for rd, d in zip(r, divisors(n))), 24)
 
 
+def _product_qexpansion(n, r, K):
+    """prod_d prod_{m >= 1} (1 - q^(dm))^(r_d) mod q^K by definition: multiply
+    or divide by one factor (1 - q^e) at a time."""
+    series = [1] + [0] * (K - 1)
+    for rd, d in zip(r, divisors(n)):
+        for e in range(d, K, d):
+            for _ in range(abs(rd)):
+                if rd > 0:  # times (1 - q^e), top coefficient first
+                    for i in range(K - 1, e - 1, -1):
+                        series[i] -= series[i - e]
+                else:  # over (1 - q^e), i.e. times 1 + q^e + q^(2e) + ...
+                    for i in range(e, K):
+                        series[i] += series[i - e]
+    return series
+
+
+def test_qexpansion_matches_the_product():
+    rng = random.Random(24)
+    for _ in range(60):
+        n = rng.randrange(1, 200)
+        r = [rng.randrange(-6, 7) if rng.random() < 0.5 else 0 for _ in divisors(n)]
+        K = rng.randrange(1, 61)
+        assert eta_qexpansion(n, r, K)[1] == _product_qexpansion(n, r, K), (n, r, K)
+
+
 def test_format_qexpansion():
     lead, series = eta_qexpansion(11, (12, -12), 4)
     s = format_qexpansion(lead, series)

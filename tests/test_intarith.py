@@ -38,13 +38,6 @@ def test_factored_integer_rejects_bad_factors():
         FactoredInteger(4, ((2, 1), (2, 1)))
 
 
-def test_reorder():
-    f = factor(12).reorder((1, 0))
-    assert f.primes == (3, 2) and f.u == 2
-    with pytest.raises(ValueError):
-        factor(12).reorder((0, 0))
-
-
 def test_divisors_and_phi():
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert phi(1) == 1 and phi(12) == 4 and phi(97) == 96

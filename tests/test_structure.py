@@ -13,55 +13,18 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from cuspidal import cli, generators, intarith, structure
 from cuspidal.divisors import CuspDivisor
-from cuspidal.etalinalg import eta_divisor
+from cuspidal.etalinalg import eta_divisor, ligozat_check
 from cuspidal.generators import (base_vector_B, construct_Y, construct_Z,
                                  predicted_order)
-from cuspidal.intarith import divisors, factor, kappa
+from cuspidal.intarith import divisor_exponents, divisors, factor, kappa
 from cuspidal.orderengine import profile
-from cuspidal.structure import (AbelianGroupStructure, compute_ell_primary,
-                                compute_group, crosscheck,
+from cuspidal.structure import (AbelianGroupStructure, compute_group, crosscheck,
                                 cuspidal_equals_rational, eta_unit_lattice,
-                                group_to_json, hnf_with_transform,
-                                invariant_factors_of_quotient, kernel_basis,
+                                group_to_json, invariant_factors_of_quotient,
                                 snf_oracle, verify_certificates)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GENUS_ZERO = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25]
-
-
-def hnf(rows):
-    """Canonical HNF basis of the row lattice (zero rows dropped)."""
-    H, _ = hnf_with_transform(rows)
-    return tuple(r for r in H if any(r))
-
-
-def test_hnf_transform():
-    rng = random.Random(11)
-    for _ in range(30):
-        m = [[rng.randrange(-9, 10) for _ in range(4)] for _ in range(5)]
-        H, U = hnf_with_transform(m)
-        # U * M = H
-        for i in range(5):
-            for j in range(4):
-                assert sum(U[i][k] * m[k][j] for k in range(5)) == H[i][j]
-        # U unimodular: the HNF of U is the identity
-        assert hnf(U) == tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
-
-
-def test_hnf_canonical():
-    # equal lattices give byte-identical HNFs
-    basis = [(2, 0, 1), (0, 3, 2)]
-    mixed = [(2, 3, 3), (4, 3, 4), (2, 0, 1)]
-    assert hnf(basis) == hnf(mixed)
-
-
-def test_kernel_basis():
-    # kernel of x + y + z = 0 with parity x = y mod 2
-    rows = [[1, 1, 1], [1, 1, 0]]
-    ker = kernel_basis(rows, [0, 2])
-    assert ker
-    for v in ker:
-        assert sum(v) == 0 and (v[0] + v[1]) % 2 == 0
 
 
 def test_invariant_factors():
@@ -155,6 +118,33 @@ def test_eta_unit_lattice_level_11():
     assert eta_unit_lattice(11) == ((12, -12),)
 
 
+def _ligozat_image_size(n):
+    """The size of the image of the weight-0 lattice in (Z/24)^2 x (Z/2)^t
+    under r -> (sum r_d d, sum r_d N/d, sum of r_d over v_p(d) odd for each p),
+    by closing the images of its basis e_1 - e_d under addition."""
+    moduli = (24, 24) + (2,) * factor(n).t
+    gens = [((1 - d) % 24, (n - n // d) % 24) + tuple(f % 2 for f in I)
+            for d, I in zip(divisors(n)[1:], divisor_exponents(n)[1:])]
+    seen = {(0,) * len(moduli)}
+    for g in gens:
+        frontier = list(seen)
+        while frontier:
+            frontier = [y for y in (tuple((a + b) % m for a, b, m in zip(x, g, moduli))
+                                    for x in frontier) if y not in seen]
+            seen.update(frontier)
+    return len(seen)
+
+
+def test_eta_unit_lattice_is_the_ligozat_kernel():
+    """Every basis vector is an eta unit, and the basis has index |image| in
+    the weight-0 lattice, whose coordinates at d > 1 are all of Z^(sigma0 - 1)."""
+    for n in list(range(2, 200)) + [720, 840]:
+        basis = eta_unit_lattice(n)
+        assert all(ligozat_check(n, r)["pass"] for r in basis), n
+        index = abs(Matrix([r[1:] for r in basis]).det())
+        assert index == _ligozat_image_size(n), n
+
+
 def test_snf_oracle_examples():
     assert snf_oracle(1).invariant_factors == ()
     assert snf_oracle(11).invariant_factors == (5,)
@@ -185,13 +175,11 @@ def test_group_invariants_consistent():
 
 
 def test_ell_primary():
-    # ell not dividing the order: empty
-    assert compute_ell_primary(11, 7) == []
-    out = compute_ell_primary(11, 5)
-    assert [(lab, o) for lab, _, o in out] == [("B(11,1,1)", 5)]
+    G = compute_group(11)
+    assert G.ell_primary == {5: (5,)}
+    assert [(lab, o) for lab, _, o in G.cyclic_factors] == [("B(11,1,1)", 5)]
     # 2^r pattern
-    out = compute_ell_primary(64, 2)
-    assert sorted(o for _, _, o in out) == [2, 4, 4]
+    assert compute_group(64).ell_primary[2] == (4, 4, 2)
 
 
 def test_ell_primary_pq():
@@ -258,7 +246,7 @@ def test_oracle_is_independent_of_the_generators():
         used = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
         assert not used & forbidden, (name, sorted(used & forbidden))
         todo += [u for u in used if u in funcs]
-    assert {"_local_exponents", "kernel_basis", "_merge_invariants"} <= seen
+    assert {"_local_exponents", "_merge_invariants"} <= seen
 
 
 def test_ordering_independence_spotcheck():
