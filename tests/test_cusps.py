@@ -17,7 +17,6 @@ def test_canonical_representatives():
         for c in enumerate_cusps(n):
             assert math.gcd(c.x, c.d) == 1
             assert make_cusp(n, c.d, c.x + 7 * c.z) == c
-    assert str(make_cusp(12, 2, 1)) == "1/2@12"
 
 
 def test_widths_sum_to_index():
@@ -28,6 +27,16 @@ def test_widths_sum_to_index():
         ) // math.prod(p for p in range(2, n + 1)
                        if n % p == 0 and all(p % q for q in range(2, p)))
         assert sum(width(c) for c in enumerate_cusps(n)) == idx
+
+
+def test_normalize_examples():
+    # infinity = 1/0 -> <1 : N> of width 1, zero = 0/1 -> <1 : 1> of width N;
+    # at a prime level W_N swaps them
+    inf, zero = make_cusp(11, 11, 1), make_cusp(11, 1, 1)
+    assert make_cusp(11, 11, 0) == inf and make_cusp(11, 1, 12) == zero
+    assert (width(inf), width(zero)) == (1, 11)
+    assert atkin_lehner(inf, 11) == zero and atkin_lehner(zero, 11) == inf
+    assert str(make_cusp(12, 2, 1)) == "1/2@12"
 
 
 def test_atkin_lehner_involution():
