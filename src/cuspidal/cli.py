@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Verbs: cusps, order, eta, group, verify, batch.  Exit codes: 0 success,
-1 usage/parse error, 2 verification failure (a failed check, or an
+1 usage/parse error or a file that cannot be read or written (an OSError,
+or a batch cache line that is not a record with an integer "N" and a
+boolean "pass"), 2 verification failure (a failed check, or an
 ArithmeticError from an identity that does not hold).
 """
 
@@ -173,7 +175,8 @@ def cmd_batch(args) -> int:
                 line = line.strip()
                 if line:
                     rec = json.loads(line)
-                    if not (isinstance(rec, dict) and isinstance(rec.get("N"), int)):
+                    if not (isinstance(rec, dict) and _is_int(rec.get("N"))
+                            and isinstance(rec.get("pass"), bool)):
                         raise ValueError(f"{path} holds a line that is not a batch record")
                     cached[rec["N"]] = rec
     todo = [n for n in range(1, args.max + 1) if args.force or n not in cached]
@@ -243,7 +246,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ArithmeticError as e:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intarith import as_factored, valuation, z_of
+from .intarith import as_factored, divisors, valuation, z_of
 
 
 @dataclass(frozen=True, order=True)
@@ -50,7 +50,7 @@ def enumerate_cusps(n) -> tuple[Cusp, ...]:
     """All cusps of X0(N); for each d | N there are phi(gcd(d, N/d)) of them."""
     n = as_factored(n).value
     out = []
-    for d in as_factored(n).divisors():
+    for d in divisors(n):
         z = z_of(n, d)
         for x0 in range(1, z + 1):
             if math.gcd(x0, z) == 1:

@@ -22,8 +22,8 @@ from functools import lru_cache
 from operator import mul
 
 from .divisors import CuspDivisor
-from .intarith import (as_factored, divisor_positions, divisors,
-                       odd_valuation_positions, valuation, z_of)
+from .intarith import (as_factored, divisor_exponents, divisor_positions,
+                       divisors, odd_valuation_positions, z_of)
 
 
 def a_entry(n: int, d: int, delta: int):
@@ -66,13 +66,13 @@ def _upsilon_axes(n: int) -> tuple:
     (a, i, b, j, c, k) with i, j, k the positions of d, d/p, d*p and a, b, c
     the entries (f, f), (f, f-1), (f, f+1) of the p-block, f = v_p(d).  At the
     ends of the block j or k is i with a zero coefficient."""
-    ds = divisors(n)
+    ds, exps = divisors(n), divisor_exponents(n)
     pos = divisor_positions(n)
     axes = []
-    for p, r in as_factored(n).factors:
+    for slot, (p, r) in enumerate(as_factored(n).factors):
         rows = []
-        for i, d in enumerate(ds):
-            f = valuation(d, p)
+        for i, (d, I) in enumerate(zip(ds, exps)):
+            f = I[slot]
             b, j = (_upsilon_block_entry(p, r, f, f - 1), pos[d // p]) if f else (0, i)
             c, k = (_upsilon_block_entry(p, r, f, f + 1), pos[d * p]) if f < r else (0, i)
             rows.append((_upsilon_block_entry(p, r, f, f), i, b, j, c, k))

@@ -1,7 +1,9 @@
 """Canonical generators of C(N).
 
 This module fixes the prime ordering for a target prime ell, the twisted
-orderings on exponent tuples with the bijection iota between them, the base
+orderings on exponent tuples with the bijection iota between them (a
+property of the shape (r_1, ..., r_t; u) alone, so divisor_orderings is
+cached on it and returns exponent tuples, never divisors), the base
 vectors A_p(r,f) / B_p(r,f) / B2(r,f) at prime-power levels, the two-prime
 correction vectors D, the composite generators Z (one per divisor) and Y2
 (one per squarefree divisor), and their closed-form predicted orders.
@@ -24,10 +26,9 @@ from itertools import product
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
                        pi2_pull, pi12_pull_div_p, tensor_join)
 from .intarith import (FactoredInteger, as_factored, A_tuple, E_tuple,
-                       divisor_of, exponent_tuple, in_delta, in_E_set,
-                       in_F_set, in_F1_set, in_G_set, in_G1_set, in_H_u,
-                       in_H_u1, in_square, in_T_u, tuple_k, tuple_m, tuple_n,
-                       valuation)
+                       exponent_tuple, in_delta, in_E_set, in_F_set, in_F1_set,
+                       in_G_set, in_G1_set, in_H_u, in_H_u1, in_square, in_T_u,
+                       tuple_k, tuple_m, tuple_n, valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +138,6 @@ def iota_delta(I, u: int) -> tuple:
     return tuple(b)
 
 
-@dataclass(frozen=True)
-class DivisorOrdering:
-    level: OrderedLevel
-    prec_tuples: tuple  # exponent tuples: d_1, d_2, ... in the prec order
-    tri_tuples: tuple   # exponent tuples: delta_1, delta_2, ... in the tri order
-
-    def prec_divisors(self):
-        return tuple(divisor_of(self.level.base, I) for I in self.prec_tuples)
-
-    def tri_divisors(self):
-        return tuple(divisor_of(self.level.base, I) for I in self.tri_tuples)
-
-
 def _colex_key(I, u: int, ranks):
     """Twisted colexicographic key: coordinates compared via the given per-slot
     ladder ranks, larger index more significant, the u-coordinate least."""
@@ -158,24 +146,24 @@ def _colex_key(I, u: int, ranks):
     return rest + ((ranks[u - 1][I[u - 1]],) if u else ())
 
 
-def divisor_orderings(L: OrderedLevel) -> DivisorOrdering:
-    N = L.base
-    t, u = N.t, L.u
-    rs = N.exponents
-    if t == 1:
-        r = rs[0]
-        prec = tuple((f,) for f in prec_ladder(r) if f >= 1)
-        im = iota_r(r)
-        return DivisorOrdering(L, prec, tuple((im[f],) for f, in prec))
-    prec_ranks = [{f: i for i, f in enumerate(prec_ladder(r))} for r in rs]
-    tri_ranks = [{f: i for i, f in enumerate(tri_ladder(r))} for r in rs]
-    delta = [I for I in product(*[range(0, 2)] * t) if any(I)]
-    square = [I for I in product(*[range(0, r + 1) for r in rs]) if in_square(I)]
-    tri_delta = sorted(delta, key=lambda I: _colex_key(I, u, tri_ranks))
-    prec_delta = sorted(delta, key=lambda I: _colex_key(iota_delta(I, u), u, tri_ranks))
-    tri_square = sorted(square, key=lambda I: _colex_key(I, u, tri_ranks))
-    prec_square = sorted(square, key=lambda I: _colex_key(I, u, prec_ranks))
-    return DivisorOrdering(L, tuple(prec_delta + prec_square), tuple(tri_delta + tri_square))
+@lru_cache(maxsize=None)
+def divisor_orderings(exponents: tuple, u: int) -> tuple:
+    """(prec, tri) for the shape (r_1, ..., r_t; u): the exponent tuples of
+    the divisors d_1, d_2, ... > 1 in the order prec, and delta_i = iota(d_i).
+    The squarefree block Delta comes first, ordered by the tri key of its
+    iota_delta image, then the square block in the prec colex order; iota is
+    iota_delta on Delta (t >= 2) and iota_r slot by slot elsewhere."""
+    t = len(exponents)
+    tri_ranks = [{f: i for i, f in enumerate(tri_ladder(r))} for r in exponents]
+    prec_ranks = [{f: i for i, f in enumerate(prec_ladder(r))} for r in exponents]
+    delta = [I for I in product((0, 1), repeat=t) if any(I)]
+    square = [I for I in product(*[range(r + 1) for r in exponents]) if in_square(I)]
+    prec = (sorted(delta, key=lambda I: _colex_key(iota_delta(I, u), u, tri_ranks))
+            + sorted(square, key=lambda I: _colex_key(I, u, prec_ranks)))
+    iotas = [iota_r(r) for r in exponents]
+    tri = tuple(iota_delta(I, u) if t >= 2 and in_delta(I) else
+                tuple(im[f] for im, f in zip(iotas, I)) for I in prec)
+    return tuple(prec), tri
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +306,11 @@ def _exponents(L: OrderedLevel, d: int) -> tuple:
     return exponent_tuple(L.base, d)
 
 
-def construct_Z(L: OrderedLevel, d: int, variant: str = "Z") -> CuspDivisor:
-    """Z(d) / Z1(d) for a divisor 1 < d of N: tensors of A-vectors with one B
-    (squarefree d, at slot m) or, for variant Z on the exceptional 2-power
-    set T_u, with B2 at the slot of 2."""
-    if variant not in ("Z", "Z1"):
-        raise ValueError("variant must be 'Z' or 'Z1'")
-    return generator_vector(L, _exponents(L, d), variant)
+def construct_Z(L: OrderedLevel, d: int) -> CuspDivisor:
+    """Z(d) for a divisor 1 < d of N: tensors of A-vectors with one B
+    (squarefree d, at slot m) or, on the exceptional 2-power set T_u, with B2
+    at the slot of 2."""
+    return generator_vector(L, _exponents(L, d), "Z")
 
 
 def construct_Y(L: OrderedLevel, d: int) -> CuspDivisor:

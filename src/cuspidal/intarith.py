@@ -50,9 +50,6 @@ class FactoredInteger:
     def radical(self) -> int:
         return math.prod(self.primes) if self.factors else 1
 
-    def divisors(self) -> tuple[int, ...]:
-        return divisors(self.value)
-
 
 @lru_cache(maxsize=None)
 def factor(n) -> FactoredInteger:

@@ -46,13 +46,12 @@ def profile(C: CuspDivisor) -> OrderProfile:
     return OrderProfile(n, V, g, vbar, pw, h, order, deg)
 
 
-def eta_certificate(C: CuspDivisor, n_order: int | None = None) -> tuple:
+def eta_certificate(C: CuspDivisor) -> tuple:
     """The exponent vector r with div(g_r) = n * C, n the order of C."""
     prof = profile(C)
     if prof.degree != 0:
         raise ValueError("eta certificates require degree 0")
-    if n_order is None:
-        n_order = prof.order
+    n_order = prof.order
     k = kappa(C.n)
     r = []
     for v in prof.V:

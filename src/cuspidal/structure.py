@@ -14,14 +14,16 @@ Two independent routes are implemented and cross-checked:
 
 The generators come from one walk, _blocks(N), over Yoo's table: one block
 per prime ordering (the Z block on the default level, then B(p, r, 1) when
-N = p^r, else one Y2 block per relevant ell), each with rows (d, label,
-closed-form order) in ascending d, read off divisor_exponents(N), and a
-builder for the vector at d; Y2 blocks of equal orderings share one table,
-which builds and profiles each vector at most once.  compute_group keeps the
-rows of order > 1 and builds only their vectors; verify_certificates
-re-sorts each block into its divisor ordering, profiles each vector and
-re-runs the split-off hypotheses (unipotence of the normalized-profile
-matrices, the h and parity side conditions) on the concrete level N.
+N = p^r, else one Y2 block per relevant ell), each with rows (d, I, label,
+closed-form order) in ascending d, I the exponent tuple of d in the block's
+prime ordering read off divisor_exponents(N), and a builder for the vector
+at d; Y2 blocks of equal orderings share one table, which builds and
+profiles each vector at most once.  compute_group keeps the rows of order
+> 1 and builds only their vectors; verify_certificates re-sorts each block
+by the rank of I in divisor_orderings, which depends only on the shape
+(exponents, u) of the block's level, profiles each vector and re-runs the
+split-off hypotheses (unipotence of the normalized-profile matrices, the h
+and parity side conditions) on the concrete level N.
 crosscheck hands one walk to both, so its generator order check reads the
 profiles verify_certificates made.
 """
@@ -35,8 +37,9 @@ from typing import Callable, NamedTuple
 
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
-from .intarith import (E_tuple, as_factored, divisor_exponents, divisor_positions,
-                       divisors, factor, in_square, kappa, valuation)
+from .intarith import (E_tuple, as_factored, divisor_exponents, divisor_of,
+                       divisor_positions, divisors, factor, in_square, kappa,
+                       valuation)
 from .generators import (OrderedLevel, _script_H, base_vector_B, default_level,
                          divisor_orderings, generator_order, generator_vector,
                          in_T_u, order_primes)
@@ -212,8 +215,9 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
 # ---------------------------------------------------------------------------
 
 class _Block(NamedTuple):
-    """The generators of one prime ordering: rows (d, label, closed-form
-    order) in ascending d, and build(d), the vector at d.  kind is "Z" for
+    """The generators of one prime ordering: rows (d, I, label, closed-form
+    order) in ascending d, I the exponent tuple of d in the prime order of
+    level, and build(d), the vector at d.  kind is "Z" for
     the non-squarefree block, "B" for B(p, r, 1) at N = p^r and "Y2" for the
     squarefree block of the target prime level.ell.  vector(d) and
     profile_of(d) build and profile the vector at d once per walk; vectors
@@ -259,11 +263,11 @@ def _blocks(n: int):
                               else f"B({p},{r},{I[0]})")
     else:
         label = lambda d, I: f"Z({d})"
-    yield _Block("Z", L0, tuple((d, label(d, I), generator_order(L0, I, "Z"))
+    yield _Block("Z", L0, tuple((d, I, label(d, I), generator_order(L0, I, "Z"))
                                 for d, I in nsf.items()),
                  lambda d: generator_vector(L0, nsf[d], "Z"), {}, {})
     if fn.t == 1:
-        yield _Block("B", L0, ((p, f"B({p},{r},1)", generator_order(L0, (1,), "Z")),),
+        yield _Block("B", L0, ((p, (1,), f"B({p},{r},1)", generator_order(L0, (1,), "Z")),),
                      lambda d: base_vector_B(p, r, 1), {}, {})
         return
     tables = {}  # (factors, s) -> (rows, build, vectors, profiles)
@@ -273,7 +277,8 @@ def _blocks(n: int):
         if key not in tables:
             perm = [fn.primes.index(q) for q in L.base.primes]
             Is = {d: tuple(I[k] for k in perm) for d, I in sf.items()}
-            rows = tuple((d, f"Y2({d})", generator_order(L, I, "Y2")) for d, I in Is.items())
+            rows = tuple((d, I, f"Y2({d})", generator_order(L, I, "Y2"))
+                         for d, I in Is.items())
             tables[key] = (rows, lambda d, L=L, Is=Is: generator_vector(L, Is[d], "Y2"), {}, {})
         yield _Block("Y2", L, *tables[key])
 
@@ -283,7 +288,7 @@ def _generator_rows(blocks):
     Y2 row taken with the ell-part of its order."""
     for blk in blocks:
         ell = blk.level.ell if blk.kind == "Y2" else None
-        for d, label, order in blk.rows:
+        for d, _, label, order in blk.rows:
             if ell:
                 order = ell ** valuation(order, ell)
             if order > 1:
@@ -350,20 +355,20 @@ def _tri_rows(n, deltas, profs):
     return [[p.Vbar[c] for c in cols] if p.Vbar else [0] * len(cols) for p in profs]
 
 
-def _check_unipotent(rep, n, precs, deltas, profs, start, label, modulus=None):
-    """Lower-triangular unipotence of the matrix (Vbar(C_i)_{delta_j}), rows
-    i = start, start + 1, ...: diagonal a unit (mod modulus if given, else
+def _check_unipotent(rep, n, rows, deltas, profs, label, modulus=None):
+    """Lower-triangular unipotence of the matrix (Vbar(C_i)_{delta_j}) over
+    the rows in prec order: diagonal a unit (mod modulus if given, else
     absolute value 1) and exact zeros to the right."""
-    for i, row in enumerate(_tri_rows(n, deltas, profs), start):
+    for i, ((d, *_), row) in enumerate(zip(rows, _tri_rows(n, deltas, profs))):
         ok = abs(row[i]) == 1 if modulus is None else row[i] % modulus != 0
-        rep.record(label, f"diagonal at d={precs[i]}, delta={deltas[i]}", ok)
-        rep.record(label, f"zero tail at d={precs[i]}", not any(row[i + 1:]))
+        rep.record(label, f"diagonal at d={d}, delta={deltas[i]}", ok)
+        rep.record(label, f"zero tail at d={d}", not any(row[i + 1:]))
 
 
 def verify_certificates(n, blocks=None) -> CertificateReport:
     """Re-check every block of the table on N: closed-form orders against the
     profiles, and unipotence or the ell = 2 split conditions in the divisor
-    orderings of the block's prime ordering.  blocks, if given, is a walk of
+    orderings of the block's shape.  blocks, if given, is a walk of
     _blocks(N) whose vectors and profiles are shared with the caller."""
     n = as_factored(n).value
     rep = CertificateReport(n)
@@ -372,38 +377,38 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
         return rep
     for blk in _blocks(n) if blocks is None else blocks:
         if blk.kind == "B":
-            (d, _, order), = blk.rows
+            (d, _, _, order), = blk.rows
             rep.record("order/Z", f"d={d}", blk.profile_of(d).order == order)
             continue
         if not blk.rows:
             continue
-        DO = divisor_orderings(blk.level)
-        precs, deltas = DO.prec_divisors(), DO.tri_divisors()
-        rank = {d: i for i, d in enumerate(precs)}
-        rows = sorted(blk.rows, key=lambda row: rank[row[0]])
-        profs = [blk.profile_of(d) for d, _, _ in rows]
+        L = blk.level
+        prec, tri = divisor_orderings(L.base.exponents, L.u)
+        rank = {I: i for i, I in enumerate(prec)}
+        rows = sorted(blk.rows, key=lambda row: rank[row[1]])
+        # the rows are one stretch of prec (Delta for Y2, the rest for Z),
+        # and the deltas from its first rank on are the columns
+        deltas = [divisor_of(L.base, J) for J in tri[rank[rows[0][1]]:]]
+        profs = [blk.profile_of(d) for d, *_ in rows]
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
-            # outside the exceptional 2-power set T_u.  The Z block is on
-            # the default level, whose primes ascend as in divisor_exponents.
-            L0, exps, pos = blk.level, divisor_exponents(n), divisor_positions(n)
-            profs1 = [profile(generator_vector(L0, exps[pos[d]], "Z1"))
-                      if in_T_u(exps[pos[d]], L0.r_u, L0.u) else pz
-                      for (d, _, _), pz in zip(rows, profs)]
-            _check_unipotent(rep, n, precs, deltas, profs1, rank[rows[0][0]],
-                             "nsf-unipotence")
-            for (d, _, order), pz in zip(rows, profs):
+            # outside the exceptional 2-power set T_u.
+            profs1 = [profile(generator_vector(L, I, "Z1"))
+                      if in_T_u(I, L.r_u, L.u) else pz
+                      for (_, I, _, _), pz in zip(rows, profs)]
+            _check_unipotent(rep, n, rows, deltas, profs1, "nsf-unipotence")
+            for (d, _, _, order), pz in zip(rows, profs):
                 rep.record("order/Z", f"d={d}", pz.order == order)
             continue
         # (b)+(c) the squarefree block of the target prime ell
-        ell = blk.level.ell
-        for (d, _, order), py in zip(rows, profs):
+        ell = L.ell
+        for (d, _, _, order), py in zip(rows, profs):
             rep.record(f"order/Y2/ell={ell}", f"d={d}", py.order == order)
         if ell % 2:
-            _check_unipotent(rep, n, precs, deltas, profs, 0,
+            _check_unipotent(rep, n, rows, deltas, profs,
                              f"sf-unipotence/ell={ell}", modulus=ell)
         else:
-            _ell2_split_conditions(rep, DO, precs, deltas, profs)
+            _ell2_split_conditions(rep, L, rows, deltas, profs)
     # (d) 2-power relations through the genus-zero level 16
     r2 = valuation(n, 2)
     if n == 2 ** r2 and r2 >= 5:
@@ -415,16 +420,14 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
     return rep
 
 
-def _ell2_split_conditions(rep, DO, precs, deltas, profs):
+def _ell2_split_conditions(rep, L, rows, deltas, profs):
     """Independence certificate for ell = 2: every squarefree generator after the first either
     has h = 1 with an odd anchor entry and zeros above it in its column, or
-    an odd parity sum Pw_{p_h} vanishing on all earlier generators.  The
-    exponent tuple of precs[j] is DO.prec_tuples[j]."""
-    L = DO.level
+    an odd parity sum Pw_{p_h} vanishing on all earlier generators."""
     N, s = L.base, L.s
     t = N.t
     M = _tri_rows(N.value, deltas, profs)
-    for j, (d, I) in enumerate(zip(precs[:len(profs)], DO.prec_tuples)):
+    for j, (d, I, _, _) in enumerate(rows):
         h_closed = _script_H(I, L.u, s)  # the H factor of the closed-form Y2 order
         rep.record("ell2/h-table", f"d={d}", profs[j].h == h_closed)
         if j == 0:

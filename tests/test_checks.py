@@ -6,6 +6,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,8 +65,12 @@ def test_bad_arguments_raise_value_error():
 def test_failed_identities_raise_arithmetic_error(monkeypatch):
     C = from_dict(11, {1: 1, 11: -1})
     assert eta_certificate(C) == (12, -12)
-    with pytest.raises(ArithmeticError):
-        eta_certificate(C, n_order=1)  # 24 * V / kappa(11) is not integral
+    # a profile that reports order 1: 24 * V / kappa(11) is not integral
+    real = orderengine.profile
+    monkeypatch.setattr(orderengine, "profile", lambda D: replace(real(D), order=1))
+    with pytest.raises(ArithmeticError, match="integral"):
+        eta_certificate(C)
+    monkeypatch.undo()
     monkeypatch.setattr(orderengine, "ligozat_check", lambda n, r: {"pass": False})
     with pytest.raises(ArithmeticError):
         eta_certificate(C)

@@ -203,6 +203,26 @@ def test_batch_rejects_bad_cache(tmp_path, capsys):
     assert code == 1 and "batch record" in err
 
 
+def test_batch_rejects_cache_record_without_pass(tmp_path, capsys):
+    out_file = tmp_path / "batch.jsonl"
+    out_file.write_text('{"N": 2}\n')
+    code, _, err = run(capsys, "batch", "--max", "3", "--out", str(out_file))
+    assert code == 1 and err.startswith("error:") and "batch record" in err
+
+
+def test_batch_out_in_missing_directory_exits_1(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "batch.jsonl"
+    code, _, err = run(capsys, "batch", "--max", "3", "--out", str(out_file))
+    assert code == 1 and err.startswith("error:")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_batch_out_naming_a_directory_exits_1(tmp_path, capsys):
+    code, _, err = run(capsys, "batch", "--max", "3", "--out", str(tmp_path))
+    assert code == 1 and err.startswith("error:")
+    assert os.listdir(tmp_path) == []
+
+
 def test_batch_argument_bounds(tmp_path, capsys, monkeypatch):
     class NoPool:
         def __init__(self, *args, **kwargs):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,7 @@ from cuspidal.generators import (D_vector, base_vector_A, base_vector_B,
                                  default_level, divisor_orderings, iota_delta,
                                  iota_r, order_primes, prec_ladder,
                                  predicted_order, tri_ladder)
-from cuspidal.intarith import divisors, kappa, valuation
+from cuspidal.intarith import divisor_of, divisors, in_square, kappa, valuation
 from cuspidal.orderengine import profile
 
 
@@ -33,30 +34,69 @@ def test_order_primes_deterministic():
     assert L.gammas == tuple(p ** (r - 1) * (p + 1) for p, r in L.base.factors)
 
 
+def _orderings(L):
+    """divisor_orderings of the shape of L, as divisors of L.base."""
+    return tuple(tuple(divisor_of(L.base, I) for I in Is)
+                 for Is in divisor_orderings(L.base.exponents, L.u))
+
+
 def test_orderings_are_permutations():
     for n in [36, 60, 360, 2 ** 6]:
         L = default_level(n)
-        DO = divisor_orderings(L)
+        precs, deltas = _orderings(L)
         all_divs = set(divisors(n)) - {1}
-        assert set(DO.prec_divisors()) == all_divs
+        assert set(precs) == all_divs
         if L.t >= 2:
-            assert set(DO.tri_divisors()) == all_divs
+            assert set(deltas) == all_divs
         else:  # iota_r maps {1..r} onto {0, 2..r}: delta runs over 1, p^2, ..., p^r
             p = L.base.primes[0]
-            assert set(DO.tri_divisors()) == all_divs - {p} | {1}
-        assert len(DO.prec_tuples) == len(all_divs)
+            assert set(deltas) == all_divs - {p} | {1}
+        assert len(precs) == len(all_divs)
+
+
+def _colex_key(I, u, ladders):
+    """Ranks along each slot's ladder, the last slot most significant and the
+    u-th slot least."""
+    ranks = [ladder.index(f) for ladder, f in zip(ladders, I)]
+    rest = [ranks[j] for j in reversed(range(len(I))) if j != u - 1]
+    return tuple(rest + ([ranks[u - 1]] if u else []))
+
+
+def _two_sort_orderings(rs, u):
+    """Reference: prec and tri each sorted on its own, Delta first.  The
+    squarefree part of prec is ordered by the tri key of its iota_delta image;
+    for t = 1 the divisors > 1 follow prec_ladder and delta_i = iota_r(d_i)."""
+    if len(rs) == 1:
+        prec = [(f,) for f in prec_ladder(rs[0]) if f]
+        return prec, [(iota_r(rs[0])[f],) for f, in prec]
+    tri_l, prec_l = [tri_ladder(r) for r in rs], [prec_ladder(r) for r in rs]
+    delta = [I for I in product((0, 1), repeat=len(rs)) if any(I)]
+    square = [I for I in product(*[range(r + 1) for r in rs]) if in_square(I)]
+    prec = (sorted(delta, key=lambda I: _colex_key(iota_delta(I, u), u, tri_l))
+            + sorted(square, key=lambda I: _colex_key(I, u, prec_l)))
+    tri = (sorted(delta, key=lambda I: _colex_key(I, u, tri_l))
+           + sorted(square, key=lambda I: _colex_key(I, u, tri_l)))
+    return prec, tri
+
+
+ORDERING_LEVELS = ([default_level(n) for n in range(2, 800)]
+                   + [order_primes(n, ell) for n in (30, 60, 210, 360, 2310, 5040, 30030)
+                      for ell in (2, 3, 5, 7)])
+
+
+def test_divisor_orderings_match_the_two_sort_definition():
+    for L in ORDERING_LEVELS:
+        prec, tri = _two_sort_orderings(L.base.exponents, L.u)
+        assert divisor_orderings(L.base.exponents, L.u) == (tuple(prec), tuple(tri)), \
+            (L.base.factors, L.u)
 
 
 def test_iota_maps_prec_to_tri():
-    # iota(d_i) = delta_i: iota_delta on the squarefree block, iota_r slotwise
-    # on the rest (iota_r alone when t = 1)
-    levels = [default_level(n) for n in range(2, 800)]
-    levels += [order_primes(n, ell) for n in (30, 60, 210, 360, 2310, 5040, 30030)
-               for ell in (2, 3, 5, 7)]
-    for L in levels:
-        DO = divisor_orderings(L)
+    # iota(d_i) = delta_i for the two independent sorts: iota_delta on the
+    # squarefree block, iota_r slotwise on the rest (iota_r alone when t = 1)
+    for L in ORDERING_LEVELS:
         rs = L.base.exponents
-        for I, J in zip(DO.prec_tuples, DO.tri_tuples):
+        for I, J in zip(*_two_sort_orderings(rs, L.u)):
             if L.t >= 2 and all(f <= 1 for f in I):
                 assert iota_delta(I, L.u) == J
             else:
@@ -67,9 +107,8 @@ def test_ordering_anchors():
     # d_1 = rad N; squarefree block (size 2^t - 1) comes first
     for n in [60, 360, 90]:
         L = default_level(n)
-        DO = divisor_orderings(L)
         t = L.base.t
-        divs = DO.prec_divisors()
+        divs, _ = _orderings(L)
         assert divs[0] == L.base.radical()
         sf = [d for d in divisors(n)
               if d > 1 and all(valuation(d, p) <= 1 for p in L.base.primes)]
@@ -180,7 +219,7 @@ def test_Z_and_Y_profiles_match_predictions():
             if d == 1:
                 continue
             if any(valuation(d, p) >= 2 for p in L0.base.primes):
-                assert profile(construct_Z(L0, d, "Z")).order == \
+                assert profile(construct_Z(L0, d)).order == \
                     predicted_order(L0, d, "Z")
     for n in [30, 60, 90]:
         for ell in (2, 3, 5):

@@ -333,12 +333,13 @@ def _table_levels():
 
 
 def test_blocks_match_the_per_divisor_wrappers():
-    """Every row's order, and every vector, read off the exponent table equal
-    what the (L, d) wrappers derive from d alone."""
+    """Every row's exponent tuple, order and vector, read off the exponent
+    table, equal what the (L, d) wrappers derive from d alone."""
     for n in _table_levels():
         for blk in structure._blocks(n):
             L = blk.level
-            for d, _, order in blk.rows:
+            for d, I, _, order in blk.rows:
+                assert I == intarith.exponent_tuple(L.base, d), (n, blk.kind, d)
                 if blk.kind == "Y2":
                     want = predicted_order(L, d, "Y2"), construct_Y(L, d)
                 elif blk.kind == "Z":
@@ -369,3 +370,23 @@ def test_table_path_never_recomputes_exponent_tuples(monkeypatch):
     for n in (5040, 720720, 2 ** 20):
         assert compute_group(n).group_order > 1
         assert verify_certificates(n).passed
+
+
+def test_certificate_steps_match_the_pinned_digest():
+    """The sha256 over json.dumps(verify_certificates(N).steps), N = 1..300
+    and then the certificate ladder, each level's steps hashed in turn."""
+    h = hashlib.sha256()
+    for n in list(range(1, 301)) + list(LADDER):
+        h.update(json.dumps(verify_certificates(n).steps).encode())
+    assert h.hexdigest() == \
+        "b76da7a395c2b17294f83cf6154c2a4f13e81ac600628c4d5e66edee9dd4c2bd"
+
+
+def test_divisor_orderings_computed_once_per_shape():
+    shapes = {(blk.level.base.exponents, blk.level.u)
+              for n in range(1, 721) for blk in structure._blocks(n)
+              if blk.kind != "B" and blk.rows}
+    generators.divisor_orderings.cache_clear()
+    for n in range(1, 721):
+        assert crosscheck(n)["pass"], n
+    assert generators.divisor_orderings.cache_info().misses == len(shapes) == 109
