@@ -2,10 +2,10 @@
 
 Subpackages:
   intarith    -- factorizations, divisor lattice, kappa, exponent-tuple index sets
-  cusps       -- canonical cusp representatives, widths, operator actions on cusps
-  divisors    -- the lattices S1(N)/S2(N), tensor structure, operator actions
+  cusps       -- canonical cusp representatives and widths
+  divisors    -- the lattices S1(N)/S2(N), tensor structure, degeneracy pullbacks
   etalinalg   -- the matrices Lambda(N)/Upsilon(N), Ligozat checks, eta q-expansions
-  orderengine -- order algorithm, eta certificates, closed-form order theorems
+  orderengine -- order algorithm and eta certificates
   generators  -- canonical generator constructions Z/Y and their predicted orders
   structure   -- group assembly, certificate verification, SNF lattice oracle
   cli         -- command-line front end

@@ -179,20 +179,26 @@ def cmd_batch(args) -> int:
                             and isinstance(rec.get("pass"), bool)):
                         raise ValueError(f"{path} holds a line that is not a batch record")
                     cached[rec["N"]] = rec
-    todo = [n for n in range(1, args.max + 1) if args.force or n not in cached]
-    if todo:
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                for rec in ex.map(crosscheck, todo):
-                    cached[rec["N"]] = rec
-        else:
-            for n in todo:
-                cached[n] = crosscheck(n)
-    # Every record goes back, those above --max too; the rename is atomic.
+    # The temporary file is opened before the first level, so an --out that
+    # cannot be written fails at once.  Every record goes back, those above
+    # --max too; the rename is atomic.
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        fh = open(tmp, "w")
+    except OSError as e:
+        raise OSError(f"cannot write {path}: {e.strerror}") from None
+    try:
+        with fh:
+            todo = [n for n in range(1, args.max + 1) if args.force or n not in cached]
+            if todo:
+                if args.jobs > 1:
+                    from concurrent.futures import ProcessPoolExecutor
+                    with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+                        for rec in ex.map(crosscheck, todo):
+                            cached[rec["N"]] = rec
+                else:
+                    for n in todo:
+                        cached[n] = crosscheck(n)
             for n in sorted(cached):
                 fh.write(json.dumps(cached[n], sort_keys=True) + "\n")
         os.replace(tmp, path)

@@ -1,5 +1,4 @@
-"""Cusps of X0(N): canonical representatives <x : d>, widths, and the
-pointwise actions of degeneracy maps and Atkin-Lehner involutions.
+"""Cusps of X0(N): canonical representatives <x : d> and widths.
 
 A cusp is written <x : d> with d | N and x taken modulo z = gcd(d, N/d),
 subject to gcd(x, d) = 1.  Two cusps are equal iff they share d and agree
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intarith import as_factored, divisors, valuation, z_of
+from .intarith import as_factored, divisors, z_of
 
 
 @dataclass(frozen=True, order=True)
@@ -60,42 +59,3 @@ def enumerate_cusps(n) -> tuple[Cusp, ...]:
 
 def width(c: Cusp) -> int:
     return c.n // (c.d * c.z)
-
-
-def alpha_push(c: Cusp, p: int) -> Cusp:
-    """Pushforward along alpha_p : X0(Np) -> X0(N) (the identity map on tau)."""
-    if c.n % p != 0:
-        raise ValueError("p must divide the level")
-    n = c.n // p
-    r = valuation(n, p)
-    f = valuation(c.d, p)
-    if f <= r:
-        return make_cusp(n, c.d, c.x)
-    return make_cusp(n, c.d // p, p * c.x)
-
-
-def beta_push(c: Cusp, p: int) -> Cusp:
-    """Pushforward along beta_p : X0(Np) -> X0(N) (tau -> p*tau)."""
-    if c.n % p != 0:
-        raise ValueError("p must divide the level")
-    n = c.n // p
-    f = valuation(c.d, p)
-    if f == 0:
-        return make_cusp(n, c.d, p * c.x)
-    return make_cusp(n, c.d // p, c.x)
-
-
-def atkin_lehner(c: Cusp, p: int) -> Cusp:
-    """The partial Atkin-Lehner involution w_p on cusps of X0(N), p | N."""
-    n = c.n
-    if n % p != 0:
-        raise ValueError("p must divide the level")
-    r = valuation(n, p)
-    f = valuation(c.d, p)
-    dp = c.d // p ** f
-    d_new = dp * p ** (r - f)
-    z_m = z_of(n // p ** r, dp)  # prime-to-p part of the new modulus
-    z_p = p ** min(f, r - f)     # p-part (symmetric in f <-> r-f)
-    # x_new = x mod z_m and -x mod z_p (CRT); pow(., -1, 1) is 0.
-    x_new = c.x - 2 * c.x * z_m * pow(z_m, -1, z_p)
-    return make_cusp(n, d_new, x_new)

@@ -2,9 +2,9 @@
 
 S2(N) is the lattice of integer combinations of the Galois-orbit divisors
 (P_d), d | N, stored densely over the ascending divisor list.  S2(N)^0 is the
-degree-0 sublattice.  All operator actions (degeneracy pushforward/pullback,
-Atkin-Lehner, Hecke, and the pi compositions) act on this basis by the
-case-by-case exponent formulas, extended linearly.
+degree-0 sublattice.  The degeneracy pullbacks (alpha_p)^*, (beta_p)^* and
+their pi compositions, which build the base vectors of the generators, act
+on this basis by the case-by-case exponent formulas, extended linearly.
 
 tensor_join takes any number of factors at pairwise coprime levels and forms
 the dense Kronecker product of their coefficient tuples in one pass, then
@@ -58,11 +58,6 @@ class CuspDivisor:
     def __str__(self):
         terms = [f"{c}*({d})" for d, c in self.as_dict().items()]
         return ",".join(terms) if terms else "0"
-
-
-def zero_divisor(n) -> CuspDivisor:
-    n = as_factored(n).value
-    return CuspDivisor(n, (0,) * len(divisors(n)))
 
 
 def from_dict(n, coeffs: dict) -> CuspDivisor:
@@ -124,7 +119,7 @@ def tensor_join(*vecs: CuspDivisor) -> CuspDivisor:
 
 
 # ---------------------------------------------------------------------------
-# Operator actions on the (P_d) basis
+# Degeneracy pullbacks on the (P_d) basis
 # ---------------------------------------------------------------------------
 
 def _p_parts(d: int, p: int):
@@ -138,42 +133,6 @@ def _map_basis(D: CuspDivisor, n_target: int, rule) -> CuspDivisor:
         for d_new, mult in rule(d):
             out[d_new] = out.get(d_new, 0) + c * mult
     return from_dict(n_target, out)
-
-
-def alpha_push(D: CuspDivisor, p: int) -> CuspDivisor:
-    """(alpha_p)_* : S2(Np) -> S2(N)."""
-    n = D.n // p
-    r = valuation(n, p)
-
-    def rule(d):
-        dp, f = _p_parts(d, p)
-        if 2 * f <= r:
-            return [(dp * p ** f, 1)]
-        if f <= r - 1:
-            return [(dp * p ** f, p)]
-        if f == r:
-            return [(dp * p ** r, p - 1)]
-        return [(dp * p ** r, 1)]
-
-    return _map_basis(D, n, rule)
-
-
-def beta_push(D: CuspDivisor, p: int) -> CuspDivisor:
-    """(beta_p)_* : S2(Np) -> S2(N)."""
-    n = D.n // p
-    r = valuation(n, p)
-
-    def rule(d):
-        dp, f = _p_parts(d, p)
-        if f == 0:
-            return [(dp, 1)]
-        if f == 1 and r >= 1:
-            return [(dp, p - 1)]
-        if 2 * f < r + 2:
-            return [(dp * p ** (f - 1), p)]
-        return [(dp * p ** (f - 1), 1)]
-
-    return _map_basis(D, n, rule)
 
 
 def alpha_pull(D: CuspDivisor, p: int) -> CuspDivisor:
@@ -210,44 +169,6 @@ def beta_pull(D: CuspDivisor, p: int) -> CuspDivisor:
         return [(dp * p ** (f + 1), p)]
 
     return _map_basis(D, n, rule)
-
-
-def atkin_lehner(D: CuspDivisor, p: int) -> CuspDivisor:
-    """w_p on S2(N): swaps the p-exponent f <-> r - f."""
-    r = valuation(D.n, p)
-    if r == 0:
-        raise ValueError("p must divide the level")
-
-    def rule(d):
-        dp, f = _p_parts(d, p)
-        return [(dp * p ** (r - f), 1)]
-
-    return _map_basis(D, D.n, rule)
-
-
-def hecke(D: CuspDivisor, p: int) -> CuspDivisor:
-    """T_p on S2(N) (p prime; (p+1)-scaling when p does not divide N)."""
-    r = valuation(D.n, p)
-    if r == 0:
-        return (p + 1) * D
-
-    def rule(d):
-        dp, f = _p_parts(d, p)
-        if f == 0:
-            return [(dp, p)]
-        if f == r == 1:
-            return [(dp, p - 1), (dp * p, 1)]
-        if f == r:
-            return [(dp * p ** (r - 1), 1), (dp * p ** r, 1)]
-        if f == 1 and r >= 2:
-            return [(dp, p * (p - 1))]
-        if 2 * f <= r:
-            return [(dp * p ** (f - 1), p * p)]
-        if 2 * f == r + 1:
-            return [(dp * p ** (f - 1), p)]
-        return [(dp * p ** (f - 1), 1)]
-
-    return _map_basis(D, D.n, rule)
 
 
 def pi1_pull(D: CuspDivisor, p: int, k: int) -> CuspDivisor:

@@ -7,47 +7,42 @@ Matrix convention: rows are indexed by the output divisor, columns by the
 input divisor, both ascending.  Lambda maps eta exponent vectors (S1) to
 divisor coefficient vectors (S2); Upsilon maps the other way.
 
-Upsilon(N) is the Kronecker product of one tridiagonal (r+1) x (r+1) block
-per prime power p^r || N.  upsilon_apply uses that structure and applies
-the blocks prime by prime, so the dense sigma0(N)^2 matrix is never built on
-the profile path; upsilon(N) materialises it from upsilon_apply for the
-callers that want the entries.
+Both matrices are Kronecker products of one (r+1) x (r+1) block per prime
+power p^r || N.  lambda24 multiplies out the dense blocks of 24 Lambda and
+gathers the product into ascending-divisor order.  The blocks of Upsilon
+are tridiagonal: upsilon_apply applies them prime by prime, so the dense
+sigma0(N)^2 matrix is never built on the profile path.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .divisors import CuspDivisor
+from .divisors import CuspDivisor, _kronecker_gather
 from .intarith import (as_factored, divisor_exponents, divisor_positions,
-                       divisors, odd_valuation_positions, z_of)
+                       divisors)
 
 
-def a_entry(n: int, d: int, delta: int):
-    """a_N(d, delta) = (N/z) * gcd(d, delta)^2 / (d * delta); 24 * Lambda entry.
-    An int when it is integral, else a Fraction."""
-    g = math.gcd(d, delta)
-    num, den = n * g * g, z_of(n, d) * d * delta
-    return num // den if num % den == 0 else Fraction(num, den)
+def _lambda24_block(p: int, r: int) -> list:
+    """24 * Lambda(p^r): entry (f, g) is p^(max(f, r - f) - |f - g|), whose
+    exponent is never negative."""
+    return [[p ** (max(f, r - f) - abs(f - g)) for g in range(r + 1)] for f in range(r + 1)]
 
 
 @lru_cache(maxsize=None)
 def lambda24(n: int) -> tuple:
-    """24 * Lambda(N) as an integer matrix (rows d, columns delta)."""
-    ds = divisors(n)
-    rows = []
-    for d in ds:
-        row = []
-        for delta in ds:
-            e = a_entry(n, d, delta)
-            if e.denominator != 1:
-                raise ArithmeticError(f"24 * Lambda({n}) has a non-integral entry at ({d}, {delta})")
-            row.append(int(e))
-        rows.append(tuple(row))
-    return tuple(rows)
+    """24 * Lambda(N) as an integer matrix (rows d, columns delta): the
+    Kronecker product of the blocks 24 * Lambda(p^r), p^r || N, gathered into
+    ascending-divisor order."""
+    factors = as_factored(n).factors
+    M = [[1]]
+    for p, r in factors:
+        block = _lambda24_block(p, r)
+        M = [[x * y for x in row for y in brow] for row in M for brow in block]
+    gather = _kronecker_gather(tuple(p ** r for p, r in factors))
+    return tuple(tuple(M[i][j] for j in gather) for i in gather)
 
 
 def _upsilon_block_entry(p: int, r: int, i: int, j: int) -> int:
@@ -95,6 +90,7 @@ def _unit(n: int, d: int) -> tuple:
     return tuple(int(i == j) for i in range(len(divisors(n))))
 
 
+# Only the tests and the benchmark tracer (perfbench/spans.py) call upsilon.
 @lru_cache(maxsize=None)
 def upsilon(n: int) -> tuple:
     """Upsilon(N) as a matrix: rows delta (S1 index), columns d (S2 index),
@@ -102,40 +98,28 @@ def upsilon(n: int) -> tuple:
     return tuple(zip(*(upsilon_apply(n, _unit(n, d)) for d in divisors(n))))
 
 
-def upsilon_column_profile(n: int, d: int) -> dict:
-    """The column identities: plain/delta-weighted/(N/delta)-weighted sums and
-    the gcd of the entries."""
-    ds = divisors(n)
-    col = upsilon_apply(n, _unit(n, d))
-    return {
-        "sum": sum(col),
-        "delta_weighted": sum(c * delta for c, delta in zip(col, ds)),
-        "codelta_weighted": sum(c * (n // delta) for c, delta in zip(col, ds)),
-        "gcd": math.gcd(*col) if len(col) > 1 else abs(col[0]),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Ligozat conditions and eta divisors
 # ---------------------------------------------------------------------------
 
-def ligozat_check(n: int, r) -> dict:
-    """Conditions for prod eta(delta tau)^{r_delta} to be a modular unit on
-    X0(N); returns a per-condition report with an overall 'pass' flag."""
-    ds = divisors(n)
-    if len(r) != len(ds):
-        raise ValueError(f"need {len(ds)} exponents at level {n}, not {len(r)}")
-    integral = all(int(x) == x for x in r)
-    report = {"integral": integral}
-    if integral:
-        r = [int(x) for x in r]
-        report["weight0"] = sum(r) == 0
-        report["delta_sum_24"] = sum(rd * d for rd, d in zip(r, ds)) % 24 == 0
-        report["codelta_sum_24"] = sum(rd * (n // d) for rd, d in zip(r, ds)) % 24 == 0
-        report["product_square"] = all(sum(r[i] for i in odd) % 2 == 0
-                                       for _, odd in odd_valuation_positions(n))
-    report["pass"] = all(report.values())
-    return report
+@lru_cache(maxsize=None)
+def ligozat_weights(n: int) -> tuple:
+    """Ligozat's weights over the divisors d of N, ascending: d, N/d, and
+    12 * [v_p(d) odd] for each prime p | N, primes ascending."""
+    ds, exps = divisors(n), divisor_exponents(n)
+    odd = tuple(tuple(12 * (I[j] % 2) for I in exps) for j in range(as_factored(n).t))
+    return (ds, tuple(n // d for d in ds)) + odd
+
+
+def ligozat_check(n: int, r) -> bool:
+    """Ligozat's conditions for prod eta(delta tau)^{r_delta} to be a modular
+    unit on X0(N): r is integral of weight 0 and every weighted sum of r is
+    0 mod 24."""
+    weights = ligozat_weights(n)
+    if len(r) != len(weights[0]):
+        raise ValueError(f"need {len(weights[0])} exponents at level {n}, not {len(r)}")
+    return (all(int(x) == x for x in r) and sum(r) == 0
+            and all(sum(map(mul, w, r)) % 24 == 0 for w in weights))
 
 
 def eta_divisor(n: int, r) -> CuspDivisor:
@@ -152,7 +136,7 @@ def eta_divisor(n: int, r) -> CuspDivisor:
 # q-expansions
 # ---------------------------------------------------------------------------
 
-def eta_qexpansion(n: int, r, K: int = 20):
+def eta_qexpansion(n: int, r, K: int):
     """The formal expansion of prod eta(delta tau)^{r_delta}: returns
     (leading exponent as a Fraction with denominator dividing 24,
      list of the first K integer series coefficients).

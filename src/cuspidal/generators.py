@@ -300,6 +300,8 @@ def generator_vector(L: OrderedLevel, I, kind: str) -> CuspDivisor:
     return tensor_join(*vecs)
 
 
+# The (L, d) wrappers construct_Z, construct_Y and predicted_order: only the
+# tests and the benchmark tracer (perfbench/spans.py) call them.
 def _exponents(L: OrderedLevel, d: int) -> tuple:
     if d == 1 or L.base.value % d:
         raise ValueError("need a divisor 1 < d of N")

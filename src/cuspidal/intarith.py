@@ -47,9 +47,6 @@ class FactoredInteger:
                 return i
         return 0
 
-    def radical(self) -> int:
-        return math.prod(self.primes) if self.factors else 1
-
 
 @lru_cache(maxsize=None)
 def factor(n) -> FactoredInteger:

@@ -36,7 +36,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
-from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
+from .etalinalg import eta_divisor, ligozat_check, ligozat_weights, upsilon_apply
 from .intarith import (E_tuple, as_factored, divisor_exponents, divisor_of,
                        divisor_positions, divisors, factor, in_square, kappa,
                        valuation)
@@ -160,15 +160,13 @@ def eta_unit_lattice(n: int):
     """A basis of U_N: exponent vectors of rational modular units on X0(N).
 
     Start from the weight-0 basis e_1 - e_d, d > 1, and cut it down by one
-    Ligozat congruence at a time, all modulo 24: sum r_d d, sum r_d N/d and
-    12 * sum r_d [v_p(d) odd] for each p.  Euclid on the residues leaves one
+    Ligozat congruence at a time, all modulo 24: sum r_d w_d for each of
+    the weights w of ligozat_weights(N).  Euclid on the residues leaves one
     vector with a nonzero residue c; scaling it by 24 / gcd(c, 24) spans the
     sublattice where the congruence holds."""
-    ds, exps = divisors(n), divisor_exponents(n)
-    basis = [[1] + [-(j == i) for j in range(1, len(ds))] for i in range(1, len(ds))]
-    weights = [ds, [n // d for d in ds]] + [[12 * (I[j] % 2) for I in exps]
-                                            for j in range(factor(n).t)]
-    for w in weights:
+    m = len(divisors(n))
+    basis = [[1] + [-(j == i) for j in range(1, m)] for i in range(1, m)]
+    for w in ligozat_weights(n):
         res = [sum(map(mul, w, b)) % 24 for b in basis]
         while len(nz := [i for i, c in enumerate(res) if c]) > 1:
             i = min(nz, key=res.__getitem__)
@@ -195,7 +193,7 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
         return AbelianGroupStructure(n, (), {}, (), 1)
     for d in ds[1:]:
         r = [24 * x for x in upsilon_apply(n, C_generator(n, d).coeffs)]
-        if not ligozat_check(n, r)["pass"]:
+        if not ligozat_check(n, r):
             raise ArithmeticError(f"24 * Upsilon(C_{d}) is not an eta unit at N={n}, "
                                   "so kappa(N) need not kill C(N)")
     rels = []

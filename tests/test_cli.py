@@ -239,3 +239,27 @@ def test_batch_argument_bounds(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, "batch", "--max", "5", "--jobs", jobs, "--out", str(out_file))
         assert code == 1 and "--jobs" in err
     assert not out_file.exists()
+
+
+def test_batch_unwritable_out_fails_before_any_level(tmp_path, capsys, monkeypatch):
+    def no_level(n):
+        raise AssertionError(f"crosscheck({n}) ran before --out was opened")
+
+    monkeypatch.setattr(cli, "crosscheck", no_level)
+    out_file = tmp_path / "missing" / "batch.jsonl"
+    code, _, err = run(capsys, "batch", "--max", "720", "--out", str(out_file))
+    assert code == 1 and err.startswith("error:")
+    assert str(out_file) in err and ".tmp" not in err
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_batch_jobs_2_matches_jobs_1(tmp_path, capsys):
+    out_file = tmp_path / "batch.jsonl"
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "batch", "--max", "60", "--jobs", jobs,
+                           "--out", str(out_file), "--force")
+        runs.append((code, out, out_file.read_bytes()))
+        out_file.unlink()
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "60/60 pass" in runs[0][1]

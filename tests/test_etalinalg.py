@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from cuspidal.divisors import C_generator
-from cuspidal.etalinalg import (_upsilon_block_entry, a_entry, eta_divisor,
-                                eta_qexpansion, format_qexpansion, lambda24,
-                                ligozat_check, upsilon, upsilon_apply,
-                                upsilon_column_profile)
+from cuspidal.etalinalg import (_lambda24_block, _upsilon_block_entry,
+                                eta_divisor, eta_qexpansion, format_qexpansion,
+                                lambda24, ligozat_check, upsilon, upsilon_apply)
 from cuspidal.intarith import divisors, factor, kappa, phi, z_of
+from references import a_entry, upsilon_column_profile
 
 LADDER = (5040, 30030, 55440, 720720, 2 ** 20, 3 ** 12)
 
@@ -20,6 +20,23 @@ def test_a_entries_integral():
         for d in divisors(n):
             for delta in divisors(n):
                 assert a_entry(n, d, delta).denominator == 1
+
+
+def test_lambda24_blocks_match_a_entry():
+    # 24 Lambda(p^r) at (p^f, p^g) is p^(max(f, r - f) - |f - g|)
+    for p in (2, 3, 5, 7, 11, 13):
+        for r in range(1, 9):
+            n = p ** r
+            assert _lambda24_block(p, r) == [[a_entry(n, p ** f, p ** g) for g in range(r + 1)]
+                                             for f in range(r + 1)], (p, r)
+
+
+def test_lambda24_matches_a_entry():
+    # the Kronecker product of the blocks is the dense a_N(d, delta) matrix
+    for n in list(range(1, 1001)) + list(LADDER):
+        ds = divisors(n)
+        assert lambda24(n) == tuple(tuple(a_entry(n, d, delta) for delta in ds)
+                                    for d in ds), n
 
 
 def test_upsilon_small():
@@ -90,11 +107,10 @@ def test_column_profiles():
 
 def test_ligozat():
     # Delta(tau)/Delta(11 tau) is the classic level-11 modular unit
-    rep = ligozat_check(11, (12, -12))
-    assert rep["pass"]
-    assert not ligozat_check(11, (1, -1))["pass"]       # 24-conditions fail
-    assert not ligozat_check(11, (12, -11))["pass"]     # weight != 0
-    assert not ligozat_check(12, (0, 1, 0, 0, -1, 0))["pass"]  # parity
+    assert ligozat_check(11, (12, -12)) is True
+    assert ligozat_check(11, (1, -1)) is False      # 24-conditions fail
+    assert ligozat_check(11, (12, -11)) is False    # weight != 0
+    assert ligozat_check(12, (0, 1, 0, 0, -1, 0)) is False  # parity
 
 
 def test_eta_divisor():

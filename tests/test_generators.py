@@ -14,6 +14,7 @@ from cuspidal.generators import (D_vector, base_vector_A, base_vector_B,
                                  predicted_order, tri_ladder)
 from cuspidal.intarith import divisor_of, divisors, in_square, kappa, valuation
 from cuspidal.orderengine import profile
+from references import radical
 
 
 def test_ladders():
@@ -109,7 +110,7 @@ def test_ordering_anchors():
         L = default_level(n)
         t = L.base.t
         divs, _ = _orderings(L)
-        assert divs[0] == L.base.radical()
+        assert divs[0] == radical(L.base)
         sf = [d for d in divisors(n)
               if d > 1 and all(valuation(d, p) <= 1 for p in L.base.primes)]
         assert set(divs[: 2 ** t - 1]) == set(sf)

@@ -11,6 +11,7 @@ from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, as_factored,
                                in_G1_set, in_H_u, in_square, in_T_u, kappa,
                                odd_valuation_positions, phi,
                                tuple_k, tuple_m, tuple_n, valuation, z_of)
+from references import radical
 
 
 def test_factor_basic():
@@ -18,7 +19,7 @@ def test_factor_basic():
     assert f.value == 360
     assert f.factors == ((2, 3), (3, 2), (5, 1))
     assert f.t == 3 and f.u == 1
-    assert f.radical() == 30
+    assert radical(f) == 30
     assert factor(1).t == 0
 
 
