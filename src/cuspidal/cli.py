@@ -34,12 +34,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _json_loads(text: str):
+    """json.loads, with nesting too deep for the decoder as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
     """Parse "c*(d)" terms joined by commas or +/-, or the JSON object form
     {"N": ..., "coeffs": {"d": c, ...}}."""
     text = text.strip()
     if text.startswith("{"):
-        obj = json.loads(text)
+        obj = _json_loads(text)
         if not (isinstance(obj, dict) and isinstance(obj.get("coeffs"), dict)
                 and all(_is_int(c) for c in obj["coeffs"].values())):
             raise ValueError('a JSON divisor needs "coeffs": {"d": c, ...} with integer c')
@@ -174,7 +182,7 @@ def cmd_batch(args) -> int:
             for line in fh:
                 line = line.strip()
                 if line:
-                    rec = json.loads(line)
+                    rec = _json_loads(line)
                     if not (isinstance(rec, dict) and _is_int(rec.get("N"))
                             and isinstance(rec.get("pass"), bool)):
                         raise ValueError(f"{path} holds a line that is not a batch record")

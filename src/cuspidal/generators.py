@@ -197,12 +197,8 @@ def base_vector_A(p: int, r: int, f: int) -> CuspDivisor:
 
 
 @lru_cache(maxsize=None)
-def base_vector_B(p: int, r: int, f: int) -> CuspDivisor:
-    if not 1 <= f <= r:
-        raise ValueError("need 1 <= f <= r")
-    if f == 1:
-        return p ** (r - 1) * (p + 1) * base_vector_A(p, r, 0) - base_vector_A(p, r, 1)
-    return base_vector_A(p, r, f)
+def base_vector_B(p: int, r: int) -> CuspDivisor:
+    return p ** (r - 1) * (p + 1) * base_vector_A(p, r, 0) - base_vector_A(p, r, 1)
 
 
 def _E_vec(r: int, k: int) -> tuple:
@@ -249,8 +245,8 @@ def D_vector(L: OrderedLevel, i: int, j: int) -> CuspDivisor:
 def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
     gi, gj = _gamma(pi, ri), _gamma(pj, rj)
     G = math.gcd(gi, gj)
-    left = tensor_join(base_vector_B(pi, ri, 1), base_vector_A(pj, rj, 0))
-    right = tensor_join(base_vector_A(pi, ri, 0), base_vector_B(pj, rj, 1))
+    left = tensor_join(base_vector_B(pi, ri), base_vector_A(pj, rj, 0))
+    right = tensor_join(base_vector_A(pi, ri, 0), base_vector_B(pj, rj))
     return (gj // G) * left - (gi // G) * right
 
 
@@ -294,7 +290,7 @@ def generator_vector(L: OrderedLevel, I, kind: str) -> CuspDivisor:
     for i, vector, f in parts:
         p, r = factors[i - 1]
         vecs.append(base_vector_B2(r, f) if vector == "B2" else
-                    base_vector_B(p, r, f) if vector == "B" else base_vector_A(p, r, f))
+                    base_vector_B(p, r) if vector == "B" else base_vector_A(p, r, f))
     if pair:
         vecs.append(D_vector(L, *pair))
     return tensor_join(*vecs)

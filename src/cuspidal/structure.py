@@ -5,12 +5,13 @@ Two independent routes are implemented and cross-checked:
 * compute_group: the canonical decomposition into cyclic pieces generated by
   Z(d) (non-squarefree d) and Y2(d) (squarefree d, per target prime ell), with
   closed-form orders; and
-* snf_oracle: C(N) = S2(N)^0 / Lambda(N) * U_N computed directly from the
-  eta-unit lattice, knowing nothing about the generators.  It first checks
-  with Ligozat's conditions that kappa(N) kills C(N), then reads the ell-part
-  for each prime ell | kappa(N) off an elimination modulo a power of ell,
-  where entries never grow.  Its basis of U_N is the weight-0 lattice cut
-  down by one Ligozat congruence modulo 24 at a time.
+* snf_oracle: C(N) = S2(N)^0 / Lambda(N) * U_N computed from the vectors
+  r_d = 24 * Upsilon * C_d, d > 1, knowing nothing about the generators.
+  Ligozat's conditions on each r_d show that kappa(N) kills C(N); as the
+  r_d / kappa span Lambda^-1(S2(N)^0), C(N) is the subgroup of
+  (Z/24 kappa)^m that the rows (24 r_d | w . r_d), w a Ligozat weight,
+  generate.  Its ell-part for each prime ell | 24 kappa(N) is read off an
+  elimination modulo a power of ell, where entries never grow.
 
 The generators come from one walk, _blocks(N), over Yoo's table: one block
 per prime ordering (the Z block on the default level, then B(p, r, 1) when
@@ -36,7 +37,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
-from .etalinalg import eta_divisor, ligozat_check, ligozat_weights, upsilon_apply
+from .etalinalg import ligozat_check, ligozat_weights, upsilon_apply
 from .intarith import (E_tuple, as_factored, divisor_exponents, divisor_of,
                        divisor_positions, divisors, factor, in_square, kappa,
                        valuation)
@@ -50,19 +51,15 @@ from .orderengine import profile
 # The local Smith normal form
 # ---------------------------------------------------------------------------
 
-def _local_exponents(rows, ncols: int, ell: int, k: int) -> list:
-    """The exponents e of the ell-part of Z^ncols / <rows>, one per column,
-    from an elimination over Z/ell^k.  Each pivot has the least ell-valuation
-    e left: once no entry is a unit, every entry is divided by ell and e goes
-    up by one.  Raises if a factor reaches ell^k, i.e. the quotient is
-    infinite or its ell-part is not killed by ell^(k-1)."""
-    q = ell ** k
+def _local_exponents(rows, ncols: int, ell: int, v: int) -> list:
+    """The exponents e <= v of Z^ncols / (<rows> + ell^v Z^ncols), one per
+    column, from an elimination over Z/ell^v.  Each pivot has the least
+    ell-valuation e left: once no entry is a unit, every entry is divided by
+    ell and e goes up by one.  A column that no row reaches gets v."""
+    q = ell ** v
     A = [r for r in ([x % q for x in row] for row in rows) if any(r)]
     exps, e = [], 0
-    while len(exps) < ncols:
-        if not A:
-            raise ArithmeticError(f"the quotient has a factor divisible by {ell}^{k}: "
-                                  "it is infinite or the modulus does not kill it")
+    while A:
         for i, row in enumerate(A):
             j = next((j for j, x in enumerate(row) if x % ell), None)
             if j is not None:
@@ -86,25 +83,19 @@ def _local_exponents(rows, ncols: int, ell: int, k: int) -> list:
             rest.append(row)
         A = rest
         exps.append(e)
-    return exps
+    return exps + [v] * (ncols - len(exps))
 
 
 def invariant_factors_of_quotient(rows, ncols: int, modulus: int):
-    """Invariant factors (> 1, ascending divisibility) of Z^ncols / <rows>,
-    given that modulus kills the quotient.
+    """Invariant factors (> 1, ascending divisibility) of
+    Z^ncols / (<rows> + modulus * Z^ncols), for any rows and modulus >= 1.
 
     For each prime ell^v || modulus the ell-part is read off an elimination
-    over Z/ell^(v+1), where entries stay below ell^(v+1) (Cohen, GTM 138,
-    section 2.4, on normal forms modulo a multiple of the index).  A factor
-    that reaches ell^(v+1) means the quotient is infinite or modulus does not
-    kill it, and raises ArithmeticError; primes outside modulus are not
-    seen."""
-    if ncols == 0:
-        return ()
-    if not rows:
-        raise ArithmeticError("quotient is infinite (no relations)")
+    over Z/ell^v, where entries stay below ell^v (Cohen, GTM 138, section
+    2.4, on normal forms modulo a multiple of the index).  When modulus kills
+    Z^ncols / <rows> this is that group."""
     local = [ell ** e for ell, v in factor(modulus).factors
-             for e in _local_exponents(rows, ncols, ell, v + 1) if e]
+             for e in _local_exponents(rows, ncols, ell, v) if e]
     _, invs = _merge_invariants(local)
     if math.prod(invs) != math.prod(local):
         raise ArithmeticError(f"invariant factors {invs} do not multiply to the "
@@ -156,6 +147,7 @@ def cuspidal_equals_rational(n: int) -> bool:
 # The SNF lattice oracle
 # ---------------------------------------------------------------------------
 
+# Only the tests and the benchmark tracer (perfbench/spans.py) call eta_unit_lattice.
 def eta_unit_lattice(n: int):
     """A basis of U_N: exponent vectors of rational modular units on X0(N).
 
@@ -181,29 +173,31 @@ def eta_unit_lattice(n: int):
 
 
 def snf_oracle(n: int) -> AbelianGroupStructure:
-    """C(N) = S2(N)^0 / Lambda(N) * U_N, read off the eta-unit lattice one
-    prime of kappa(N) at a time.  Independent of the generator constructions.
+    """C(N) = S2(N)^0 / Lambda(N) * U_N from r_d = 24 * Upsilon * C_d, d > 1,
+    one prime of 24 kappa(N) at a time; independent of the generators.
 
-    Upsilon * 24 Lambda = kappa * Id, so Lambda(24 Upsilon C_d) = kappa C_d.
-    When every 24 Upsilon C_d, d > 1, meets Ligozat's conditions it lies in
-    U_N, kappa kills C(N), and the local SNF modulo kappa is exact; otherwise
-    this raises ArithmeticError."""
-    ds = divisors(n)
-    if len(ds) == 1:
-        return AbelianGroupStructure(n, (), {}, (), 1)
+    Upsilon * 24 Lambda = kappa * Id, so Lambda r_d = kappa C_d and the
+    r_d / kappa span Lambda^-1(S2(N)^0).  Each r_d must meet Ligozat's
+    conditions (else ArithmeticError): then kappa kills C(N) and
+    sum r_d = 0.  So c over d > 1 is a relation iff x = sum c_d r_d / kappa
+    lies in U_N: x is integral iff sum c_d r_d = 0 mod kappa, has weight 0,
+    and meets the congruence of each weight w of ligozat_weights(N) iff
+    sum c_d (w . r_d) = 0 mod 24 kappa.  C(N) is thus the subgroup of
+    (Z/24 kappa)^m, m = sigma0(N) + t + 2, spanned by the rows
+    (24 r_d | w . r_d): its invariant factors are the 24 kappa / s_i > 1 for
+    s_1 | ... | s_m those of Z^m / (<rows> + 24 kappa Z^m), 1s included."""
+    ds, weights = divisors(n), ligozat_weights(n)
+    rows = []
     for d in ds[1:]:
         r = [24 * x for x in upsilon_apply(n, C_generator(n, d).coeffs)]
         if not ligozat_check(n, r):
             raise ArithmeticError(f"24 * Upsilon(C_{d}) is not an eta unit at N={n}, "
                                   "so kappa(N) need not kill C(N)")
-    rels = []
-    for r in eta_unit_lattice(n):
-        v = eta_divisor(n, r)
-        if not all(isinstance(c, int) for c in v.coeffs):
-            raise ArithmeticError(f"eta unit {r} has a non-integral divisor at N={n}")
-        # Coordinates in the basis {C_d : d > 1} of S2(N)^0.
-        rels.append(tuple(-c for c in v.coeffs[1:]))
-    invs = invariant_factors_of_quotient(rels, len(ds) - 1, kappa(n))
+        rows.append([24 * x for x in r] + [sum(map(mul, w, r)) for w in weights])
+    m, ncols = 24 * kappa(n), len(ds) + len(weights)
+    quotient = invariant_factors_of_quotient(rows, ncols, m)
+    s = (1,) * (ncols - len(quotient)) + quotient
+    invs = tuple(m // x for x in reversed(s) if x < m)
     prim, _ = _merge_invariants(invs)
     return AbelianGroupStructure(n, (), prim, invs, math.prod(invs))
 
@@ -266,7 +260,7 @@ def _blocks(n: int):
                  lambda d: generator_vector(L0, nsf[d], "Z"), {}, {})
     if fn.t == 1:
         yield _Block("B", L0, ((p, (1,), f"B({p},{r},1)", generator_order(L0, (1,), "Z")),),
-                     lambda d: base_vector_B(p, r, 1), {}, {})
+                     lambda d: base_vector_B(p, r), {}, {})
         return
     tables = {}  # (factors, s) -> (rows, build, vectors, profiles)
     for ell in _relevant_ells(n):

@@ -143,6 +143,30 @@ def test_no_admissible_ordering_exits_2(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter: (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cuspidal.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "cuspidal.cli", *argv], env=env,
+                         capture_output=True, text=True)
+    return out.returncode, out.stderr
+
+
+def test_deeply_nested_json_divisor_exits_1():
+    code, err = _run_cli("order", "12", "--divisor", '{"coeffs":' + "[" * 100000)
+    assert code == 1 and err == "error: JSON nested too deeply\n"
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_batch_cache_line_exits_1(tmp_path):
+    out_file = tmp_path / "batch.jsonl"
+    out_file.write_text("[" * 100000 + "\n")
+    code, err = _run_cli("batch", "--max", "1", "--out", str(out_file))
+    assert code == 1 and err == "error: JSON nested too deeply\n"
+    assert "Traceback" not in err
+
+
 def test_eta_rejects_nonzero_degree(capsys):
     code, _, err = run(capsys, "eta", "11", "--divisor", "1*(1)")
     assert code == 1

@@ -144,7 +144,7 @@ def test_base_vector_degrees():
             assert base_vector_A(p, r, 1).degree() == p ** (r - 1) * (p + 1)
             for f in range(2, r + 1):
                 assert base_vector_A(p, r, f).degree() == 0
-            assert base_vector_B(p, r, 1).degree() == 0
+            assert base_vector_B(p, r).degree() == 0
 
 
 def test_image_vectors():
@@ -157,7 +157,7 @@ def test_image_vectors():
                 assert V == tuple(g * x for x in img)
             gB, imgB = base_vector_image("B", p, r, 1)
             assert gB == p ** (r - 1) * (p + 1)
-            VB = upsilon_apply(p ** r, base_vector_B(p, r, 1).coeffs)
+            VB = upsilon_apply(p ** r, base_vector_B(p, r).coeffs)
             assert VB == tuple(gB * x for x in imgB)
 
 

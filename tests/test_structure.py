@@ -5,15 +5,14 @@ import math
 import os
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
-from sympy import Matrix
+from sympy import Matrix, Symbol, eye, zeros
 from sympy.matrices.normalforms import smith_normal_form
 
-from cuspidal import cli, generators, intarith, structure
-from cuspidal.divisors import CuspDivisor
-from cuspidal.etalinalg import eta_divisor, ligozat_check
+from cuspidal import cli, etalinalg, generators, intarith, structure
+from cuspidal.etalinalg import (_lambda24_block, _upsilon_block_entry, eta_divisor,
+                                ligozat_check)
 from cuspidal.generators import (base_vector_B, construct_Y, construct_Z,
                                  predicted_order)
 from cuspidal.intarith import divisor_exponents, divisors, factor, kappa
@@ -27,43 +26,50 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GENUS_ZERO = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25]
 
 
+def _sympy_invariant_factors(rows, ncols, modulus):
+    """Reference: the invariant factors other than 1, ascending, of
+    Z^ncols / (<rows> + modulus * Z^ncols), from sympy's Smith normal form of
+    the rows stacked on modulus * Id.  Modulus 0 gives Z^ncols / <rows>, a
+    factor 0 standing for Z."""
+    stack = [list(r) for r in rows] + [[modulus * (i == j) for j in range(ncols)]
+                                       for i in range(ncols)]
+    S = smith_normal_form(Matrix(stack))
+    return tuple(sorted(d for d in (abs(int(S[i, i])) for i in range(ncols)) if d != 1))
+
+
 def test_invariant_factors():
-    assert invariant_factors_of_quotient([(2, 0), (0, 6)], 2, 6) == (2, 6)
-    assert invariant_factors_of_quotient([(2, 0), (0, 6)], 2, 36) == (2, 6)
-    assert invariant_factors_of_quotient([(1, 0), (0, 1)], 2, 6) == ()
-    with pytest.raises(ArithmeticError):
-        invariant_factors_of_quotient([(1, 0)], 2, 6)
-    assert invariant_factors_of_quotient([(4,)], 1, 4) == (4,)
-    # a factor that reaches ell^(v+1): the modulus does not kill the quotient
-    with pytest.raises(ArithmeticError):
-        invariant_factors_of_quotient([(4,)], 1, 2)
-    with pytest.raises(ArithmeticError):
-        invariant_factors_of_quotient([(2, 0), (0, 9)], 2, 6)
-
-
-def _sympy_invariant_factors(rows, ncols):
-    """Reference: invariant factors from sympy's Smith normal form, or None
-    when the quotient is infinite."""
-    S = smith_normal_form(Matrix([list(r) for r in rows]))
-    diag = [abs(int(S[i, i])) for i in range(min(S.shape))]
-    if len(diag) < ncols or 0 in diag:
-        return None
-    return tuple(d for d in sorted(diag) if d > 1)
+    for rows, ncols, modulus, want in [
+            ([(2, 0), (0, 6)], 2, 6, (2, 6)),
+            ([(2, 0), (0, 6)], 2, 36, (2, 6)),
+            ([(1, 0), (0, 1)], 2, 6, ()),
+            ([(1, 0)], 2, 6, (6,)),
+            ([(4,)], 1, 4, (4,)),
+            ([(4,)], 1, 2, (2,)),
+            ([(2, 0), (0, 9)], 2, 6, (6,)),
+            ([(3, 0), (0, 0)], 2, 36, (3, 36)),
+            ([], 2, 6, (6, 6)),
+            ([(5, 7)], 2, 1, ())]:
+        assert invariant_factors_of_quotient(rows, ncols, modulus) == want, rows
+        assert _sympy_invariant_factors(rows, ncols, modulus) == want, rows
 
 
 def test_invariant_factors_match_sympy_on_oracle_relations():
+    """Today's relations Lambda * U_N, from the unit lattice and eta_divisor,
+    have a quotient that kappa kills, and the same invariant factors as
+    snf_oracle."""
     for n in range(2, 301):
         rels = [tuple(-c for c in eta_divisor(n, r).coeffs[1:])
                 for r in eta_unit_lattice(n)]
         ncols = len(divisors(n)) - 1
-        assert invariant_factors_of_quotient(rels, ncols, kappa(n)) == \
-            _sympy_invariant_factors(rels, ncols), n
+        got = invariant_factors_of_quotient(rels, ncols, kappa(n))
+        assert got == _sympy_invariant_factors(rels, ncols, 0), n
+        assert got == snf_oracle(n).invariant_factors, n
 
 
 def test_invariant_factors_match_sympy_on_random_matrices():
     rng = random.Random(7)
     pick = random.Random(8)  # the moduli; rng alone draws the matrices
-    finite = infinite = 0
+    deficient = full = 0
     for trial in range(300):
         nr, nc = rng.randrange(1, 7), rng.randrange(1, 6)
         rows = [[rng.randrange(-30, 31) for _ in range(nc)] for _ in range(nr)]
@@ -71,26 +77,26 @@ def test_invariant_factors_match_sympy_on_random_matrices():
             # make the last column a combination of the others: rank < nc
             for r in rows:
                 r[-1] = 2 * r[0] - (r[1] if nc > 2 else 0)
-        expected = _sympy_invariant_factors(rows, nc)
-        if expected is None:
-            # any prime of the modulus sees the zero factor
-            infinite += 1
-            with pytest.raises(ArithmeticError):
-                invariant_factors_of_quotient(rows, nc, pick.randrange(2, 1000))
+        if Matrix(rows).rank() < nc:
+            deficient += 1
         else:
-            # a multiple of the exponent of the quotient kills it
-            finite += 1
-            modulus = max(expected, default=1) * pick.randrange(1, 5)
-            assert invariant_factors_of_quotient(rows, nc, modulus) == expected, rows
-    assert finite > 50 and infinite > 100
+            full += 1
+        modulus = pick.choice((1, 2, 3, 4, 8, 9, 12, 27, 64, 360)) * pick.randrange(1, 30)
+        assert invariant_factors_of_quotient(rows, nc, modulus) == \
+            _sympy_invariant_factors(rows, nc, modulus), (rows, modulus)
+    assert full > 50 and deficient > 100
 
 
-def test_snf_oracle_rejects_non_integral_relations(monkeypatch):
-    def halves(n, r):
-        return CuspDivisor(n, tuple(Fraction(1, 2) for _ in divisors(n)))
-    monkeypatch.setattr(structure, "eta_divisor", halves)
-    with pytest.raises(ArithmeticError):
-        snf_oracle(11)
+def test_upsilon_times_24_lambda_is_kappa_as_polynomials():
+    """Upsilon(p^r) * 24 Lambda(p^r) = kappa(p^r) * Id in Z[p], for every
+    r <= 20, so for every prime power up to 10^6 and for 2^20; the blocks
+    are those that upsilon_apply and lambda24 use."""
+    p = Symbol("p")
+    for r in range(1, 21):
+        U = Matrix(r + 1, r + 1, lambda i, j: _upsilon_block_entry(p, r, i, j))
+        L = Matrix(_lambda24_block(p, r))
+        kappa_pr = p ** (r - 1) * (p ** 2 - 1)
+        assert (U * L - kappa_pr * eye(r + 1)).expand() == zeros(r + 1, r + 1), r
 
 
 def test_snf_oracle_rejects_inconsistent_invariants(monkeypatch):
@@ -249,6 +255,14 @@ def test_oracle_is_independent_of_the_generators():
     assert {"_local_exponents", "_merge_invariants"} <= seen
 
 
+def test_crosscheck_leaves_lambda24_empty():
+    """The oracle reads C(N) off the premise vectors: no dense 24 Lambda is
+    built or cached on the verify path."""
+    etalinalg.lambda24.cache_clear()
+    assert crosscheck(5040)["pass"]
+    assert etalinalg.lambda24.cache_info().currsize == 0
+
+
 def test_ordering_independence_spotcheck():
     # invariant factors agree with the oracle regardless of per-ell orderings
     for n in [30, 60, 210]:
@@ -346,7 +360,7 @@ def test_blocks_match_the_per_divisor_wrappers():
                     want = predicted_order(L, d, "Z"), construct_Z(L, d)
                 else:
                     (p, r), = L.base.factors
-                    want = predicted_order(L, p, "Z"), base_vector_B(p, r, 1)
+                    want = predicted_order(L, p, "Z"), base_vector_B(p, r)
                 assert (order, blk.vector(d)) == want, (n, blk.kind, L.ell, d)
 
 
