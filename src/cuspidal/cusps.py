@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intarith import as_factored, divisors, z_of
+from .intarith import divisors, factor, z_of
 
 
 @dataclass(frozen=True, order=True)
@@ -39,7 +39,7 @@ def _canonical_x(n: int, d: int, x: int) -> int:
 
 
 def make_cusp(n, d: int, x: int) -> Cusp:
-    n = as_factored(n).value
+    n = factor(n).value
     if n % d != 0:
         raise ValueError(f"{d} does not divide {n}")
     return Cusp(n, d, _canonical_x(n, d, x))
@@ -47,7 +47,7 @@ def make_cusp(n, d: int, x: int) -> Cusp:
 
 def enumerate_cusps(n) -> tuple[Cusp, ...]:
     """All cusps of X0(N); for each d | N there are phi(gcd(d, N/d)) of them."""
-    n = as_factored(n).value
+    n = factor(n).value
     out = []
     for d in divisors(n):
         z = z_of(n, d)

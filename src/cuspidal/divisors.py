@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
-from .intarith import (as_factored, divisor_lattice, divisor_positions, divisors,
-                       phi, valuation)
+from .intarith import (degree_weights, divisor_positions, divisors, factor, phi,
+                       valuation)
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class CuspDivisor:
         return {d: c for d, c in zip(divisors(self.n), self.coeffs) if c}
 
     def degree(self):
-        return sum(c * w for c, (_, _, w) in zip(self.coeffs, divisor_lattice(self.n)))
+        return sum(map(mul, self.coeffs, degree_weights(self.n)))
 
     def __add__(self, other):
         if self.n != other.n:
@@ -45,9 +46,7 @@ class CuspDivisor:
         return CuspDivisor(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        if self.n != other.n:
-            raise ValueError(f"divisors at levels {self.n} and {other.n} do not combine")
-        return CuspDivisor(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self):
         return CuspDivisor(self.n, tuple(-a for a in self.coeffs))
@@ -61,7 +60,7 @@ class CuspDivisor:
 
 
 def from_dict(n, coeffs: dict) -> CuspDivisor:
-    n = as_factored(n).value
+    n = factor(n).value
     pos = divisor_positions(n)
     out = [0] * len(pos)
     for d, c in coeffs.items():
@@ -83,7 +82,7 @@ def orbit_divisor(n, d: int) -> CuspDivisor:
 
 def C_generator(n, d: int) -> CuspDivisor:
     """C_d = phi(gcd(d, N/d)) * (P_1) - (P_d); degree 0, defined for d > 1."""
-    n = as_factored(n).value
+    n = factor(n).value
     if d == 1:
         raise ValueError("C_d requires d > 1")
     return from_dict(n, {1: phi(math.gcd(d, n // d)), d: -1})

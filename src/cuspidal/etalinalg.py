@@ -8,10 +8,10 @@ input divisor, both ascending.  Lambda maps eta exponent vectors (S1) to
 divisor coefficient vectors (S2); Upsilon maps the other way.
 
 Both matrices are Kronecker products of one (r+1) x (r+1) block per prime
-power p^r || N.  lambda24 multiplies out the dense blocks of 24 Lambda and
-gathers the product into ascending-divisor order.  The blocks of Upsilon
-are tridiagonal: upsilon_apply applies them prime by prime, so the dense
-sigma0(N)^2 matrix is never built on the profile path.
+power p^r || N.  lambda24 builds row d of 24 Lambda as the tensor_join of
+the block rows at v_p(d), so only divisors.py knows the Kronecker layout.
+The blocks of Upsilon are tridiagonal: upsilon_apply applies them prime by
+prime, so the dense sigma0(N)^2 matrix is never built on the profile path.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .divisors import CuspDivisor, _kronecker_gather
-from .intarith import (as_factored, divisor_exponents, divisor_positions,
-                       divisors)
+from .divisors import CuspDivisor, tensor_join
+from .intarith import divisor_exponents, divisor_positions, divisors, factor
 
 
 def _lambda24_block(p: int, r: int) -> list:
@@ -33,16 +32,13 @@ def _lambda24_block(p: int, r: int) -> list:
 
 @lru_cache(maxsize=None)
 def lambda24(n: int) -> tuple:
-    """24 * Lambda(N) as an integer matrix (rows d, columns delta): the
-    Kronecker product of the blocks 24 * Lambda(p^r), p^r || N, gathered into
-    ascending-divisor order."""
-    factors = as_factored(n).factors
-    M = [[1]]
-    for p, r in factors:
-        block = _lambda24_block(p, r)
-        M = [[x * y for x in row for y in brow] for row in M for brow in block]
-    gather = _kronecker_gather(tuple(p ** r for p, r in factors))
-    return tuple(tuple(M[i][j] for j in gather) for i in gather)
+    """24 * Lambda(N) as an integer matrix (rows d, columns delta): row d is
+    the tensor_join of the rows v_p(d) of the blocks 24 * Lambda(p^r),
+    p^r || N."""
+    blocks = [[CuspDivisor(p ** r, tuple(row)) for row in _lambda24_block(p, r)]
+              for p, r in factor(n).factors]
+    return tuple(tensor_join(*(rows[f] for rows, f in zip(blocks, I))).coeffs
+                 for I in divisor_exponents(n))
 
 
 def _upsilon_block_entry(p: int, r: int, i: int, j: int) -> int:
@@ -57,20 +53,21 @@ def _upsilon_block_entry(p: int, r: int, i: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _upsilon_axes(n: int) -> tuple:
-    """One tuple of rows per prime power p^r || N, one row per divisor d:
-    (a, i, b, j, c, k) with i, j, k the positions of d, d/p, d*p and a, b, c
-    the entries (f, f), (f, f-1), (f, f+1) of the p-block, f = v_p(d).  At the
-    ends of the block j or k is i with a zero coefficient."""
+    """One tuple of rows per prime power p^r || N, one row per divisor d, in
+    the order of divisors(N): (a, b, j, c, k) with j, k the positions of d/p
+    and d*p and a, b, c the entries (f, f), (f, f-1), (f, f+1) of the
+    p-block, f = v_p(d); a multiplies the entry at d itself.  At the ends of
+    the block j or k is the position of d with a zero coefficient."""
     ds, exps = divisors(n), divisor_exponents(n)
     pos = divisor_positions(n)
     axes = []
-    for slot, (p, r) in enumerate(as_factored(n).factors):
+    for slot, (p, r) in enumerate(factor(n).factors):
         rows = []
         for i, (d, I) in enumerate(zip(ds, exps)):
             f = I[slot]
             b, j = (_upsilon_block_entry(p, r, f, f - 1), pos[d // p]) if f else (0, i)
             c, k = (_upsilon_block_entry(p, r, f, f + 1), pos[d * p]) if f < r else (0, i)
-            rows.append((_upsilon_block_entry(p, r, f, f), i, b, j, c, k))
+            rows.append((_upsilon_block_entry(p, r, f, f), b, j, c, k))
         axes.append(tuple(rows))
     return tuple(axes)
 
@@ -80,7 +77,7 @@ def upsilon_apply(n: int, vec) -> tuple:
     power (tensor mode) at a time: O(sigma0(N) * t) operations."""
     x = vec
     for rows in _upsilon_axes(n):
-        x = [a * x[i] + b * x[j] + c * x[k] for a, i, b, j, c, k in rows]
+        x = [a * xi + b * x[j] + c * x[k] for xi, (a, b, j, c, k) in zip(x, rows)]
     return tuple(x)
 
 
@@ -107,7 +104,7 @@ def ligozat_weights(n: int) -> tuple:
     """Ligozat's weights over the divisors d of N, ascending: d, N/d, and
     12 * [v_p(d) odd] for each prime p | N, primes ascending."""
     ds, exps = divisors(n), divisor_exponents(n)
-    odd = tuple(tuple(12 * (I[j] % 2) for I in exps) for j in range(as_factored(n).t))
+    odd = tuple(tuple(12 * (I[j] % 2) for I in exps) for j in range(factor(n).t))
     return (ds, tuple(n // d for d in ds)) + odd
 
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
                        pi2_pull, pi12_pull_div_p, tensor_join)
-from .intarith import (FactoredInteger, as_factored, A_tuple, E_tuple,
-                       exponent_tuple, in_delta, in_E_set, in_F_set, in_F1_set,
+from .intarith import (FactoredInteger, A_tuple, E_tuple, exponent_tuple,
+                       factor, in_delta, in_E_set, in_F_set, in_F1_set,
                        in_G_set, in_G1_set, in_H_u, in_H_u1, in_square, in_T_u,
                        tuple_k, tuple_m, tuple_n, valuation)
 
@@ -39,15 +39,17 @@ from .intarith import (FactoredInteger, as_factored, A_tuple, E_tuple,
 class OrderedLevel:
     base: FactoredInteger
     ell: int
-    u: int
     s: int
-    gammas: tuple
 
     @property
     def t(self) -> int:
         return self.base.t
 
-    @property
+    @cached_property
+    def u(self) -> int:
+        return self.base.u
+
+    @cached_property
     def r_u(self) -> int:
         """The exponent of 2 in N, or 0 if N is odd."""
         return self.base.exponents[self.u - 1] if self.u else 0
@@ -72,15 +74,13 @@ def _admissible(factors, ell: int) -> bool:
 def _make_level(factors, ell: int) -> OrderedLevel:
     value = math.prod(p ** r for p, r in factors)
     base = FactoredInteger(value, tuple(factors))
-    u = base.u
-    s = 0 if ell % 2 else u
-    return OrderedLevel(base, ell, u, s, tuple(_gamma(p, r) for p, r in factors))
+    return OrderedLevel(base, ell, 0 if ell % 2 else base.u)
 
 
 def order_primes(n, ell: int) -> OrderedLevel:
     """Permute the prime factors to satisfy both valuation conditions for ell,
     by one deterministic sort."""
-    fn = as_factored(n)
+    fn = factor(n)
     key = lambda pr: (-valuation(_gamma(*pr), ell), valuation(pr[0] - 1, ell), pr[0])
     cand = tuple(sorted(fn.factors, key=key))
     # The sort is always admissible: for odd ell no p != ell has ell | p - 1 and
@@ -92,7 +92,7 @@ def order_primes(n, ell: int) -> OrderedLevel:
 
 def default_level(n) -> OrderedLevel:
     """Ordering-insensitive contexts (the non-squarefree block): primes ascending."""
-    fn = as_factored(n)
+    fn = factor(n)
     return _make_level(fn.factors, 2)
 
 
@@ -100,14 +100,12 @@ def default_level(n) -> OrderedLevel:
 # The ladders on {0..r}, the twisted orders, and iota
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def prec_ladder(r: int) -> tuple:
     if r == 1:
         return (1, 0)
     return (1, 0, 2) + tuple(range(r, 2, -1))
 
 
-@lru_cache(maxsize=None)
 def tri_ladder(r: int) -> tuple:
     if r == 1:
         return (0, 1)
@@ -198,7 +196,7 @@ def base_vector_A(p: int, r: int, f: int) -> CuspDivisor:
 
 @lru_cache(maxsize=None)
 def base_vector_B(p: int, r: int) -> CuspDivisor:
-    return p ** (r - 1) * (p + 1) * base_vector_A(p, r, 0) - base_vector_A(p, r, 1)
+    return _gamma(p, r) * base_vector_A(p, r, 0) - base_vector_A(p, r, 1)
 
 
 def _E_vec(r: int, k: int) -> tuple:
@@ -321,8 +319,8 @@ def construct_Y(L: OrderedLevel, d: int) -> CuspDivisor:
 # ---------------------------------------------------------------------------
 
 def G_pair(L: OrderedLevel, i: int, j: int) -> int:
-    (pi, _), (pj, _) = L.base.factors[i - 1], L.base.factors[j - 1]
-    gi, gj = L.gammas[i - 1], L.gammas[j - 1]
+    (pi, ri), (pj, rj) = L.base.factors[i - 1], L.base.factors[j - 1]
+    gi, gj = _gamma(pi, ri), _gamma(pj, rj)
     return (pi - 1) * (pj - 1) * math.gcd(gi, gj) // math.gcd(pi - 1, pj - 1)
 
 

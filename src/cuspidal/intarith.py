@@ -1,5 +1,5 @@
-"""Integer utilities: factorization, the divisor lattice, kappa, and the
-combinatorial index sets over exponent tuples that drive the generator
+"""Integer utilities: factorization, divisors and their degree weights, kappa,
+and the combinatorial index sets over exponent tuples that drive the generator
 constructions.
 
 An exponent tuple I = (f_1, ..., f_t) encodes the divisor p_1^f_1 * ... * p_t^f_t
@@ -39,7 +39,7 @@ class FactoredInteger:
     def exponents(self) -> tuple[int, ...]:
         return tuple(r for _, r in self.factors)
 
-    @property
+    @cached_property
     def u(self) -> int:
         """1-based position of the prime 2 in the ordering, or 0 if N is odd."""
         for i, (p, _) in enumerate(self.factors, start=1):
@@ -71,10 +71,6 @@ def factor(n) -> FactoredInteger:
     return FactoredInteger(n, tuple(facs))
 
 
-def as_factored(n) -> FactoredInteger:
-    return n if isinstance(n, FactoredInteger) else factor(n)
-
-
 @lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
@@ -98,17 +94,9 @@ def divisor_exponents(n: int) -> tuple:
     return tuple(I for _, I in pairs)
 
 
-@lru_cache(maxsize=None)
-def odd_valuation_positions(n: int) -> tuple:
-    """(p, positions of the divisors d of n with v_p(d) odd), primes ascending."""
-    exps = divisor_exponents(n)
-    return tuple((p, tuple(i for i, I in enumerate(exps) if I[j] % 2))
-                 for j, p in enumerate(factor(n).primes))
-
-
 def phi(n: int) -> int:
     """Euler totient."""
-    fn = as_factored(n)
+    fn = factor(n)
     return math.prod(p ** (r - 1) * (p - 1) for p, r in fn.factors) if fn.factors else 1
 
 
@@ -124,7 +112,7 @@ def valuation(n: int, p: int) -> int:
 
 def kappa(n) -> int:
     """kappa(N) = (N/rad N) * prod (p^2 - 1)."""
-    fn = as_factored(n)
+    fn = factor(n)
     return math.prod(p ** (r - 1) * (p * p - 1) for p, r in fn.factors) if fn.factors else 1
 
 
@@ -134,10 +122,10 @@ def z_of(n: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def divisor_lattice(n: int):
-    """All (d, z = gcd(d, N/d), phi(z)) triples, d ascending.  phi(z) is both
-    the number of level-d cusps and the degree of the orbit divisor (P_d)."""
-    return tuple((d, z_of(n, d), phi(z_of(n, d))) for d in divisors(n))
+def degree_weights(n: int) -> tuple:
+    """phi(gcd(d, N/d)) over the divisors d of N, ascending: both the number
+    of level-d cusps and the degree of the orbit divisor (P_d)."""
+    return tuple(phi(z_of(n, d)) for d in divisors(n))
 
 
 # ---------------------------------------------------------------------------

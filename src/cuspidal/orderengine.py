@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .divisors import CuspDivisor
-from .etalinalg import eta_divisor, ligozat_check, upsilon_apply
-from .intarith import kappa, odd_valuation_positions
+from .etalinalg import eta_divisor, ligozat_check, ligozat_weights, upsilon_apply
+from .intarith import factor, kappa
 
 
 @dataclass(frozen=True)
@@ -34,11 +35,13 @@ def profile(C: CuspDivisor) -> OrderProfile:
     n = C.n
     V = upsilon_apply(n, C.coeffs)
     deg = C.degree()
-    g = math.gcd(*V) if len(V) > 1 else abs(V[0])
+    g = math.gcd(*V)
     if g == 0:
         return OrderProfile(n, V, 0, None, {}, 1, 1 if deg == 0 else None, deg)
     vbar = tuple(v // g for v in V)
-    pw = {p: sum(vbar[i] for i in odd) for p, odd in odd_valuation_positions(n)}
+    # Ligozat's weight rows 12 * [v_p(d) odd], primes ascending
+    pw = {p: sum(map(mul, w, vbar)) // 12
+          for p, w in zip(factor(n).primes, ligozat_weights(n)[2:])}
     h = 2 if any(v % 2 for v in pw.values()) else 1
     order = None
     if deg == 0:

@@ -17,9 +17,10 @@ The generators come from one walk, _blocks(N), over Yoo's table: one block
 per prime ordering (the Z block on the default level, then B(p, r, 1) when
 N = p^r, else one Y2 block per relevant ell), each with rows (d, I, label,
 closed-form order) in ascending d, I the exponent tuple of d in the block's
-prime ordering read off divisor_exponents(N), and a builder for the vector
-at d; Y2 blocks of equal orderings share one table, which builds and
-profiles each vector at most once.  compute_group keeps the rows of order
+prime ordering read off divisor_exponents(N), and two functools.cache
+callables, vector(d) and profile(d), so each vector is built and profiled
+at most once per walk; Y2 blocks of equal orderings share the table and the
+two callables.  compute_group keeps the rows of order
 > 1 and builds only their vectors; verify_certificates re-sorts each block
 by the rank of I in divisor_orderings, which depends only on the shape
 (exponents, u) of the block's level, profiles each vector and re-runs the
@@ -33,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from operator import mul
 from typing import Callable, NamedTuple
 
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import ligozat_check, ligozat_weights, upsilon_apply
-from .intarith import (E_tuple, as_factored, divisor_exponents, divisor_of,
+from .intarith import (E_tuple, divisor_exponents, divisor_of,
                        divisor_positions, divisors, factor, in_square, kappa,
                        valuation)
 from .generators import (OrderedLevel, _script_H, base_vector_B, default_level,
@@ -209,27 +211,21 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
 class _Block(NamedTuple):
     """The generators of one prime ordering: rows (d, I, label, closed-form
     order) in ascending d, I the exponent tuple of d in the prime order of
-    level, and build(d), the vector at d.  kind is "Z" for
-    the non-squarefree block, "B" for B(p, r, 1) at N = p^r and "Y2" for the
-    squarefree block of the target prime level.ell.  vector(d) and
-    profile_of(d) build and profile the vector at d once per walk; vectors
-    and profiles hold what they made."""
+    level.  kind is "Z" for the non-squarefree block, "B" for B(p, r, 1) at
+    N = p^r and "Y2" for the squarefree block of the target prime level.ell.
+    vector(d) and profile(d), from _memo, are the vector at d and its
+    profile, each made at most once per walk."""
     kind: str
     level: OrderedLevel
     rows: tuple
-    build: Callable
-    vectors: dict
-    profiles: dict
+    vector: Callable
+    profile: Callable
 
-    def vector(self, d):
-        if d not in self.vectors:
-            self.vectors[d] = self.build(d)
-        return self.vectors[d]
 
-    def profile_of(self, d):
-        if d not in self.profiles:
-            self.profiles[d] = profile(self.vector(d))
-        return self.profiles[d]
+def _memo(build):
+    """The cached pair vector(d) = build(d), profile(d) = profile(vector(d))."""
+    vector = cache(build)
+    return vector, cache(lambda d: profile(vector(d)))
 
 
 def _relevant_ells(n: int):
@@ -240,8 +236,8 @@ def _blocks(n: int):
     """Yoo's table for C(N): the Z block on the default level, then B(p, r, 1)
     when N = p^r, else one Y2 block per relevant ell on order_primes(N, ell).
     Each row's exponent tuple is read off divisor_exponents(N) in the block's
-    prime ordering; Y2 blocks with equal (factors, s) share rows, vectors and
-    profiles.  Orders of 1 are kept; vectors are built only on request."""
+    prime ordering; Y2 blocks with equal (factors, s) share rows, vector and
+    profile.  Orders of 1 are kept; vectors are built only on request."""
     fn = factor(n)
     if fn.t == 0:
         return
@@ -257,12 +253,12 @@ def _blocks(n: int):
         label = lambda d, I: f"Z({d})"
     yield _Block("Z", L0, tuple((d, I, label(d, I), generator_order(L0, I, "Z"))
                                 for d, I in nsf.items()),
-                 lambda d: generator_vector(L0, nsf[d], "Z"), {}, {})
+                 *_memo(lambda d: generator_vector(L0, nsf[d], "Z")))
     if fn.t == 1:
         yield _Block("B", L0, ((p, (1,), f"B({p},{r},1)", generator_order(L0, (1,), "Z")),),
-                     lambda d: base_vector_B(p, r), {}, {})
+                     *_memo(lambda d: base_vector_B(p, r)))
         return
-    tables = {}  # (factors, s) -> (rows, build, vectors, profiles)
+    tables = {}  # (factors, s) -> (rows, vector, profile)
     for ell in _relevant_ells(n):
         L = order_primes(n, ell)
         key = (L.base.factors, L.s)
@@ -271,7 +267,7 @@ def _blocks(n: int):
             Is = {d: tuple(I[k] for k in perm) for d, I in sf.items()}
             rows = tuple((d, I, f"Y2({d})", generator_order(L, I, "Y2"))
                          for d, I in Is.items())
-            tables[key] = (rows, lambda d, L=L, Is=Is: generator_vector(L, Is[d], "Y2"), {}, {})
+            tables[key] = (rows, *_memo(lambda d, L=L, Is=Is: generator_vector(L, Is[d], "Y2")))
         yield _Block("Y2", L, *tables[key])
 
 
@@ -291,7 +287,7 @@ def compute_group(n, blocks=None) -> AbelianGroupStructure:
     """The decomposition of C(N) into explicit cyclic factors, one per row of
     _generator_rows.  blocks, if given, is a walk of _blocks(N) whose vectors
     are shared with the caller."""
-    n = as_factored(n).value
+    n = factor(n).value
     factors, orderings = [], {}
     for blk, d, label, order in _generator_rows(_blocks(n) if blocks is None else blocks):
         factors.append((label, blk.vector(d), order))
@@ -362,7 +358,7 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
     profiles, and unipotence or the ell = 2 split conditions in the divisor
     orderings of the block's shape.  blocks, if given, is a walk of
     _blocks(N) whose vectors and profiles are shared with the caller."""
-    n = as_factored(n).value
+    n = factor(n).value
     rep = CertificateReport(n)
     if n == 1:
         rep.record("trivial", "N=1", True)
@@ -370,7 +366,7 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
     for blk in _blocks(n) if blocks is None else blocks:
         if blk.kind == "B":
             (d, _, _, order), = blk.rows
-            rep.record("order/Z", f"d={d}", blk.profile_of(d).order == order)
+            rep.record("order/Z", f"d={d}", blk.profile(d).order == order)
             continue
         if not blk.rows:
             continue
@@ -381,7 +377,7 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
         # the rows are one stretch of prec (Delta for Y2, the rest for Z),
         # and the deltas from its first rank on are the columns
         deltas = [divisor_of(L.base, J) for J in tri[rank[rows[0][1]]:]]
-        profs = [blk.profile_of(d) for d, *_ in rows]
+        profs = [blk.profile(d) for d, *_ in rows]
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
             # outside the exceptional 2-power set T_u.
@@ -450,7 +446,7 @@ def crosscheck(n) -> dict:
     """compute_group vs snf_oracle vs verify_certificates; full agreement
     expected for every N.  compute_group and verify_certificates share one
     walk of _blocks(N), so each generator is built and profiled once."""
-    n = as_factored(n).value
+    n = factor(n).value
     blocks = tuple(_blocks(n))
     G = compute_group(n, blocks)
     O = snf_oracle(n)
@@ -461,7 +457,7 @@ def crosscheck(n) -> dict:
                            "computed": list(G.invariant_factors),
                            "oracle": list(O.invariant_factors)})
     for blk, d, lab, o in _generator_rows(blocks):
-        prof = blk.profile_of(d)
+        prof = blk.profile(d)
         if prof.order is None or prof.order % o:
             mismatches.append({"kind": "generator_order", "label": lab,
                                "claimed": o, "profile": prof.order})

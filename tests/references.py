@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from cuspidal.cusps import Cusp, make_cusp
 from cuspidal.divisors import CuspDivisor, _map_basis, _p_parts
-from cuspidal.intarith import (FactoredInteger, as_factored, divisors, factor,
+from cuspidal.intarith import (FactoredInteger, divisors, factor,
                                kappa, valuation, z_of)
 from cuspidal.etalinalg import _unit, upsilon_apply
 from cuspidal.orderengine import OrderProfile, profile
@@ -25,7 +25,7 @@ def radical(fn: FactoredInteger) -> int:
 # ---------------------------------------------------------------------------
 
 def zero_divisor(n) -> CuspDivisor:
-    n = as_factored(n).value
+    n = factor(n).value
     return CuspDivisor(n, (0,) * len(divisors(n)))
 
 

@@ -1,7 +1,8 @@
 import math
+from collections import Counter
 
 from cuspidal.cusps import enumerate_cusps, make_cusp, width
-from cuspidal.intarith import divisors, phi, valuation, z_of
+from cuspidal.intarith import degree_weights, divisors, phi, valuation, z_of
 from references import (cusp_alpha_push as alpha_push,
                         cusp_atkin_lehner as atkin_lehner,
                         cusp_beta_push as beta_push)
@@ -12,6 +13,9 @@ def test_cusp_counts():
         cs = enumerate_cusps(n)
         expected = sum(phi(z_of(n, d)) for d in divisors(n))
         assert len(cs) == len(set(cs)) == expected
+        levels = Counter(c.d for c in cs)
+        assert degree_weights(n) == tuple(levels[d] for d in divisors(n)), n
+        assert sum(degree_weights(n)) == len(cs), n
 
 
 def test_canonical_representatives():

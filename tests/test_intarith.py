@@ -4,13 +4,12 @@ import random
 import pytest
 from sympy import factorint
 
-from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, as_factored,
-                               divisor_exponents, divisor_lattice, divisor_of,
+from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, degree_weights,
+                               divisor_exponents, divisor_of,
                                divisors, exponent_tuple, factor, in_delta,
                                in_E_set, in_F_set, in_F1_set, in_G_set,
                                in_G1_set, in_H_u, in_square, in_T_u, kappa,
-                               odd_valuation_positions, phi,
-                               tuple_k, tuple_m, tuple_n, valuation, z_of)
+                               phi, tuple_k, tuple_m, tuple_n, z_of)
 from references import radical
 
 
@@ -53,11 +52,11 @@ def test_kappa():
         assert (kappa(n) % 24 == 0) == (n not in (1, 2, 3, 4, 8))
 
 
-def test_divisor_lattice():
-    lat = divisor_lattice(36)
-    assert [row[0] for row in lat] == list(divisors(36))
-    d, z, w = lat[list(divisors(36)).index(6)]
-    assert z == z_of(36, 6) == 6 and w == phi(6) == 2
+def test_degree_weights():
+    w = degree_weights(36)
+    assert len(w) == len(divisors(36))
+    assert w[divisors(36).index(6)] == phi(z_of(36, 6)) == phi(6) == 2
+    assert degree_weights(1) == (1,)
 
 
 def test_exponent_tuples():
@@ -74,14 +73,6 @@ def test_divisor_exponents_match_exponent_tuple():
         exps = divisor_exponents(n)
         assert exps == tuple(exponent_tuple(N, d) for d in divisors(n)), n
         assert tuple(divisor_of(N, I) for I in exps) == divisors(n), n
-
-
-def test_odd_valuation_positions_match_valuations():
-    for n in (1, 2, 12, 360, 720, 5040, 2 ** 10, 3 ** 6 * 5 ** 3):
-        ds = divisors(n)
-        assert odd_valuation_positions(n) == tuple(
-            (p, tuple(i for i, d in enumerate(ds) if valuation(d, p) % 2))
-            for p in factor(n).primes), n
 
 
 def test_m_n_k():

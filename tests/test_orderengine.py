@@ -24,9 +24,10 @@ def test_level_11():
 
 
 def test_pw_matches_valuation_sums():
-    # Pw_p = sum of Vbar over the divisors with odd p-valuation
+    # Pw_p = sum of Vbar over the divisors with odd p-valuation; the ladder
+    # adds exponents >= 3 and t up to 6
     rng = random.Random(11)
-    for n in range(2, 501):
+    for n in list(range(2, 501)) + [5040, 55440, 720720, 2 ** 20, 3 ** 12]:
         ds = divisors(n)
         for _ in range(3):
             c = [rng.randint(-5, 5) for _ in ds[1:]]

@@ -370,8 +370,8 @@ def test_blocks_share_tables_exactly_when_orderings_agree():
         for a in y2:
             for b in y2:
                 same = (a.level.base.factors, a.level.s) == (b.level.base.factors, b.level.s)
-                assert (a.vectors is b.vectors) == same, (n, a.level.ell, b.level.ell)
-                assert (a.profiles is b.profiles) == same, (n, a.level.ell, b.level.ell)
+                assert (a.vector is b.vector) == same, (n, a.level.ell, b.level.ell)
+                assert (a.profile is b.profile) == same, (n, a.level.ell, b.level.ell)
                 assert (a.rows is b.rows) == same, (n, a.level.ell, b.level.ell)
 
 
@@ -394,6 +394,18 @@ def test_certificate_steps_match_the_pinned_digest():
         h.update(json.dumps(verify_certificates(n).steps).encode())
     assert h.hexdigest() == \
         "b76da7a395c2b17294f83cf6154c2a4f13e81ac600628c4d5e66edee9dd4c2bd"
+
+
+def test_ladder_json_contract_matches_the_pinned_digest():
+    """The sha256 over the sorted-key JSON of crosscheck(N) and then
+    group_to_json(compute_group(N)), for each level of the benchmark ladder in
+    turn: the verify --json and group --json records of those levels."""
+    h = hashlib.sha256()
+    for n in (840, 960, 2310, 5040, 30030, 55440, 720720, 2 ** 20, 3 ** 12):
+        h.update(json.dumps(crosscheck(n), sort_keys=True).encode())
+        h.update(json.dumps(group_to_json(compute_group(n)), sort_keys=True).encode())
+    assert h.hexdigest() == \
+        "6cf1905e12070f6ef16d692aa41c30f5f4f909135d61a314a505231db04c83eb"
 
 
 def test_divisor_orderings_computed_once_per_shape():
