@@ -73,9 +73,6 @@ def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
     coeffs: dict = {}
     for d, c in terms:
         coeffs[d] = coeffs.get(d, 0) + c
-    for d in coeffs:
-        if d <= 0 or n % d:
-            raise ValueError(f"{d} does not divide {n}")
     return from_dict(n, coeffs)
 
 
@@ -110,14 +107,10 @@ def cmd_order(args) -> int:
 
 def cmd_eta(args) -> int:
     if not 1 <= args.qexp <= MAX_QEXP:
-        print(f"--qexp must be in [1, {MAX_QEXP}]", file=sys.stderr)
-        return 1
+        raise ValueError(f"--qexp must be in [1, {MAX_QEXP}]")
     D = parse_divisor_spec(args.divisor, args.N)
-    prof = profile(D)
-    if prof.degree != 0:
-        print("eta certificates require a degree-0 divisor", file=sys.stderr)
-        return 1
     r = eta_certificate(D)
+    prof = profile(D)
     lead, series = eta_qexpansion(args.N, r, args.qexp)
     if args.json:
         print(json.dumps({"N": args.N, "order": str(prof.order),
@@ -169,12 +162,10 @@ def _cache_path(out):
 
 def cmd_batch(args) -> int:
     if not 1 <= args.max <= MAX_LEVEL:
-        print(f"--max must be in [1, {MAX_LEVEL}]", file=sys.stderr)
-        return 1
+        raise ValueError(f"--max must be in [1, {MAX_LEVEL}]")
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
-        print(f"--jobs must be in [1, {cpus}]", file=sys.stderr)
-        return 1
+        raise ValueError(f"--jobs must be in [1, {cpus}]")
     path = _cache_path(args.out)
     cached = {}
     if os.path.exists(path):
@@ -255,10 +246,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code else 0
-    if getattr(args, "N", 1) < 1 or getattr(args, "N", 1) > MAX_LEVEL:
-        print(f"N must be in [1, {MAX_LEVEL}]", file=sys.stderr)
-        return 1
     try:
+        if not 1 <= getattr(args, "N", 1) <= MAX_LEVEL:
+            raise ValueError(f"N must be in [1, {MAX_LEVEL}]")
         return args.func(args)
     except (ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)

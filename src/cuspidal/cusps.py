@@ -39,7 +39,7 @@ def _canonical_x(n: int, d: int, x: int) -> int:
 
 
 def make_cusp(n, d: int, x: int) -> Cusp:
-    n = factor(n).value
+    factor(n)  # raises ValueError for n < 1
     if n % d != 0:
         raise ValueError(f"{d} does not divide {n}")
     return Cusp(n, d, _canonical_x(n, d, x))
@@ -47,7 +47,6 @@ def make_cusp(n, d: int, x: int) -> Cusp:
 
 def enumerate_cusps(n) -> tuple[Cusp, ...]:
     """All cusps of X0(N); for each d | N there are phi(gcd(d, N/d)) of them."""
-    n = factor(n).value
     out = []
     for d in divisors(n):
         z = z_of(n, d)

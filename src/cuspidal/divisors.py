@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .intarith import (degree_weights, divisor_positions, divisors, factor, phi,
-                       valuation)
+from .intarith import degree_weights, divisor_positions, divisors, phi, valuation
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class CuspDivisor:
 
 
 def from_dict(n, coeffs: dict) -> CuspDivisor:
-    n = factor(n).value
     pos = divisor_positions(n)
     out = [0] * len(pos)
     for d, c in coeffs.items():
@@ -82,7 +80,6 @@ def orbit_divisor(n, d: int) -> CuspDivisor:
 
 def C_generator(n, d: int) -> CuspDivisor:
     """C_d = phi(gcd(d, N/d)) * (P_1) - (P_d); degree 0, defined for d > 1."""
-    n = factor(n).value
     if d == 1:
         raise ValueError("C_d requires d > 1")
     return from_dict(n, {1: phi(math.gcd(d, n // d)), d: -1})

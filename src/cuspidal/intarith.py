@@ -49,13 +49,11 @@ class FactoredInteger:
 
 
 @lru_cache(maxsize=None)
-def factor(n) -> FactoredInteger:
+def factor(n: int) -> FactoredInteger:
     """Factor a positive integer by trial division; primes ascending.  n = 1
     gives t = 0.  Division stops at the square root of the unfactored part,
     so the largest arguments used here, kappa(N) <= 10^12 for N <= 10^6,
     take at most 10^6 steps."""
-    if isinstance(n, FactoredInteger):
-        return n
     if n < 1:
         raise ValueError("positive integer required")
     facs = []

