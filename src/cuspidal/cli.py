@@ -109,15 +109,14 @@ def cmd_eta(args) -> int:
     if not 1 <= args.qexp <= MAX_QEXP:
         raise ValueError(f"--qexp must be in [1, {MAX_QEXP}]")
     D = parse_divisor_spec(args.divisor, args.N)
-    r = eta_certificate(D)
-    prof = profile(D)
+    order, r = eta_certificate(D)
     lead, series = eta_qexpansion(args.N, r, args.qexp)
     if args.json:
-        print(json.dumps({"N": args.N, "order": str(prof.order),
+        print(json.dumps({"N": args.N, "order": str(order),
                           "exponents": {str(d): e for d, e in zip(divisors(args.N), r) if e},
                           "qexp": format_qexpansion(lead, series)}))
     else:
-        print(f"order = {prof.order}")
+        print(f"order = {order}")
         print("exponents:", {d: e for d, e in zip(divisors(args.N), r) if e})
         print("q-expansion:", format_qexpansion(lead, series))
     return 0

@@ -8,7 +8,8 @@ on this basis by the case-by-case exponent formulas, extended linearly.
 
 tensor_join takes any number of factors at pairwise coprime levels and forms
 the dense Kronecker product of their coefficient tuples in one pass, then
-gathers it into ascending-divisor order.
+gathers it into ascending-divisor order; kronecker does the same on bare
+coefficient tuples.
 """
 
 from __future__ import annotations
@@ -103,15 +104,22 @@ def _kronecker_gather(levels: tuple) -> tuple:
     return tuple(sorted(range(len(prods)), key=prods.__getitem__))
 
 
+def kronecker(levels: tuple, coeffs) -> tuple:
+    """The coefficient tuple, over the ascending divisors of M_1...M_k, of the
+    tensor product of coefficient tuples over the divisors of M_1, ..., M_k
+    (pairwise coprime levels)."""
+    flat = [1]
+    for c in coeffs:
+        flat = [a * x for a in flat for x in c]
+    return tuple([flat[i] for i in _kronecker_gather(levels)])
+
+
 def tensor_join(*vecs: CuspDivisor) -> CuspDivisor:
     """e(M_1)_d1 (x) ... (x) e(M_k)_dk -> e(M_1...M_k)_{d1...dk}, extended
     multilinearly, for any number of factors at pairwise coprime levels (no
     factors give the unit at level 1)."""
-    gather = _kronecker_gather(tuple(v.n for v in vecs))
-    flat = [1]
-    for v in vecs:
-        flat = [a * c for a in flat for c in v.coeffs]
-    return CuspDivisor(math.prod(v.n for v in vecs), tuple([flat[i] for i in gather]))
+    levels = tuple(v.n for v in vecs)
+    return CuspDivisor(math.prod(levels), kronecker(levels, [v.coeffs for v in vecs]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ correction vectors D, the composite generators Z (one per divisor) and Y2
 Generators are keyed by their exponent tuple I.  Yoo's case split depends
 only on the shape (I, u, s, r_u, kind), so _case makes it once per shape:
 one base vector per prime slot (A, B or B2), at most one two-prime D in
-place of two slots, and the H factor of the order.  generator_vector and
-generator_order read it; construct_Z, construct_Y and predicted_order wrap
-them for a divisor d.
+place of two slots, and the H factor of the order.  generator_factors and
+generator_order read it; generator_vector is the tensor_join of the
+factors, and construct_Z, construct_Y and predicted_order wrap them for a
+divisor d.
 """
 
 from __future__ import annotations
@@ -280,8 +281,11 @@ def _case(I, u: int, s: int, r_u: int, kind: str):
     return parts, pair, H
 
 
-def generator_vector(L: OrderedLevel, I, kind: str) -> CuspDivisor:
-    """The generator of kind "Z", "Z1" or "Y2" at the exponent tuple I of L."""
+def generator_factors(L: OrderedLevel, I, kind: str) -> tuple:
+    """The tensor factors, at pairwise coprime levels, of the generator of
+    kind "Z", "Z1" or "Y2" at the exponent tuple I of L: the base vector of
+    each slot outside the D pair at its level p^r, then the D vector, if
+    any, at its level p_i^r_i * p_j^r_j."""
     parts, pair, _ = _case(I, L.u, L.s, L.r_u, kind)
     factors = L.base.factors
     vecs = []
@@ -291,7 +295,12 @@ def generator_vector(L: OrderedLevel, I, kind: str) -> CuspDivisor:
                     base_vector_B(p, r) if vector == "B" else base_vector_A(p, r, f))
     if pair:
         vecs.append(D_vector(L, *pair))
-    return tensor_join(*vecs)
+    return tuple(vecs)
+
+
+def generator_vector(L: OrderedLevel, I, kind: str) -> CuspDivisor:
+    """The generator of kind "Z", "Z1" or "Y2" at the exponent tuple I of L."""
+    return tensor_join(*generator_factors(L, I, kind))
 
 
 # The (L, d) wrappers construct_Z, construct_Y and predicted_order: only the

@@ -18,16 +18,20 @@ per prime ordering (the Z block on the default level, then B(p, r, 1) when
 N = p^r, else one Y2 block per relevant ell), each with rows (d, I, label,
 closed-form order) in ascending d, I the exponent tuple of d in the block's
 prime ordering read off divisor_exponents(N), and two functools.cache
-callables, vector(d) and profile(d), so each vector is built and profiled
-at most once per walk; Y2 blocks of equal orderings share the table and the
-two callables.  compute_group keeps the rows of order > 1 (of ell-part > 1
-for Y2) and builds only their vectors; verify_certificates re-sorts each block
-by the rank of I in divisor_orderings, which depends only on the shape
-(exponents, u) of the block's level, profiles each vector and re-runs the
-split-off hypotheses (unipotence of the normalized-profile matrices, the h
-and parity side conditions) on the concrete level N.
+callables, vector(d) and profile(d), so each generator is built and
+profiled at most once per walk; Y2 blocks of equal orderings share the
+table and the two callables.  A generator is a tensor of prime-power base
+vectors and at most one two-prime D vector, and profile(d) is the tensor of
+their images under Upsilon (orderengine.tensor_profile): it builds no
+vector and never applies Upsilon at N.  compute_group keeps the rows of
+order > 1 (of ell-part > 1 for Y2) and builds only their vectors;
+verify_certificates re-sorts each block by the rank of I in
+divisor_orderings, which depends only on the shape (exponents, u) of the
+block's level, profiles each generator and re-runs the split-off
+hypotheses (unipotence of the normalized-profile matrices, the h and
+parity side conditions) on the concrete level N.
 crosscheck hands one walk to both, so each generator is built and profiled
-once.
+at most once.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ from .intarith import (E_tuple, divisor_exponents, divisor_of,
                        divisor_positions, divisors, factor, in_square, kappa,
                        valuation)
 from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
-                         generator_order, generator_vector, in_T_u, order_primes)
-from .orderengine import profile
+                         generator_factors, generator_order, generator_vector,
+                         in_T_u, order_primes)
+from .orderengine import profile, tensor_profile
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +217,9 @@ class _Block(NamedTuple):
     order) in ascending d, I the exponent tuple of d in the prime order of
     level.  kind is "Z" for the non-squarefree block, "B" for B(p, r, 1) at
     N = p^r and "Y2" for the squarefree block of the target prime level.ell.
-    vector(d) and profile(d), from _memo, are the vector at d and its
-    profile, each made at most once per walk."""
+    vector(d) and profile(d), from _memo, are the generator at d and its
+    profile, each made at most once per walk; profile(d) is read off the
+    generator's tensor factors, without vector(d)."""
     kind: str
     level: OrderedLevel
     rows: tuple
@@ -221,10 +227,12 @@ class _Block(NamedTuple):
     profile: Callable
 
 
-def _memo(build):
-    """The cached pair vector(d) = build(d), profile(d) = profile(vector(d))."""
-    vector = cache(build)
-    return vector, cache(lambda d: profile(vector(d)))
+def _memo(L: OrderedLevel, Is: dict, kind: str):
+    """The cached pair vector(d), the generator of kind at the exponent tuple
+    Is[d] of L, and profile(d), its profile from the Upsilon images of its
+    tensor factors at their own levels, which never builds vector(d)."""
+    return (cache(lambda d: generator_vector(L, Is[d], kind)),
+            cache(lambda d: tensor_profile(generator_factors(L, Is[d], kind))))
 
 
 def _relevant_ells(n: int):
@@ -250,7 +258,7 @@ def _blocks(n: int):
     def block(kind, L, Is, label):
         gen = "Y2" if kind == "Y2" else "Z"
         rows = tuple((d, I, label(d, I), generator_order(L, I, gen)) for d, I in Is.items())
-        return _Block(kind, L, rows, *_memo(lambda d: generator_vector(L, Is[d], gen)))
+        return _Block(kind, L, rows, *_memo(L, Is, gen))
 
     if fn.t == 1:
         (p, r), = fn.factors
@@ -373,7 +381,7 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
             # outside the exceptional 2-power set T_u.
-            profs1 = [profile(generator_vector(L, I, "Z1"))
+            profs1 = [tensor_profile(generator_factors(L, I, "Z1"))
                       if in_T_u(I, L.r_u, L.u) else pz
                       for (_, I, _, _), pz in zip(rows, profs)]
             _check_unipotent(rep, n, rows, deltas, profs1, "nsf-unipotence")

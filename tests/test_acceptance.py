@@ -131,7 +131,8 @@ def test_criterion_8_eta_certificates():
         D = from_dict(n, coeffs)
         if not any(D.coeffs):
             continue
-        r = eta_certificate(D)  # asserts ligozat + eta_divisor == order * D
+        order, r = eta_certificate(D)  # asserts ligozat + eta_divisor == order * D
+        assert order == profile(D).order
         assert ligozat_check(n, r)
         lead, _ = eta_qexpansion(n, r, 3)
         assert 24 * lead == sum(rd * d for rd, d in zip(r, ds))

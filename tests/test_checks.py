@@ -128,7 +128,7 @@ def test_bad_arguments_raise_value_error():
 
 def test_failed_identities_raise_arithmetic_error(monkeypatch):
     C = from_dict(11, {1: 1, 11: -1})
-    assert eta_certificate(C) == (12, -12)
+    assert eta_certificate(C) == (5, (12, -12))
     # a profile that reports order 1: 24 * V / kappa(11) is not integral
     real = orderengine.profile
     monkeypatch.setattr(orderengine, "profile", lambda D: replace(real(D), order=1))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import cuspidal
-from cuspidal import cli, generators, structure
+from cuspidal import cli, generators, orderengine, structure
 from cuspidal.cli import main, parse_divisor_spec
 from cuspidal.divisors import C_generator
 
@@ -80,6 +80,20 @@ def test_eta_json_contract_matches_the_pinned_digest(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8375112a31d392c0e6a3897d45438f05ff5c981fa542665140c6d11b75f5553e")
+
+
+def test_eta_profiles_the_divisor_once(capsys, monkeypatch):
+    levels = []
+    real = orderengine.profile
+
+    def counted(D):
+        levels.append(D.n)
+        return real(D)
+
+    for module in (orderengine, cli):
+        monkeypatch.setattr(module, "profile", counted)
+    code, _, _ = run(capsys, "eta", "5040", "--divisor", "1*(1),-1*(5040)", "--json")
+    assert code == 0 and levels == [5040]
 
 
 def test_group_verb(capsys):

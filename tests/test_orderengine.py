@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspidal import orderengine
 from cuspidal.divisors import C_generator, from_dict, tensor_join
 from cuspidal.etalinalg import eta_qexpansion
 from cuspidal.intarith import divisors, factor, kappa, valuation
@@ -87,8 +88,8 @@ def test_closed_CN_against_examples():
 
 def test_eta_certificate():
     C = C_generator(11, 11)
-    r = eta_certificate(C)
-    assert r == (12, -12)
+    order, r = eta_certificate(C)
+    assert (order, r) == (5, (12, -12))
     lead, _ = eta_qexpansion(11, r, 4)
     assert 24 * lead == sum(rd * d for rd, d in zip(r, divisors(11)))
 
@@ -104,6 +105,7 @@ def test_tensor_profile_against_direct():
         C2 = from_dict(n2, {rng.choice(divisors(n2)): rng.randrange(-3, 4) or 1})
         tp = tensor_profile(C1, C2)
         direct = profile(tensor_join(C1, C2))
+        assert orderengine.tensor_profile((C1, C2)) == direct
         assert tp.V == direct.V
         assert (tp.gcd_value, tp.h, tp.order) == \
                (direct.gcd_value, direct.h, direct.order)

@@ -10,13 +10,13 @@ import pytest
 from sympy import Matrix, Symbol, eye, zeros
 from sympy.matrices.normalforms import smith_normal_form
 
-from cuspidal import cli, etalinalg, generators, intarith, structure
+from cuspidal import cli, etalinalg, generators, intarith, orderengine, structure
 from cuspidal.etalinalg import (_lambda24_block, _upsilon_block_entry, eta_divisor,
                                 ligozat_check)
 from cuspidal.generators import (base_vector_B, construct_Y, construct_Z,
                                  predicted_order)
 from cuspidal.intarith import divisor_exponents, divisors, factor, kappa
-from cuspidal.orderengine import profile
+from cuspidal.orderengine import profile, tensor_profile
 from cuspidal.structure import (AbelianGroupStructure, compute_group, crosscheck,
                                 cuspidal_equals_rational, eta_unit_lattice,
                                 group_to_json, invariant_factors_of_quotient,
@@ -242,7 +242,7 @@ def test_oracle_is_independent_of_the_generators():
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "generators":
             forbidden |= {alias.asname or alias.name for alias in node.names}
-    assert "generator_vector" in forbidden and "generator_order" in forbidden
+    assert {"generator_factors", "generator_vector", "generator_order"} <= forbidden
     seen, todo = set(), list(ORACLE)
     while todo:
         name = todo.pop()
@@ -362,6 +362,45 @@ def test_blocks_match_the_per_divisor_wrappers():
                     (p, r), = L.base.factors
                     want = predicted_order(L, p, "Z"), base_vector_B(p, r)
                 assert (order, blk.vector(d)) == want, (n, blk.kind, L.ell, d)
+
+
+def test_factor_route_profiles_match_the_dense_route():
+    """Each generator's profile read off its tensor factors equals profile()
+    of its dense vector in every field: every row of every block, and the
+    Z1 rows on T_u that verify_certificates profiles."""
+    for n in _table_levels() + [2310]:
+        seen = set()
+        for blk in structure._blocks(n):
+            if blk.profile in seen:
+                continue
+            seen.add(blk.profile)
+            L = blk.level
+            for d, I, _, _ in blk.rows:
+                kind = "Y2" if blk.kind == "Y2" else "Z"
+                routes = [(kind, blk.profile(d))]
+                if kind == "Z" and generators.in_T_u(I, L.r_u, L.u):
+                    routes.append(("Z1", tensor_profile(generators.generator_factors(L, I, "Z1"))))
+                for k, got in routes:
+                    want = profile(generators.generator_vector(L, I, k))
+                    assert got == want and list(got.pw) == list(want.pw), (n, k, L.ell, d)
+
+
+def test_certificates_apply_upsilon_only_at_factor_levels(monkeypatch):
+    """verify_certificates applies Upsilon at the levels of the generators'
+    tensor factors, p^r or p_i^r_i * p_j^r_j, never at N."""
+    levels = []
+
+    def record(n, vec):
+        levels.append(n)
+        return etalinalg.upsilon_apply(n, vec)
+
+    for module in (orderengine, structure):
+        monkeypatch.setattr(module, "upsilon_apply", record)
+    for n in (5040, 30030, 55440, 720720):
+        orderengine._upsilon_image.cache_clear()
+        levels.clear()
+        assert verify_certificates(n).passed
+        assert levels and all(m < n and n % m == 0 and factor(m).t <= 2 for m in levels), n
 
 
 def test_blocks_share_tables_exactly_when_orderings_agree():
