@@ -9,7 +9,7 @@ on this basis by the case-by-case exponent formulas, extended linearly.
 tensor_join takes any number of factors at pairwise coprime levels and forms
 the dense Kronecker product of their coefficient tuples in one pass, then
 gathers it into ascending-divisor order; kronecker does the same on bare
-coefficient tuples.
+coefficient tuples, and kron is the product before the gather.
 """
 
 from __future__ import annotations
@@ -104,13 +104,20 @@ def _kronecker_gather(levels: tuple) -> tuple:
     return tuple(sorted(range(len(prods)), key=prods.__getitem__))
 
 
+def kron(coeffs) -> list:
+    """The Kronecker product of coefficient tuples, first factor most
+    significant (no factors give [1])."""
+    flat = [1]
+    for c in coeffs:
+        flat = [a * x for a in flat for x in c]
+    return flat
+
+
 def kronecker(levels: tuple, coeffs) -> tuple:
     """The coefficient tuple, over the ascending divisors of M_1...M_k, of the
     tensor product of coefficient tuples over the divisors of M_1, ..., M_k
     (pairwise coprime levels)."""
-    flat = [1]
-    for c in coeffs:
-        flat = [a * x for a in flat for x in c]
+    flat = kron(coeffs)
     return tuple([flat[i] for i in _kronecker_gather(levels)])
 
 

@@ -1,18 +1,21 @@
 """Test-only references: operators, closed forms and dense formulas that
 the package's main path does not call.  The tests check the package against
 them: the Hecke and Atkin-Lehner compatibilities of the degeneracy maps, the
-closed-form orders of the C_d and the tensor profiles against profile, and
-the entries a_N(d, delta) of 24 * Lambda(N) against lambda24."""
+closed-form orders of the C_d and the tensor profiles against profile, the
+entries a_N(d, delta) of 24 * Lambda(N) against lambda24, and the
+tensor-local snf_oracle against its dense premise rows."""
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from cuspidal.cusps import Cusp, make_cusp
-from cuspidal.divisors import CuspDivisor, _map_basis, _p_parts
+from cuspidal.divisors import C_generator, CuspDivisor, _map_basis, _p_parts
 from cuspidal.intarith import (FactoredInteger, divisors, factor,
                                kappa, valuation, z_of)
-from cuspidal.etalinalg import _unit, upsilon_apply
+from cuspidal.etalinalg import _unit, ligozat_weights, upsilon_apply
 from cuspidal.orderengine import OrderProfile, profile
+from cuspidal.structure import invariant_factors_of_quotient
 
 
 def radical(fn: FactoredInteger) -> int:
@@ -318,3 +321,32 @@ def upsilon_column_profile(n: int, d: int) -> dict:
         "codelta_weighted": sum(c * (n // delta) for c, delta in zip(col, ds)),
         "gcd": math.gcd(*col) if len(col) > 1 else abs(col[0]),
     }
+
+
+# ---------------------------------------------------------------------------
+# The dense oracle: its premise rows and their local Smith forms
+# ---------------------------------------------------------------------------
+
+def premise_vectors(n: int) -> dict:
+    """{d: r_d} for d > 1, r_d = 24 * Upsilon(N) * C_d, built densely."""
+    return {d: [24 * x for x in upsilon_apply(n, C_generator(n, d).coeffs)]
+            for d in divisors(n)[1:]}
+
+
+def dense_premise_rows(n: int) -> dict:
+    """{d: (24 r_d | w . r_d)} for d > 1 over every Ligozat weight w of N,
+    the weights d and N/d included: m = sigma0(N) + t + 2 columns."""
+    weights = ligozat_weights(n)
+    return {d: [24 * x for x in r] + [sum(map(mul, w, r)) for w in weights]
+            for d, r in premise_vectors(n).items()}
+
+
+def dense_oracle_invariants(n: int) -> tuple:
+    """The invariant factors of C(N) as the subgroup of (Z/24 kappa)^m that
+    the dense premise rows span, from the elimination of
+    invariant_factors_of_quotient."""
+    rows = list(dense_premise_rows(n).values())
+    m, ncols = 24 * kappa(n), len(divisors(n)) + len(ligozat_weights(n))
+    quotient = invariant_factors_of_quotient(rows, ncols, m)
+    s = (1,) * (ncols - len(quotient)) + quotient
+    return tuple(m // x for x in reversed(s) if x < m)

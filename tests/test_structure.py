@@ -5,22 +5,25 @@ import math
 import os
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 from sympy import Matrix, Symbol, eye, zeros
 from sympy.matrices.normalforms import smith_normal_form
 
 from cuspidal import cli, etalinalg, generators, intarith, orderengine, structure
+from cuspidal.divisors import kron
 from cuspidal.etalinalg import (_lambda24_block, _upsilon_block_entry, eta_divisor,
-                                ligozat_check)
+                                ligozat_check, ligozat_weights)
 from cuspidal.generators import (base_vector_B, construct_Y, construct_Z,
                                  predicted_order)
-from cuspidal.intarith import divisor_exponents, divisors, factor, kappa
+from cuspidal.intarith import divisor_exponents, divisors, factor, kappa, valuation
 from cuspidal.orderengine import profile, tensor_profile
 from cuspidal.structure import (AbelianGroupStructure, compute_group, crosscheck,
                                 cuspidal_equals_rational, eta_unit_lattice,
                                 group_to_json, invariant_factors_of_quotient,
                                 snf_oracle, verify_certificates)
+from references import dense_oracle_invariants, dense_premise_rows, premise_vectors
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GENUS_ZERO = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25]
@@ -105,18 +108,155 @@ def test_snf_oracle_rejects_inconsistent_invariants(monkeypatch):
         snf_oracle(11)
 
 
+def _weight_d_off_by_one(ds, sums):
+    """Every weight-d sum plus one, so not 0 mod 24."""
+    return ds, [sums[0], [x + 1 for x in sums[1]]] + sums[2:]
+
+
 @pytest.mark.parametrize("patch", [
-    ("upsilon_apply", lambda n, vec: (1,) + (0,) * (len(vec) - 1)),
-    ("ligozat_check", lambda n, r: False),
+    # the oracle's Upsilon blocks become diag(1, 0, ..., 0)
+    ("_upsilon_block_entry", lambda p, r, i, j: int(i == j == 0)),
+    ("_ligozat_sums", lambda blocks, real=structure._ligozat_sums:
+        _weight_d_off_by_one(*real(blocks))),
 ])
 def test_snf_oracle_checks_that_kappa_kills_the_group(monkeypatch, capsys, patch):
+    structure._local_block.cache_clear()
     monkeypatch.setattr(structure, *patch)
-    with pytest.raises(ArithmeticError):
-        snf_oracle(11)
-    assert cli.main(["verify", "11"]) == 2
+    try:
+        with pytest.raises(ArithmeticError, match="24 \\* Upsilon\\(C_11\\) is not an eta unit"):
+            snf_oracle(11)
+        assert cli.main(["verify", "11"]) == 2
+    finally:
+        monkeypatch.undo()
+        structure._local_block.cache_clear()
     err = capsys.readouterr().err
     assert err.startswith("error: 24 * Upsilon(C_11) is not an eta unit at N=11")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda P, Pinv, Q, D: (P, Pinv, Q, (2,) + D[1:]),               # a wrong diagonal
+    lambda P, Pinv, Q, D: (P, [row[::-1] for row in Pinv], Q, D),   # a wrong inverse
+])
+def test_local_block_checks_its_diagonalization(monkeypatch, spoil):
+    real = structure._diagonalize
+    monkeypatch.setattr(structure, "_diagonalize", lambda A: spoil(*real(A)))
+    structure._local_block.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="diagonalization of Upsilon\\(11\\^1\\)"):
+            snf_oracle(11)
+    finally:
+        monkeypatch.undo()
+        structure._local_block.cache_clear()
+
+
+def _parity_columns_dropped(monkeypatch):
+    real = structure._local_block
+    monkeypatch.setattr(structure, "_local_block", lambda p, r: (b := real(p, r))._replace(
+        omega=(b.omega[0], (0,) * (r + 1))))
+
+
+def _kappa_doubled(monkeypatch):
+    real = structure.kappa
+    monkeypatch.setattr(structure, "kappa", lambda n: 2 * real(n))
+
+
+# Defects injected into the oracle, each with levels where crosscheck must
+# then report the two routes' invariant factors as different.
+ORACLE_DEFECTS = {
+    "parity columns dropped": (_parity_columns_dropped, (15, 24, 32, 35, 64, 210)),
+    "kappa doubled": (_kappa_doubled, (5, 12, 16, 35, 64, 210)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DEFECTS)
+def test_crosscheck_catches_oracle_defects(monkeypatch, name):
+    inject, levels = ORACLE_DEFECTS[name]
+    inject(monkeypatch)
+    for n in levels:
+        rec = crosscheck(n)
+        assert not rec["pass"], (name, n)
+        assert [m["kind"] for m in rec["mismatches"]] == ["invariant_factors"], (name, n)
+
+
+ROADMAP_LADDER = (720, 840, 960, 2310, 5040, 30030, 55440, 720720, 2 ** 20, 3 ** 12)
+
+
+def test_snf_oracle_matches_the_dense_reference():
+    """The tensor-local oracle against the elimination of the dense premise
+    rows by _local_exponents, m = sigma0 + t + 2 columns."""
+    for n in list(range(1, 301)) + list(ROADMAP_LADDER):
+        assert snf_oracle(n).invariant_factors == dense_oracle_invariants(n), n
+
+
+@pytest.mark.slow
+def test_snf_oracle_matches_the_dense_reference_to_3000():
+    """As above on 301..3000 and 300 uniform levels <= 10^6 (Random(0))."""
+    rng = random.Random(0)
+    for n in list(range(301, 3001)) + [rng.randint(1, 10 ** 6) for _ in range(300)]:
+        assert snf_oracle(n).invariant_factors == dense_oracle_invariants(n), n
+
+
+def test_snf_oracle_at_209_ell_5():
+    """N = 209 = 11 * 19, ell = 5: the first pair where the degree
+    functional's drop does not fall on the largest exponent.  The diagonal
+    has 5-parts 5, 5, 25; C(209)_5 is Z/25 x Z/5, not (Z/5)^3."""
+    n, ell, v = 209, 5, 2
+    assert valuation(24 * kappa(n), ell) == v
+    blocks = [structure._local_block(p, r) for p, r in factor(n).factors]
+    D = kron(b.diag for b in blocks)
+    assert sorted(ell ** valuation(x, ell) for x in D) == [1, 5, 5, 25]
+    rows = list(dense_premise_rows(n).values())
+    dense = sorted((ell ** (v - e) for e in structure._local_exponents(rows, len(rows[0]), ell, v)
+                    if e < v), reverse=True)
+    assert snf_oracle(n).ell_primary[ell] == tuple(dense) == (25, 5)
+
+
+def test_bordered_elimination_matches_sympy():
+    """Random rows [diag | B] modulo ell^v: the pivot valuations give the
+    local Smith form of sympy and of _local_exponents.  A row with a diagonal
+    entry divisible by ell and a unit in B forces a B pivot at level 0."""
+    rng = random.Random(16)
+    b_pivots = 0
+    for _ in range(240):
+        ell = rng.choice((2, 3, 5, 7))
+        v = rng.randrange(1, 5)
+        nrows, width = rng.randrange(1, 8), rng.randrange(1, 4)
+        diag = [ell ** rng.randrange(0, v + 1) * rng.randrange(1, 50) for _ in range(nrows)]
+        B = [[ell ** rng.randrange(0, v) * rng.randrange(-40, 41) for _ in range(width)]
+             for _ in range(nrows)]
+        b_pivots += any(a % ell == 0 and any(x % ell for x in b) for a, b in zip(diag, B))
+        exps = structure._bordered_exponents(diag, B, ell, v)
+        assert exps == sorted(exps) and all(e < v for e in exps)
+        rows = [[a * (i == j) for j in range(nrows)] + b for i, (a, b) in enumerate(zip(diag, B))]
+        ncols = nrows + width
+        want = sorted(structure._local_exponents(rows, ncols, ell, v))
+        assert sorted(exps + [v] * (ncols - len(exps))) == want, (diag, B, ell, v)
+        quotient = tuple(sorted(ell ** e for e in want if e))
+        assert quotient == _sympy_invariant_factors(rows, ncols, ell ** v), (diag, B, ell, v)
+    assert b_pivots >= 50
+
+
+def test_step0_weight_columns_vanish_mod_24_kappa():
+    """(delta) . r_d = 24 kappa (C_d)_N and (N/delta) . r_d = 24 kappa (C_d)_1,
+    so both columns of the dense premise rows vanish mod 24 kappa(N)."""
+    for n in list(range(2, 1501)) + list(ROADMAP_LADDER):
+        m, s0 = 24 * kappa(n), len(divisors(n))
+        for d, row in dense_premise_rows(n).items():
+            assert row[s0] % m == 0 and row[s0 + 1] % m == 0, (n, d)
+
+
+def test_adjoint_sums_match_the_dense_ligozat_sums():
+    """_ligozat_sums, read off Upsilon^T w block by block, equals sum(r_d)
+    and each ligozat_weights(N) . r_d computed densely, for every d > 1."""
+    for n in range(1, 301):
+        blocks = [structure._local_block(p, r) for p, r in factor(n).factors]
+        ds, sums = structure._ligozat_sums(blocks)
+        assert sorted(ds) == list(divisors(n)[1:]), n
+        got = dict(zip(ds, zip(*sums)))
+        for d, r in premise_vectors(n).items():
+            want = (sum(r),) + tuple(sum(map(mul, w, r)) for w in ligozat_weights(n))
+            assert got[d] == want, (n, d)
 
 
 def test_eta_unit_lattice_level_11():
@@ -234,16 +374,18 @@ ORACLE = ("snf_oracle", "invariant_factors_of_quotient", "eta_unit_lattice")
 
 def test_oracle_is_independent_of_the_generators():
     """The oracle functions, and every structure.py function they reach,
-    name nothing imported from cuspidal.generators and no generator walk."""
+    name nothing imported from cuspidal.generators and no generator walk.
+    The package modules whose names they use import nothing from
+    generators or structure."""
     with open(structure.__file__) as fh:
         tree = ast.parse(fh.read())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    origin = {alias.asname or alias.name: node.module for node in tree.body
+              if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
     forbidden = {"_blocks", "compute_group", "verify_certificates"}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "generators":
-            forbidden |= {alias.asname or alias.name for alias in node.names}
+    forbidden |= {name for name, module in origin.items() if module == "generators"}
     assert {"generator_factors", "generator_vector", "generator_order"} <= forbidden
-    seen, todo = set(), list(ORACLE)
+    seen, todo, modules = set(), list(ORACLE), set()
     while todo:
         name = todo.pop()
         if name in seen:
@@ -252,7 +394,15 @@ def test_oracle_is_independent_of_the_generators():
         used = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
         assert not used & forbidden, (name, sorted(used & forbidden))
         todo += [u for u in used if u in funcs]
-    assert {"_local_exponents", "_merge_invariants"} <= seen
+        modules |= {origin[u] for u in used if u in origin}
+    assert {"_local_exponents", "_merge_invariants", "_local_block", "_diagonalize",
+            "_matmul", "_transpose_apply", "_ligozat_sums", "_bordered_exponents"} <= seen
+    assert modules == {"divisors", "etalinalg", "intarith"}
+    for module in modules:
+        with open(os.path.join(os.path.dirname(structure.__file__), f"{module}.py")) as fh:
+            imports = {node.module for node in ast.walk(ast.parse(fh.read()))
+                       if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert not imports & {"generators", "structure"}, (module, imports)
 
 
 def test_crosscheck_leaves_lambda24_empty():
@@ -394,8 +544,7 @@ def test_certificates_apply_upsilon_only_at_factor_levels(monkeypatch):
         levels.append(n)
         return etalinalg.upsilon_apply(n, vec)
 
-    for module in (orderengine, structure):
-        monkeypatch.setattr(module, "upsilon_apply", record)
+    monkeypatch.setattr(orderengine, "upsilon_apply", record)
     for n in (5040, 30030, 55440, 720720):
         orderengine._upsilon_image.cache_clear()
         levels.clear()
