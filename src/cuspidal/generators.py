@@ -240,7 +240,7 @@ def D_vector(L: OrderedLevel, i: int, j: int) -> CuspDivisor:
     return _two_prime_D(*L.base.factors[i - 1], *L.base.factors[j - 1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
     gi, gj = _gamma(pi, ri), _gamma(pj, rj)
     G = math.gcd(gi, gj)

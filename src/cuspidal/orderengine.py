@@ -1,18 +1,28 @@
 """The order of a degree-0 rational cuspidal divisor class in J0(N).
 
-The profile of C collects V = Upsilon * Phi(C), the gcd of its entries, the
-normalized vector Vbar, the parity sums Pw_p over divisors with odd
-p-valuation, the factor h in {1, 2}, and the exact order
-numerator(kappa(N) * h / (24 * GCD)).  eta_certificate turns the profile
-into the eta quotient whose divisor is the order times C.
+The profile of C collects the gcd GCD of the entries of V = Upsilon * Phi(C),
+the normalized vector Vbar = V / GCD, the parity sums Pw_p of Vbar over
+divisors with odd p-valuation, the factor h in {1, 2}, and the exact order
+numerator(kappa(N) * h / (24 * GCD)).  V itself is derived: GCD * Vbar, or
+the zero vector when GCD = 0.  eta_certificate turns the profile into the
+eta quotient whose divisor is the order times C.
 
 Upsilon(N) is the Kronecker product of its p^r blocks, so for a pure tensor
 C = v_1 (x) ... (x) v_k at pairwise coprime levels M_i, V is the tensor of
-the images Upsilon(M_i) * v_i.  Yoo's generators are such tensors, of
-prime-power base vectors and at most one two-prime D vector: tensor_profile
-applies Upsilon to each factor at its own level, once per factor, and
-never at N.  profile applies Upsilon(N) to any divisor.  Both end in the
-same gcd, Vbar, Pw, h and order.
+the images W_i = Upsilon(M_i) * v_i.  Three identities then give the
+profile from small data about each factor (GCD g_i, Wbar_i = W_i / g_i, the
+total of Wbar_i and its parity sums at the primes of M_i):
+
+* GCD = g_1 * ... * g_k, as the gcd of a tensor is the product of gcds;
+* Vbar = Wbar_1 (x) ... (x) Wbar_k;
+* Pw_p = (the parity sum for p of the factor that holds p) times the
+  totals of all other factors, as [v_p(d) odd] depends on one factor only.
+
+Yoo's generators are such tensors, of prime-power base vectors and at most
+one two-prime D vector: tensor_profile applies Upsilon to each factor at its
+own level, once per factor, never at N, and builds one sigma0(N) tuple,
+Vbar.  profile applies Upsilon(N) to any divisor.  Both end in the same h
+and order.
 """
 
 from __future__ import annotations
@@ -22,16 +32,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .divisors import CuspDivisor, kronecker
 from .etalinalg import eta_divisor, ligozat_check, ligozat_weights, upsilon_apply
-from .intarith import factor, kappa
+from .intarith import divisors, factor, kappa
 
 
 @dataclass(frozen=True)
 class OrderProfile:
+    """The profile of a divisor at level n: gcd_value = GCD, Vbar (None when
+    GCD = 0), pw = Pw_p over the primes of n ascending ({} when GCD = 0), h,
+    the order (None unless the degree is 0) and the degree.  V is
+    GCD * Vbar, a function of the fields, so equality keeps its meaning."""
     n: int
-    V: tuple
     gcd_value: int
     Vbar: tuple | None
     pw: dict
@@ -39,41 +53,80 @@ class OrderProfile:
     order: int | None
     degree: int
 
+    @property
+    def V(self) -> tuple:
+        if self.Vbar is None:
+            return (0,) * len(divisors(self.n))
+        return tuple([self.gcd_value * v for v in self.Vbar])
 
-def _profile_of(n: int, V: tuple, deg) -> OrderProfile:
-    """The profile at level N with V = Upsilon * Phi(C) and deg = deg C."""
+
+def _normalized(n: int, V) -> tuple:
+    """(GCD, Vbar, Pw) of V = Upsilon(N) * Phi(C) at level N; (0, None, {})
+    when V = 0."""
     g = math.gcd(*V)
     if g == 0:
-        return OrderProfile(n, V, 0, None, {}, 1, 1 if deg == 0 else None, deg)
+        return 0, None, {}
     vbar = tuple([v // g for v in V])
     # Ligozat's weight rows 12 * [v_p(d) odd], primes ascending
     pw = {p: sum(map(mul, w, vbar)) // 12
           for p, w in zip(factor(n).primes, ligozat_weights(n)[2:])}
+    return g, vbar, pw
+
+
+def _profile_of(n: int, g: int, vbar, pw: dict, deg, k: int) -> OrderProfile:
+    """The profile at level N from GCD, Vbar, Pw, deg = deg C and k = kappa(N)."""
+    if g == 0:
+        return OrderProfile(n, 0, None, {}, 1, 1 if deg == 0 else None, deg)
     h = 2 if any(v % 2 for v in pw.values()) else 1
     order = None
     if deg == 0:
-        order = Fraction(kappa(n) * h, 24 * g).numerator
-    return OrderProfile(n, V, g, vbar, pw, h, order, deg)
+        # the numerator of k * h / (24 * GCD), GCD > 0
+        order = k * h // math.gcd(k * h, 24 * g)
+    return OrderProfile(n, g, vbar, pw, h, order, deg)
 
 
 def profile(C: CuspDivisor) -> OrderProfile:
     """The profile of any divisor C at level N, with Upsilon(N) applied to C."""
-    return _profile_of(C.n, upsilon_apply(C.n, C.coeffs), C.degree())
+    return _profile_of(C.n, *_normalized(C.n, upsilon_apply(C.n, C.coeffs)), C.degree(),
+                       kappa(C.n))
 
 
-@lru_cache(maxsize=None)
-def _upsilon_image(v: CuspDivisor) -> tuple:
-    """Upsilon(M) * v for a tensor factor v at level M."""
-    return upsilon_apply(v.n, v.coeffs)
+class _Factor(NamedTuple):
+    """What tensor_profile needs of a factor v at level M, W = Upsilon(M) * v:
+    gcd = gcd(W), wbar = W / gcd (None when W = 0), total = sum(wbar), pw the
+    pairs (p, parity sum of wbar at p) over the primes of M, the degree of v
+    and kappa(M)."""
+    gcd: int
+    wbar: tuple | None
+    total: int
+    pw: tuple
+    degree: int
+    kappa: int
+
+
+@lru_cache(maxsize=4096)
+def _factor_image(v: CuspDivisor) -> _Factor:
+    """The _Factor of a tensor factor v, with Upsilon applied at its level."""
+    g, wbar, pw = _normalized(v.n, upsilon_apply(v.n, v.coeffs))
+    return _Factor(g, wbar, sum(wbar) if wbar else 0, tuple(pw.items()), v.degree(), kappa(v.n))
 
 
 def tensor_profile(vecs) -> OrderProfile:
-    """The profile of tensor_join(*vecs), factors at pairwise coprime levels:
-    V is the tensor of the factors' images under Upsilon, and the degree
-    the product of their degrees."""
-    levels = tuple(v.n for v in vecs)
-    V = kronecker(levels, [_upsilon_image(v) for v in vecs])
-    return _profile_of(math.prod(levels), V, math.prod(v.degree() for v in vecs))
+    """The profile of tensor_join(*vecs), factors at pairwise coprime levels,
+    from the factors' _Factor data: GCD, the degree and kappa are the
+    products of theirs, Vbar is the tensor of their wbar, and Pw_p is the
+    parity sum for p of the factor at p times the totals of the others."""
+    levels = tuple([v.n for v in vecs])
+    gs, wbars, totals, pws, degs, ks = zip(*map(_factor_image, vecs))
+    n, g, deg, k = math.prod(levels), math.prod(gs), math.prod(degs), math.prod(ks)
+    if g == 0:
+        return _profile_of(n, 0, None, {}, deg, k)
+    pw = []
+    for i, sums in enumerate(pws):
+        rest = math.prod(totals[:i]) * math.prod(totals[i + 1:])
+        pw += [(p, s * rest) for p, s in sums]
+    pw.sort()
+    return _profile_of(n, g, kronecker(levels, wbars), dict(pw), deg, k)
 
 
 def eta_certificate(C: CuspDivisor) -> tuple:

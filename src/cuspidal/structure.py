@@ -27,9 +27,10 @@ prime ordering read off divisor_exponents(N), and two functools.cache
 callables, vector(d) and profile(d), so each generator is built and
 profiled at most once per walk; Y2 blocks of equal orderings share the
 table and the two callables.  A generator is a tensor of prime-power base
-vectors and at most one two-prime D vector, and profile(d) is the tensor of
-their images under Upsilon (orderengine.tensor_profile): it builds no
-vector and never applies Upsilon at N.  compute_group keeps the rows of
+vectors and at most one two-prime D vector, and profile(d) is read off the
+gcd, normalized image, total and parity sums of each factor's image under
+Upsilon (orderengine.tensor_profile): it builds no vector and no V, only
+Vbar, and never applies Upsilon at N.  compute_group keeps the rows of
 order > 1 (of ell-part > 1 for Y2) and builds only their vectors;
 verify_certificates re-sorts each block by the rank of I in
 divisor_orderings, which depends only on the shape (exponents, u) of the

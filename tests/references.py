@@ -163,10 +163,9 @@ def tensor_profile(C1: CuspDivisor, C2: CuspDivisor) -> OrderProfile:
     n = C1.n * C2.n
     ds, ds1, ds2 = divisors(n), divisors(C1.n), divisors(C2.n)
     idx = {d1 * d2: (i, j) for i, d1 in enumerate(ds1) for j, d2 in enumerate(ds2)}
-    V = tuple(p1.V[idx[d][0]] * p2.V[idx[d][1]] for d in ds)
     g = p1.gcd_value * p2.gcd_value
     if g == 0:
-        return OrderProfile(n, V, 0, None, {}, 1, 1, 0)
+        return OrderProfile(n, 0, None, {}, 1, 1, 0)
     vbar = tuple(p1.Vbar[idx[d][0]] * p2.Vbar[idx[d][1]] for d in ds)
     s2 = sum(p2.Vbar)
     pw = {p: p1.pw[p] * s2 for p in factor(C1.n).primes}
@@ -174,7 +173,7 @@ def tensor_profile(C1: CuspDivisor, C2: CuspDivisor) -> OrderProfile:
     h = 2 if any(v % 2 for v in pw.values()) else 1
     deg = C1.degree() * C2.degree()
     order = Fraction(kappa(n) * h, 24 * g).numerator if deg == 0 else None
-    return OrderProfile(n, V, g, vbar, pw, h, order, deg)
+    return OrderProfile(n, g, vbar, pw, h, order, deg)
 
 
 def _g_closed(n: int) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 from cuspidal import orderengine
 from cuspidal.divisors import C_generator, from_dict, tensor_join
-from cuspidal.etalinalg import eta_qexpansion
+from cuspidal.etalinalg import eta_qexpansion, upsilon_apply
 from cuspidal.intarith import divisors, factor, kappa, valuation
 from cuspidal.orderengine import eta_certificate, profile, profile_to_json
 from references import closed_order_CN, closed_order_Cd, tensor_profile
@@ -94,22 +94,42 @@ def test_eta_certificate():
     assert 24 * lead == sum(rd * d for rd, d in zip(r, divisors(11)))
 
 
+def _coprime_levels(rng, k):
+    while True:
+        levels = [rng.randrange(2, 40) for _ in range(k)]
+        if all(math.gcd(a, b) == 1 for i, a in enumerate(levels) for b in levels[i + 1:]):
+            return levels
+
+
 def test_tensor_profile_against_direct():
+    """tensor_profile on 2 to 4 factors at pairwise coprime levels, among them
+    zero vectors (Upsilon image 0, so GCD = 0) and factors of nonzero degree,
+    equals profile() of the dense tensor in every field and in the key order
+    of Pw, and its V is Upsilon applied to the dense tensor.  Two factors,
+    the first of degree 0, also match the reference built from the two
+    factor profiles."""
     rng = random.Random(99)
-    done = 0
-    while done < 60:
-        n1, n2 = rng.randrange(2, 40), rng.randrange(2, 40)
-        if math.gcd(n1, n2) != 1:
-            continue
-        C1 = C_generator(n1, rng.choice([d for d in divisors(n1) if d > 1]))
-        C2 = from_dict(n2, {rng.choice(divisors(n2)): rng.randrange(-3, 4) or 1})
-        tp = tensor_profile(C1, C2)
-        direct = profile(tensor_join(C1, C2))
-        assert orderengine.tensor_profile((C1, C2)) == direct
-        assert tp.V == direct.V
-        assert (tp.gcd_value, tp.h, tp.order) == \
-               (direct.gcd_value, direct.h, direct.order)
-        done += 1
+    seen = set()
+    for done in range(180):
+        vecs = []
+        for m in _coprime_levels(rng, 2 + done % 3):
+            ds = divisors(m)
+            pick = rng.randrange(6)
+            vecs.append(C_generator(m, rng.choice(ds[1:])) if pick < 2 else
+                        from_dict(m, {}) if pick == 2 else
+                        from_dict(m, {d: rng.randrange(-3, 4) for d in ds}))
+        got = orderengine.tensor_profile(vecs)
+        C = tensor_join(*vecs)
+        want = profile(C)
+        assert got == want and got.V == upsilon_apply(C.n, C.coeffs), vecs
+        assert list(got.pw) == list(want.pw), vecs
+        seen.add((len(vecs), got.gcd_value == 0, got.degree != 0))
+        if len(vecs) == 2 and vecs[0].degree() == 0:
+            ref = tensor_profile(*vecs)
+            assert (ref.V, ref.gcd_value, ref.Vbar, ref.h, ref.order) == \
+                   (want.V, want.gcd_value, want.Vbar, want.h, want.order), vecs
+    assert {(k, z, nd) for k in (2, 3, 4) for z in (False, True)
+            for nd in (False, True) if not (z and nd)} <= seen
 
 
 def test_tensor_profile_requires_degree_zero():

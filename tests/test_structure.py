@@ -514,25 +514,96 @@ def test_blocks_match_the_per_divisor_wrappers():
                 assert (order, blk.vector(d)) == want, (n, blk.kind, L.ell, d)
 
 
+def _assert_factor_route_matches_the_dense_route(n):
+    """Each generator's profile at N read off its tensor factors equals
+    profile() of its dense vector in every field and in the key order of
+    Pw, and its V is Upsilon(N) times that vector: every row of every
+    block, and the Z1 rows on T_u that verify_certificates profiles."""
+    seen = set()
+    for blk in structure._blocks(n):
+        if blk.profile in seen:
+            continue
+        seen.add(blk.profile)
+        L = blk.level
+        for d, I, _, _ in blk.rows:
+            kind = "Y2" if blk.kind == "Y2" else "Z"
+            routes = [(kind, blk.profile(d))]
+            if kind == "Z" and generators.in_T_u(I, L.r_u, L.u):
+                routes.append(("Z1", tensor_profile(generators.generator_factors(L, I, "Z1"))))
+            for k, got in routes:
+                vec = generators.generator_vector(L, I, k)
+                want = profile(vec)
+                assert got == want and got.V == etalinalg.upsilon_apply(n, vec.coeffs), \
+                    (n, k, L.ell, d)
+                assert list(got.pw) == list(want.pw), (n, k, L.ell, d)
+
+
 def test_factor_route_profiles_match_the_dense_route():
-    """Each generator's profile read off its tensor factors equals profile()
-    of its dense vector in every field: every row of every block, and the
-    Z1 rows on T_u that verify_certificates profiles."""
     for n in _table_levels() + [2310]:
-        seen = set()
-        for blk in structure._blocks(n):
-            if blk.profile in seen:
-                continue
-            seen.add(blk.profile)
-            L = blk.level
-            for d, I, _, _ in blk.rows:
-                kind = "Y2" if blk.kind == "Y2" else "Z"
-                routes = [(kind, blk.profile(d))]
-                if kind == "Z" and generators.in_T_u(I, L.r_u, L.u):
-                    routes.append(("Z1", tensor_profile(generators.generator_factors(L, I, "Z1"))))
-                for k, got in routes:
-                    want = profile(generators.generator_vector(L, I, k))
-                    assert got == want and list(got.pw) == list(want.pw), (n, k, L.ell, d)
+        _assert_factor_route_matches_the_dense_route(n)
+
+
+@pytest.mark.slow
+def test_factor_route_profiles_match_the_dense_route_to_3000():
+    """As above on every N <= 3000 and 300 uniform levels <= 10^6 (Random(0))."""
+    rng = random.Random(0)
+    for n in list(range(1, 3001)) + [rng.randint(1, 10 ** 6) for _ in range(300)]:
+        _assert_factor_route_matches_the_dense_route(n)
+
+
+def test_factor_caches_are_bounded():
+    """The caches keyed by tensor factor hold at most a fixed number of
+    entries, however many levels a sweep visits."""
+    for cached in (orderengine._factor_image, generators._two_prime_D):
+        assert isinstance(cached.cache_info().maxsize, int), cached
+
+
+def _spoil_factor(spoil):
+    """An injector that passes the data of every tensor factor through spoil
+    before tensor_profile reads it."""
+    def inject(monkeypatch):
+        real = orderengine._factor_image
+        monkeypatch.setattr(orderengine, "_factor_image", lambda v: spoil(real(v)))
+    return inject
+
+
+def _wbar_entry_off_by_one(f):
+    return f._replace(wbar=f.wbar[:-1] + (f.wbar[-1] + 1,)) if f.wbar else f
+
+
+def _gcd_doubled(f):
+    return f._replace(gcd=2 * f.gcd)
+
+
+def _parity_sum_flipped(f):
+    if not f.pw:
+        return f
+    (p, s), *rest = f.pw
+    return f._replace(pw=((p, s + 1), *rest))
+
+
+# Defects injected into the per-factor data of tensor_profile, one per
+# identity it relies on, each with levels where crosscheck must then fail
+# on certificate criteria (the "/ell=..." suffix dropped) among the named.
+FACTOR_DEFECTS = {
+    "one Wbar entry off by one": (_spoil_factor(_wbar_entry_off_by_one), (12, 30, 60, 210, 720),
+                                  {"nsf-unipotence", "sf-unipotence", "ell2/column"}),
+    "gcd doubled": (_spoil_factor(_gcd_doubled), (15, 20, 60, 210, 720),
+                    {"order/Z", "order/Y2"}),
+    "parity sum flipped": (_spoil_factor(_parity_sum_flipped), (12, 30, 60, 210, 720),
+                           {"ell2/h-table", "ell2/parity", "order/Z", "order/Y2"}),
+}
+
+
+@pytest.mark.parametrize("name", FACTOR_DEFECTS)
+def test_crosscheck_catches_factor_data_defects(monkeypatch, name):
+    inject, levels, criteria = FACTOR_DEFECTS[name]
+    inject(monkeypatch)
+    for n in levels:
+        rec = crosscheck(n)
+        assert [m["kind"] for m in rec["mismatches"]] == ["certificates"], (name, n)
+        failed = {s["criterion"].split("/ell=")[0] for s in rec["mismatches"][0]["failures"]}
+        assert failed and failed <= criteria, (name, n, failed)
 
 
 def test_certificates_apply_upsilon_only_at_factor_levels(monkeypatch):
@@ -546,7 +617,7 @@ def test_certificates_apply_upsilon_only_at_factor_levels(monkeypatch):
 
     monkeypatch.setattr(orderengine, "upsilon_apply", record)
     for n in (5040, 30030, 55440, 720720):
-        orderengine._upsilon_image.cache_clear()
+        orderengine._factor_image.cache_clear()
         levels.clear()
         assert verify_certificates(n).passed
         assert levels and all(m < n and n % m == 0 and factor(m).t <= 2 for m in levels), n
