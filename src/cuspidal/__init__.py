@@ -7,7 +7,8 @@ Subpackages:
   etalinalg   -- the matrices Lambda(N)/Upsilon(N), Ligozat checks, eta q-expansions
   orderengine -- order algorithm and eta certificates
   generators  -- canonical generator constructions Z/Y and their predicted orders
-  structure   -- group assembly, certificate verification, SNF lattice oracle
+  oracle      -- the SNF lattice oracle, independent of the generators
+  structure   -- group assembly, certificate verification, crosscheck
   cli         -- command-line front end
 """
 

@@ -21,8 +21,7 @@ total of Wbar_i and its parity sums at the primes of M_i):
 Yoo's generators are such tensors, of prime-power base vectors and at most
 one two-prime D vector: tensor_profile applies Upsilon to each factor at its
 own level, once per factor, never at N, and builds one sigma0(N) tuple,
-Vbar.  profile applies Upsilon(N) to any divisor.  Both end in the same h
-and order.
+Vbar.  profile(C) of any divisor is the tensor profile of the one factor C.
 """
 
 from __future__ import annotations
@@ -60,35 +59,10 @@ class OrderProfile:
         return tuple([self.gcd_value * v for v in self.Vbar])
 
 
-def _normalized(n: int, V) -> tuple:
-    """(GCD, Vbar, Pw) of V = Upsilon(N) * Phi(C) at level N; (0, None, {})
-    when V = 0."""
-    g = math.gcd(*V)
-    if g == 0:
-        return 0, None, {}
-    vbar = tuple([v // g for v in V])
-    # Ligozat's weight rows 12 * [v_p(d) odd], primes ascending
-    pw = {p: sum(map(mul, w, vbar)) // 12
-          for p, w in zip(factor(n).primes, ligozat_weights(n)[2:])}
-    return g, vbar, pw
-
-
-def _profile_of(n: int, g: int, vbar, pw: dict, deg, k: int) -> OrderProfile:
-    """The profile at level N from GCD, Vbar, Pw, deg = deg C and k = kappa(N)."""
-    if g == 0:
-        return OrderProfile(n, 0, None, {}, 1, 1 if deg == 0 else None, deg)
-    h = 2 if any(v % 2 for v in pw.values()) else 1
-    order = None
-    if deg == 0:
-        # the numerator of k * h / (24 * GCD), GCD > 0
-        order = k * h // math.gcd(k * h, 24 * g)
-    return OrderProfile(n, g, vbar, pw, h, order, deg)
-
-
 def profile(C: CuspDivisor) -> OrderProfile:
-    """The profile of any divisor C at level N, with Upsilon(N) applied to C."""
-    return _profile_of(C.n, *_normalized(C.n, upsilon_apply(C.n, C.coeffs)), C.degree(),
-                       kappa(C.n))
+    """The profile of any divisor C at level N: the tensor profile of the
+    one factor C, with Upsilon(N) applied to C."""
+    return tensor_profile((C,))
 
 
 class _Factor(NamedTuple):
@@ -107,8 +81,15 @@ class _Factor(NamedTuple):
 @lru_cache(maxsize=4096)
 def _factor_image(v: CuspDivisor) -> _Factor:
     """The _Factor of a tensor factor v, with Upsilon applied at its level."""
-    g, wbar, pw = _normalized(v.n, upsilon_apply(v.n, v.coeffs))
-    return _Factor(g, wbar, sum(wbar) if wbar else 0, tuple(pw.items()), v.degree(), kappa(v.n))
+    W = upsilon_apply(v.n, v.coeffs)
+    g = math.gcd(*W)
+    if g == 0:
+        return _Factor(0, None, 0, (), v.degree(), kappa(v.n))
+    wbar = tuple([w // g for w in W])
+    # Ligozat's weight rows 12 * [v_p(d) odd], primes ascending
+    pw = tuple([(p, sum(map(mul, w, wbar)) // 12)
+                for p, w in zip(factor(v.n).primes, ligozat_weights(v.n)[2:])])
+    return _Factor(g, wbar, sum(wbar), pw, v.degree(), kappa(v.n))
 
 
 def tensor_profile(vecs) -> OrderProfile:
@@ -120,13 +101,18 @@ def tensor_profile(vecs) -> OrderProfile:
     gs, wbars, totals, pws, degs, ks = zip(*map(_factor_image, vecs))
     n, g, deg, k = math.prod(levels), math.prod(gs), math.prod(degs), math.prod(ks)
     if g == 0:
-        return _profile_of(n, 0, None, {}, deg, k)
+        return OrderProfile(n, 0, None, {}, 1, 1 if deg == 0 else None, deg)
     pw = []
     for i, sums in enumerate(pws):
         rest = math.prod(totals[:i]) * math.prod(totals[i + 1:])
         pw += [(p, s * rest) for p, s in sums]
     pw.sort()
-    return _profile_of(n, g, kronecker(levels, wbars), dict(pw), deg, k)
+    h = 2 if any(s % 2 for _, s in pw) else 1
+    order = None
+    if deg == 0:
+        # the numerator of k * h / (24 * GCD), GCD > 0
+        order = k * h // math.gcd(k * h, 24 * g)
+    return OrderProfile(n, g, kronecker(levels, wbars), dict(pw), h, order, deg)
 
 
 def eta_certificate(C: CuspDivisor) -> tuple:

@@ -11,7 +11,7 @@ import pytest
 from sympy import Matrix, Symbol, eye, zeros
 from sympy.matrices.normalforms import smith_normal_form
 
-from cuspidal import cli, etalinalg, generators, intarith, orderengine, structure
+from cuspidal import cli, etalinalg, generators, intarith, oracle, orderengine, structure
 from cuspidal.divisors import kron
 from cuspidal.etalinalg import (_lambda24_block, _upsilon_block_entry, eta_divisor,
                                 ligozat_check, ligozat_weights)
@@ -19,10 +19,10 @@ from cuspidal.generators import (base_vector_B, construct_Y, construct_Z,
                                  predicted_order)
 from cuspidal.intarith import divisor_exponents, divisors, factor, kappa, valuation
 from cuspidal.orderengine import profile, tensor_profile
-from cuspidal.structure import (AbelianGroupStructure, compute_group, crosscheck,
-                                cuspidal_equals_rational, eta_unit_lattice,
-                                group_to_json, invariant_factors_of_quotient,
-                                snf_oracle, verify_certificates)
+from cuspidal.structure import (compute_group, crosscheck, cuspidal_equals_rational,
+                                eta_unit_lattice, group_to_json,
+                                invariant_factors_of_quotient, snf_oracle,
+                                verify_certificates)
 from references import dense_oracle_invariants, dense_premise_rows, premise_vectors
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -103,7 +103,7 @@ def test_upsilon_times_24_lambda_is_kappa_as_polynomials():
 
 
 def test_snf_oracle_rejects_inconsistent_invariants(monkeypatch):
-    monkeypatch.setattr(structure, "_merge_invariants", lambda orders: ({}, ()))
+    monkeypatch.setattr(oracle, "_merge_invariants", lambda orders: ({}, ()))
     with pytest.raises(ArithmeticError):
         snf_oracle(11)
 
@@ -116,19 +116,19 @@ def _weight_d_off_by_one(ds, sums):
 @pytest.mark.parametrize("patch", [
     # the oracle's Upsilon blocks become diag(1, 0, ..., 0)
     ("_upsilon_block_entry", lambda p, r, i, j: int(i == j == 0)),
-    ("_ligozat_sums", lambda blocks, real=structure._ligozat_sums:
+    ("_ligozat_sums", lambda blocks, real=oracle._ligozat_sums:
         _weight_d_off_by_one(*real(blocks))),
 ])
 def test_snf_oracle_checks_that_kappa_kills_the_group(monkeypatch, capsys, patch):
-    structure._local_block.cache_clear()
-    monkeypatch.setattr(structure, *patch)
+    oracle._local_block.cache_clear()
+    monkeypatch.setattr(oracle, *patch)
     try:
         with pytest.raises(ArithmeticError, match="24 \\* Upsilon\\(C_11\\) is not an eta unit"):
             snf_oracle(11)
         assert cli.main(["verify", "11"]) == 2
     finally:
         monkeypatch.undo()
-        structure._local_block.cache_clear()
+        oracle._local_block.cache_clear()
     err = capsys.readouterr().err
     assert err.startswith("error: 24 * Upsilon(C_11) is not an eta unit at N=11")
     assert "Traceback" not in err
@@ -139,26 +139,32 @@ def test_snf_oracle_checks_that_kappa_kills_the_group(monkeypatch, capsys, patch
     lambda P, Pinv, Q, D: (P, [row[::-1] for row in Pinv], Q, D),   # a wrong inverse
 ])
 def test_local_block_checks_its_diagonalization(monkeypatch, spoil):
-    real = structure._diagonalize
-    monkeypatch.setattr(structure, "_diagonalize", lambda A: spoil(*real(A)))
-    structure._local_block.cache_clear()
+    real = oracle._diagonalize
+    monkeypatch.setattr(oracle, "_diagonalize", lambda A: spoil(*real(A)))
+    oracle._local_block.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="diagonalization of Upsilon\\(11\\^1\\)"):
             snf_oracle(11)
     finally:
         monkeypatch.undo()
-        structure._local_block.cache_clear()
+        oracle._local_block.cache_clear()
 
 
 def _parity_columns_dropped(monkeypatch):
-    real = structure._local_block
-    monkeypatch.setattr(structure, "_local_block", lambda p, r: (b := real(p, r))._replace(
+    real = oracle._local_block
+    monkeypatch.setattr(oracle, "_local_block", lambda p, r: (b := real(p, r))._replace(
         omega=(b.omega[0], (0,) * (r + 1))))
 
 
 def _kappa_doubled(monkeypatch):
-    real = structure.kappa
-    monkeypatch.setattr(structure, "kappa", lambda n: 2 * real(n))
+    real = oracle.kappa
+    monkeypatch.setattr(oracle, "kappa", lambda n: 2 * real(n))
+
+
+def _modulus_12_kappa(monkeypatch):
+    """kappa(N) / 2 when it is even, so the oracle works modulo 12 kappa."""
+    real = oracle.kappa
+    monkeypatch.setattr(oracle, "kappa", lambda n: real(n) // 2 if real(n) % 2 == 0 else real(n))
 
 
 # Defects injected into the oracle, each with levels where crosscheck must
@@ -166,6 +172,7 @@ def _kappa_doubled(monkeypatch):
 ORACLE_DEFECTS = {
     "parity columns dropped": (_parity_columns_dropped, (15, 24, 32, 35, 64, 210)),
     "kappa doubled": (_kappa_doubled, (5, 12, 16, 35, 64, 210)),
+    "wrong modulus 12 kappa": (_modulus_12_kappa, (14, 15, 24, 32, 35, 210)),
 }
 
 
@@ -203,7 +210,7 @@ def test_snf_oracle_at_209_ell_5():
     has 5-parts 5, 5, 25; C(209)_5 is Z/25 x Z/5, not (Z/5)^3."""
     n, ell, v = 209, 5, 2
     assert valuation(24 * kappa(n), ell) == v
-    blocks = [structure._local_block(p, r) for p, r in factor(n).factors]
+    blocks = [oracle._local_block(p, r) for p, r in factor(n).factors]
     D = kron(b.diag for b in blocks)
     assert sorted(ell ** valuation(x, ell) for x in D) == [1, 5, 5, 25]
     rows = list(dense_premise_rows(n).values())
@@ -226,7 +233,7 @@ def test_bordered_elimination_matches_sympy():
         B = [[ell ** rng.randrange(0, v) * rng.randrange(-40, 41) for _ in range(width)]
              for _ in range(nrows)]
         b_pivots += any(a % ell == 0 and any(x % ell for x in b) for a, b in zip(diag, B))
-        exps = structure._bordered_exponents(diag, B, ell, v)
+        exps = oracle._bordered_exponents(diag, B, ell, v)
         assert exps == sorted(exps) and all(e < v for e in exps)
         rows = [[a * (i == j) for j in range(nrows)] + b for i, (a, b) in enumerate(zip(diag, B))]
         ncols = nrows + width
@@ -250,8 +257,8 @@ def test_adjoint_sums_match_the_dense_ligozat_sums():
     """_ligozat_sums, read off Upsilon^T w block by block, equals sum(r_d)
     and each ligozat_weights(N) . r_d computed densely, for every d > 1."""
     for n in range(1, 301):
-        blocks = [structure._local_block(p, r) for p, r in factor(n).factors]
-        ds, sums = structure._ligozat_sums(blocks)
+        blocks = [oracle._local_block(p, r) for p, r in factor(n).factors]
+        ds, sums = oracle._ligozat_sums(blocks)
         assert sorted(ds) == list(divisors(n)[1:]), n
         got = dict(zip(ds, zip(*sums)))
         for d, r in premise_vectors(n).items():
@@ -369,40 +376,34 @@ def test_group_matches_the_seed0_reference():
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digests[str(n)], n
 
 
-ORACLE = ("snf_oracle", "invariant_factors_of_quotient", "eta_unit_lattice")
+def _package_imports(module: str) -> set:
+    """The package modules that a module of the package imports, at top
+    level or inside a function, in relative or absolute form."""
+    with open(os.path.join(os.path.dirname(oracle.__file__), f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"cuspidal.{base}".rstrip(".")
+            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("cuspidal.")}
 
 
 def test_oracle_is_independent_of_the_generators():
-    """The oracle functions, and every structure.py function they reach,
-    name nothing imported from cuspidal.generators and no generator walk.
-    The package modules whose names they use import nothing from
-    generators or structure."""
-    with open(structure.__file__) as fh:
-        tree = ast.parse(fh.read())
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    origin = {alias.asname or alias.name: node.module for node in tree.body
-              if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
-    forbidden = {"_blocks", "compute_group", "verify_certificates"}
-    forbidden |= {name for name, module in origin.items() if module == "generators"}
-    assert {"generator_factors", "generator_vector", "generator_order"} <= forbidden
-    seen, todo, modules = set(), list(ORACLE), set()
+    """Every package module that oracle reaches through imports, directly
+    or not, is divisors, etalinalg or intarith: never generators,
+    orderengine or structure, which implement Yoo's theory."""
+    reached, todo = set(), ["oracle"]
     while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        used = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
-        assert not used & forbidden, (name, sorted(used & forbidden))
-        todo += [u for u in used if u in funcs]
-        modules |= {origin[u] for u in used if u in origin}
-    assert {"_local_exponents", "_merge_invariants", "_local_block", "_diagonalize",
-            "_matmul", "_transpose_apply", "_ligozat_sums", "_bordered_exponents"} <= seen
-    assert modules == {"divisors", "etalinalg", "intarith"}
-    for module in modules:
-        with open(os.path.join(os.path.dirname(structure.__file__), f"{module}.py")) as fh:
-            imports = {node.module for node in ast.walk(ast.parse(fh.read()))
-                       if isinstance(node, ast.ImportFrom) and node.level == 1}
-        assert not imports & {"generators", "structure"}, (module, imports)
+        new = _package_imports(todo.pop()) - reached
+        reached |= new
+        todo += new
+    assert reached == {"divisors", "etalinalg", "intarith"}
+    assert structure.snf_oracle is oracle.snf_oracle
 
 
 def test_crosscheck_leaves_lambda24_empty():
