@@ -6,17 +6,16 @@ degree-0 sublattice.  The degeneracy pullbacks (alpha_p)^*, (beta_p)^* and
 their pi compositions, which build the base vectors of the generators, act
 on this basis by the case-by-case exponent formulas, extended linearly.
 
-tensor_join takes any number of factors at pairwise coprime levels and forms
-the dense Kronecker product of their coefficient tuples in one pass, then
-gathers it into ascending-divisor order; kronecker does the same on bare
-coefficient tuples, and kron is the product before the gather.
+tensor_terms multiplies coefficient tuples at pairwise coprime levels over
+their nonzero entries only, into {divisor of the product: coefficient}, and
+tensor_join places those terms in a divisor at the product level.  kron is
+the dense Kronecker product, in factor order, that the oracle uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .intarith import degree_weights, divisor_positions, divisors, phi, valuation
@@ -90,20 +89,6 @@ def C_generator(n, d: int) -> CuspDivisor:
 # Tensor structure over coprime factorizations
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _kronecker_gather(levels: tuple) -> tuple:
-    """For factors at these levels, the position in their Kronecker product
-    (first factor most significant) of each divisor of the product, divisors
-    ascending.  The products of divisors are all distinct exactly when the
-    levels are pairwise coprime."""
-    prods = [1]
-    for m in levels:
-        prods = [a * b for a in prods for b in divisors(m)]
-    if len(prods) != len(divisors(math.prod(levels))):
-        raise ValueError("tensor factors must have coprime levels")
-    return tuple(sorted(range(len(prods)), key=prods.__getitem__))
-
-
 def kron(coeffs) -> list:
     """The Kronecker product of coefficient tuples, first factor most
     significant (no factors give [1])."""
@@ -113,12 +98,18 @@ def kron(coeffs) -> list:
     return flat
 
 
-def kronecker(levels: tuple, coeffs) -> tuple:
-    """The coefficient tuple, over the ascending divisors of M_1...M_k, of the
-    tensor product of coefficient tuples over the divisors of M_1, ..., M_k
-    (pairwise coprime levels)."""
-    flat = kron(coeffs)
-    return tuple([flat[i] for i in _kronecker_gather(levels)])
+def tensor_terms(levels: tuple, coeffs) -> dict:
+    """{d_1...d_k: c_1...c_k} over the nonzero entries c_i at d_i of
+    coefficient tuples over the divisors of M_1, ..., M_k (no factors give
+    {1: 1}).  The products d_1...d_k are distinct exactly when the levels
+    are pairwise coprime."""
+    if math.prod(levels) != math.lcm(*levels):
+        raise ValueError("tensor factors must have coprime levels")
+    terms = {1: 1}
+    for m, c in zip(levels, coeffs):
+        items = terms.items()
+        terms = {a * d: b * x for d, x in zip(divisors(m), c) if x for a, b in items}
+    return terms
 
 
 def tensor_join(*vecs: CuspDivisor) -> CuspDivisor:
@@ -126,7 +117,7 @@ def tensor_join(*vecs: CuspDivisor) -> CuspDivisor:
     multilinearly, for any number of factors at pairwise coprime levels (no
     factors give the unit at level 1)."""
     levels = tuple(v.n for v in vecs)
-    return CuspDivisor(math.prod(levels), kronecker(levels, [v.coeffs for v in vecs]))
+    return from_dict(math.prod(levels), tensor_terms(levels, [v.coeffs for v in vecs]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ total of Wbar_i and its parity sums at the primes of M_i):
 
 Yoo's generators are such tensors, of prime-power base vectors and at most
 one two-prime D vector: tensor_profile applies Upsilon to each factor at its
-own level, once per factor, never at N, and builds one sigma0(N) tuple,
-Vbar.  profile(C) of any divisor is the tensor profile of the one factor C.
+own level, once per factor, never at N, and multiplies only the nonzero
+entries of the Wbar_i.  A profile stores that support {d: Vbar_d != 0};
+the sigma0(N) tuples Vbar and V are derived from it on request.  profile(C)
+of any divisor is the tensor profile of the one factor C.
 """
 
 from __future__ import annotations
@@ -33,30 +35,34 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-from .divisors import CuspDivisor, kronecker
+from .divisors import CuspDivisor, from_dict, tensor_terms
 from .etalinalg import eta_divisor, ligozat_check, ligozat_weights, upsilon_apply
-from .intarith import divisors, factor, kappa
+from .intarith import degree_weights, factor, kappa
 
 
 @dataclass(frozen=True)
 class OrderProfile:
-    """The profile of a divisor at level n: gcd_value = GCD, Vbar (None when
-    GCD = 0), pw = Pw_p over the primes of n ascending ({} when GCD = 0), h,
-    the order (None unless the degree is 0) and the degree.  V is
-    GCD * Vbar, a function of the fields, so equality keeps its meaning."""
+    """The profile of a divisor at level n: gcd_value = GCD, support =
+    {d: Vbar_d} over the nonzero entries of Vbar ({} when GCD = 0), pw =
+    Pw_p over the primes of n ascending ({} when GCD = 0), h, the order (None
+    unless the degree is 0) and the degree.  Vbar and V = GCD * Vbar are
+    functions of the fields, so equality keeps its meaning."""
     n: int
     gcd_value: int
-    Vbar: tuple | None
+    support: dict
     pw: dict
     h: int
     order: int | None
     degree: int
 
     @property
+    def Vbar(self) -> tuple | None:
+        return from_dict(self.n, self.support).coeffs if self.gcd_value else None
+
+    @property
     def V(self) -> tuple:
-        if self.Vbar is None:
-            return (0,) * len(divisors(self.n))
-        return tuple([self.gcd_value * v for v in self.Vbar])
+        g = self.gcd_value
+        return from_dict(self.n, {d: g * c for d, c in self.support.items()}).coeffs
 
 
 def profile(C: CuspDivisor) -> OrderProfile:
@@ -79,29 +85,33 @@ class _Factor(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
-def _factor_image(v: CuspDivisor) -> _Factor:
-    """The _Factor of a tensor factor v, with Upsilon applied at its level."""
-    W = upsilon_apply(v.n, v.coeffs)
+def _factor_image(m: int, coeffs: tuple) -> _Factor:
+    """The _Factor of the tensor factor with these coefficients at level m,
+    with Upsilon applied at m.  Keyed by (m, coeffs), not by the divisor,
+    whose generated __hash__ would rebuild that pair on every lookup."""
+    W = upsilon_apply(m, coeffs)
+    deg = sum(map(mul, coeffs, degree_weights(m)))
     g = math.gcd(*W)
     if g == 0:
-        return _Factor(0, None, 0, (), v.degree(), kappa(v.n))
+        return _Factor(0, None, 0, (), deg, kappa(m))
     wbar = tuple([w // g for w in W])
     # Ligozat's weight rows 12 * [v_p(d) odd], primes ascending
     pw = tuple([(p, sum(map(mul, w, wbar)) // 12)
-                for p, w in zip(factor(v.n).primes, ligozat_weights(v.n)[2:])])
-    return _Factor(g, wbar, sum(wbar), pw, v.degree(), kappa(v.n))
+                for p, w in zip(factor(m).primes, ligozat_weights(m)[2:])])
+    return _Factor(g, wbar, sum(wbar), pw, deg, kappa(m))
 
 
 def tensor_profile(vecs) -> OrderProfile:
     """The profile of tensor_join(*vecs), factors at pairwise coprime levels,
     from the factors' _Factor data: GCD, the degree and kappa are the
-    products of theirs, Vbar is the tensor of their wbar, and Pw_p is the
-    parity sum for p of the factor at p times the totals of the others."""
+    products of theirs, the support of Vbar is the tensor of the nonzero
+    entries of their wbar, and Pw_p is the parity sum for p of the factor at
+    p times the totals of the others."""
     levels = tuple([v.n for v in vecs])
-    gs, wbars, totals, pws, degs, ks = zip(*map(_factor_image, vecs))
+    gs, wbars, totals, pws, degs, ks = zip(*[_factor_image(v.n, v.coeffs) for v in vecs])
     n, g, deg, k = math.prod(levels), math.prod(gs), math.prod(degs), math.prod(ks)
     if g == 0:
-        return OrderProfile(n, 0, None, {}, 1, 1 if deg == 0 else None, deg)
+        return OrderProfile(n, 0, {}, {}, 1, 1 if deg == 0 else None, deg)
     pw = []
     for i, sums in enumerate(pws):
         rest = math.prod(totals[:i]) * math.prod(totals[i + 1:])
@@ -112,7 +122,7 @@ def tensor_profile(vecs) -> OrderProfile:
     if deg == 0:
         # the numerator of k * h / (24 * GCD), GCD > 0
         order = k * h // math.gcd(k * h, 24 * g)
-    return OrderProfile(n, g, kronecker(levels, wbars), dict(pw), h, order, deg)
+    return OrderProfile(n, g, tensor_terms(levels, wbars), dict(pw), h, order, deg)
 
 
 def eta_certificate(C: CuspDivisor) -> tuple:

@@ -18,9 +18,10 @@ profiled at most once per walk; Y2 blocks of equal orderings share the
 table and the two callables.  A generator is a tensor of prime-power base
 vectors and at most one two-prime D vector, and profile(d) is read off the
 gcd, normalized image, total and parity sums of each factor's image under
-Upsilon (orderengine.tensor_profile): it builds no vector and no V, only
-Vbar, and never applies Upsilon at N.  compute_group keeps the rows of
-order > 1 (of ell-part > 1 for Y2) and builds only their vectors;
+Upsilon (orderengine.tensor_profile): it builds no vector, no V and no
+Vbar, only the support of Vbar (its nonzero entries), and never applies
+Upsilon at N.  compute_group keeps the rows of order > 1 (of ell-part > 1
+for Y2) and builds only their vectors;
 verify_certificates re-sorts each block by the rank of I in
 divisor_orderings, which depends only on the shape (exponents, u) of the
 block's level, profiles each generator and re-runs the split-off
@@ -40,8 +41,8 @@ from typing import Callable, NamedTuple
 
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import ligozat_weights
-from .intarith import (E_tuple, divisor_exponents, divisor_of, divisor_positions,
-                       divisors, factor, in_square, kappa, valuation)
+from .intarith import (E_tuple, divisor_exponents, divisor_of, divisors, factor,
+                       in_square, kappa, valuation)
 from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
                          generator_factors, generator_order, generator_vector,
                          in_T_u, order_primes)
@@ -272,21 +273,18 @@ class CertificateReport:
         return [s for s in self.steps if not s["pass"]]
 
 
-def _tri_rows(n, deltas, profs):
-    """Vbar(C) of each profile read at delta_1, delta_2, ... (zeros if V = 0)."""
-    col = divisor_positions(n)
-    cols = [col[delta] for delta in deltas]
-    return [[p.Vbar[c] for c in cols] if p.Vbar else [0] * len(cols) for p in profs]
-
-
-def _check_unipotent(rep, n, rows, deltas, profs, label, modulus=None):
+def _check_unipotent(rep, rows, deltas, profs, label, modulus=None):
     """Lower-triangular unipotence of the matrix (Vbar(C_i)_{delta_j}) over
     the rows in prec order: diagonal a unit (mod modulus if given, else
-    absolute value 1) and exact zeros to the right."""
-    for i, ((d, *_), row) in enumerate(zip(rows, _tri_rows(n, deltas, profs))):
-        ok = abs(row[i]) == 1 if modulus is None else row[i] % modulus != 0
+    absolute value 1) and exact zeros to the right, read off the support of
+    each Vbar: no nonzero entry of row i sits at a delta_j with j > i."""
+    rank = {delta: j for j, delta in enumerate(deltas)}
+    for i, ((d, *_), p) in enumerate(zip(rows, profs)):
+        diag = p.support.get(deltas[i], 0)
+        ok = abs(diag) == 1 if modulus is None else diag % modulus != 0
         rep.record(label, f"diagonal at d={d}, delta={deltas[i]}", ok)
-        rep.record(label, f"zero tail at d={d}", not any(row[i + 1:]))
+        rep.record(label, f"zero tail at d={d}",
+                   all(rank.get(e, i) <= i for e in p.support))
 
 
 def verify_certificates(n, blocks=None) -> CertificateReport:
@@ -319,7 +317,7 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
             profs1 = [tensor_profile(generator_factors(L, I, "Z1"))
                       if in_T_u(I, L.r_u, L.u) else pz
                       for (_, I, _, _), pz in zip(rows, profs)]
-            _check_unipotent(rep, n, rows, deltas, profs1, "nsf-unipotence")
+            _check_unipotent(rep, rows, deltas, profs1, "nsf-unipotence")
             for (d, _, _, order), pz in zip(rows, profs):
                 rep.record("order/Z", f"d={d}", pz.order == order)
             continue
@@ -328,7 +326,7 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
         for (d, _, _, order), py in zip(rows, profs):
             rep.record(f"order/Y2/ell={ell}", f"d={d}", py.order == order)
         if ell % 2:
-            _check_unipotent(rep, n, rows, deltas, profs,
+            _check_unipotent(rep, rows, deltas, profs,
                              f"sf-unipotence/ell={ell}", modulus=ell)
         else:
             _ell2_split_conditions(rep, L, rows, deltas, profs)
@@ -349,15 +347,15 @@ def _ell2_split_conditions(rep, L, rows, deltas, profs):
     an odd parity sum Pw_{p_h} vanishing on all earlier generators."""
     N, s = L.base, L.s
     t = N.t
-    M = _tri_rows(N.value, deltas, profs)
     for j, (d, I, _, _) in enumerate(rows):
         h_closed = _case(I, L.u, s, L.r_u, "Y2")[2]  # the H of the closed-form Y2 order
         rep.record("ell2/h-table", f"d={d}", profs[j].h == h_closed)
         if j == 0:
             continue
         if h_closed == 1:
-            diag_odd = M[j][j] % 2 == 1
-            above = all(M[i][j] == 0 for i in range(j))
+            # the anchor entry Vbar_delta_j and the column above it
+            diag_odd = profs[j].support.get(deltas[j], 0) % 2 == 1
+            above = all(profs[i].support.get(deltas[j], 0) == 0 for i in range(j))
             rep.record("ell2/column", f"d={d}, anchor delta={deltas[j]}",
                        diag_odd and above)
         else:

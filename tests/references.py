@@ -165,7 +165,7 @@ def tensor_profile(C1: CuspDivisor, C2: CuspDivisor) -> OrderProfile:
     idx = {d1 * d2: (i, j) for i, d1 in enumerate(ds1) for j, d2 in enumerate(ds2)}
     g = p1.gcd_value * p2.gcd_value
     if g == 0:
-        return OrderProfile(n, 0, None, {}, 1, 1, 0)
+        return OrderProfile(n, 0, {}, {}, 1, 1, 0)
     vbar = tuple(p1.Vbar[idx[d][0]] * p2.Vbar[idx[d][1]] for d in ds)
     s2 = sum(p2.Vbar)
     pw = {p: p1.pw[p] * s2 for p in factor(C1.n).primes}
@@ -173,7 +173,7 @@ def tensor_profile(C1: CuspDivisor, C2: CuspDivisor) -> OrderProfile:
     h = 2 if any(v % 2 for v in pw.values()) else 1
     deg = C1.degree() * C2.degree()
     order = Fraction(kappa(n) * h, 24 * g).numerator if deg == 0 else None
-    return OrderProfile(n, g, vbar, pw, h, order, deg)
+    return OrderProfile(n, g, {d: v for d, v in zip(ds, vbar) if v}, pw, h, order, deg)
 
 
 def _g_closed(n: int) -> int:

@@ -455,6 +455,10 @@ CERTIFICATE_COUNTS = {
             "sf-unipotence/ell=5": 62},
     2 ** 20: {"level16-relation": 2, "nsf-unipotence": 38, "order/Z": 20},
     3 ** 12: {"nsf-unipotence": 22, "order/Z": 12},
+    4620: {"ell2/column": 26, "ell2/h-table": 31, "ell2/parity": 4,
+           "nsf-unipotence": 32, "order/Y2/ell=2": 31, "order/Y2/ell=3": 31,
+           "order/Y2/ell=5": 31, "order/Z": 16, "sf-unipotence/ell=3": 62,
+           "sf-unipotence/ell=5": 62},
 }
 
 
@@ -564,7 +568,8 @@ def _spoil_factor(spoil):
     before tensor_profile reads it."""
     def inject(monkeypatch):
         real = orderengine._factor_image
-        monkeypatch.setattr(orderengine, "_factor_image", lambda v: spoil(real(v)))
+        monkeypatch.setattr(orderengine, "_factor_image",
+                            lambda m, coeffs: spoil(real(m, coeffs)))
     return inject
 
 
@@ -583,9 +588,19 @@ def _parity_sum_flipped(f):
     return f._replace(pw=((p, s + 1), *rest))
 
 
+def _extra_support_term_at_N(monkeypatch):
+    """Every support of a Vbar at N gains the term 1 at d = N, unless it
+    holds N already: a nonzero entry at a delta that comes late in the
+    divisor orderings."""
+    real = orderengine.tensor_terms
+    monkeypatch.setattr(orderengine, "tensor_terms",
+                        lambda levels, coeffs: {math.prod(levels): 1, **real(levels, coeffs)})
+
+
 # Defects injected into the per-factor data of tensor_profile, one per
-# identity it relies on, each with levels where crosscheck must then fail
-# on certificate criteria (the "/ell=..." suffix dropped) among the named.
+# identity it relies on, and into the support it forms from them, each with
+# levels where crosscheck must then fail on certificate criteria (the
+# "/ell=..." suffix dropped) among the named.
 FACTOR_DEFECTS = {
     "one Wbar entry off by one": (_spoil_factor(_wbar_entry_off_by_one), (12, 30, 60, 210, 720),
                                   {"nsf-unipotence", "sf-unipotence", "ell2/column"}),
@@ -593,6 +608,8 @@ FACTOR_DEFECTS = {
                     {"order/Z", "order/Y2"}),
     "parity sum flipped": (_spoil_factor(_parity_sum_flipped), (12, 30, 60, 210, 720),
                            {"ell2/h-table", "ell2/parity", "order/Z", "order/Y2"}),
+    "extra support term at N": (_extra_support_term_at_N, (12, 30, 60, 210, 720),
+                                {"nsf-unipotence", "sf-unipotence", "ell2/column"}),
 }
 
 
@@ -622,6 +639,37 @@ def test_certificates_apply_upsilon_only_at_factor_levels(monkeypatch):
         levels.clear()
         assert verify_certificates(n).passed
         assert levels and all(m < n and n % m == 0 and factor(m).t <= 2 for m in levels), n
+
+
+def test_certificates_read_no_dense_Vbar(monkeypatch):
+    """verify_certificates reads each profile's support, never the
+    sigma0(N)-long Vbar or V built from it."""
+    def refuse(prof):
+        raise AssertionError(f"dense Vbar read at level {prof.n}")
+
+    monkeypatch.setattr(orderengine.OrderProfile, "Vbar", property(refuse))
+    for n in LADDER:
+        assert verify_certificates(n).passed, n
+
+
+def test_crosscheck_witnesses_the_H_u_branch_at_s_4():
+    """4620 = 2^2*3*5*7*11 is the smallest level with Y2 generators in the
+    H_u branch of _case at s = 4, with H = 1 (d = 11, 33) and H = 2
+    (d = 231), a branch no other tier-1 level reaches.  Its certificate
+    steps per criterion are pinned in CERTIFICATE_COUNTS."""
+    n = 4620
+    assert crosscheck(n)["pass"]
+    witnesses = {}
+    for blk in structure._blocks(n):
+        L = blk.level
+        if blk.kind != "Y2" or L.s != 4:
+            continue
+        for d, I, _, _ in blk.rows:
+            # _case's last branch, a D pair (m, k), taken on H_u
+            if not (intarith.in_F_set(I, L.s) or intarith.in_G_set(I, L.s)
+                    or intarith.in_E_set(I)) and intarith.in_H_u(I, L.u):
+                witnesses[d] = generators._case(I, L.u, L.s, L.r_u, "Y2")[2]
+    assert witnesses == {11: 1, 33: 1, 231: 2}
 
 
 def test_blocks_share_tables_exactly_when_orderings_agree():
