@@ -16,7 +16,7 @@ import re
 import sys
 
 from .cusps import enumerate_cusps, width
-from .divisors import CuspDivisor, divisor_to_json, from_dict
+from .divisors import CuspDivisor, divisor_to_json, format_terms, from_dict
 from .etalinalg import eta_qexpansion, format_qexpansion
 from .intarith import divisors
 from .orderengine import eta_certificate, profile, profile_to_json
@@ -92,7 +92,7 @@ def cmd_order(args) -> int:
     D = parse_divisor_spec(args.divisor, args.N)
     prof = profile(D)
     if args.json:
-        print(json.dumps({"N": args.N, "divisor": divisor_to_json(D),
+        print(json.dumps({"N": args.N, "divisor": divisor_to_json(D.n, D.support),
                           **profile_to_json(prof)}))
     else:
         print(f"degree {prof.degree}")
@@ -132,8 +132,8 @@ def cmd_group(args) -> int:
         return 0
     desc = " x ".join(f"Z/{d}" for d in G.invariant_factors)
     print(f"C({args.N}) = {desc}  (order {G.group_order})")
-    for lab, vec, o in G.cyclic_factors:
-        print(f"  {lab}: order {o}, divisor {vec}")
+    for lab, terms, o in G.cyclic_factors:
+        print(f"  {lab}: order {o}, divisor {format_terms(terms().items())}")
     return 0
 
 

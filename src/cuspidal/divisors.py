@@ -6,16 +6,17 @@ degree-0 sublattice.  The degeneracy pullbacks (alpha_p)^*, (beta_p)^* and
 their pi compositions, which build the base vectors of the generators, act
 on this basis by the case-by-case exponent formulas, extended linearly.
 
-tensor_terms multiplies coefficient tuples at pairwise coprime levels over
-their nonzero entries only, into {divisor of the product: coefficient}, and
-tensor_join places those terms in a divisor at the product level.  kron is
-the dense Kronecker product, in factor order, that the oracle uses.
+tensor_terms multiplies the supports (cached nonzero (d, c) pairs) of factors
+at coprime levels into {divisor of the product: coefficient}, tensor_join
+places those terms in a divisor at the product level, and kron is the dense
+Kronecker product, in factor order, that the oracle uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from .intarith import degree_weights, divisor_positions, divisors, phi, valuation
@@ -23,7 +24,8 @@ from .intarith import degree_weights, divisor_positions, divisors, phi, valuatio
 
 @dataclass(frozen=True)
 class CuspDivisor:
-    """An element of S2(N): coefficients on (P_d), d ascending."""
+    """An element of S2(N): coefficients on (P_d), d ascending, and its
+    support, the pairs (d, c) with c != 0 in that order, found once."""
 
     n: int
     coeffs: tuple
@@ -33,8 +35,12 @@ class CuspDivisor:
             raise ValueError(f"a divisor at level {self.n} needs {len(divisors(self.n))} "
                              f"coefficients, not {len(self.coeffs)}")
 
+    @cached_property
+    def support(self) -> tuple:
+        return tuple([(d, c) for d, c in zip(divisors(self.n), self.coeffs) if c])
+
     def as_dict(self) -> dict:
-        return {d: c for d, c in zip(divisors(self.n), self.coeffs) if c}
+        return dict(self.support)
 
     def degree(self):
         return sum(map(mul, self.coeffs, degree_weights(self.n)))
@@ -54,8 +60,12 @@ class CuspDivisor:
         return CuspDivisor(self.n, tuple(k * a for a in self.coeffs))
 
     def __str__(self):
-        terms = [f"{c}*({d})" for d, c in self.as_dict().items()]
-        return ",".join(terms) if terms else "0"
+        return format_terms(self.support)
+
+
+def format_terms(terms) -> str:
+    """The pairs (d, c) as "c*(d)" joined by commas, or "0" when there are none."""
+    return ",".join([f"{c}*({d})" for d, c in terms]) or "0"
 
 
 def from_dict(n, coeffs: dict) -> CuspDivisor:
@@ -68,9 +78,9 @@ def from_dict(n, coeffs: dict) -> CuspDivisor:
     return CuspDivisor(n, tuple(out))
 
 
-def divisor_to_json(D: CuspDivisor) -> dict:
-    """{"N": N, "coeffs": {"d": c}} over the nonzero coefficients, d ascending."""
-    return {"N": D.n, "coeffs": {str(d): c for d, c in zip(divisors(D.n), D.coeffs) if c}}
+def divisor_to_json(n, terms) -> dict:
+    """{"N": N, "coeffs": {"d": c}} over the pairs (d, c) of nonzero terms."""
+    return {"N": n, "coeffs": {str(d): c for d, c in terms}}
 
 
 def orbit_divisor(n, d: int) -> CuspDivisor:
@@ -98,18 +108,17 @@ def kron(coeffs) -> list:
     return flat
 
 
-def tensor_terms(levels: tuple, coeffs) -> dict:
-    """{d_1...d_k: c_1...c_k} over the nonzero entries c_i at d_i of
-    coefficient tuples over the divisors of M_1, ..., M_k (no factors give
-    {1: 1}).  The products d_1...d_k are distinct exactly when the levels
-    are pairwise coprime."""
+def tensor_terms(levels: tuple, supports) -> dict:
+    """{d_1...d_k: c_1...c_k} over the pairs (d_i, c_i) of the supports, the
+    nonzero entries of factors at the levels M_1, ..., M_k (no factors give
+    {1: 1}), in no particular order.  The products d_1...d_k are distinct
+    exactly when the levels are pairwise coprime."""
     if math.prod(levels) != math.lcm(*levels):
         raise ValueError("tensor factors must have coprime levels")
-    terms = {1: 1}
-    for m, c in zip(levels, coeffs):
-        items = terms.items()
-        terms = {a * d: b * x for d, x in zip(divisors(m), c) if x for a, b in items}
-    return terms
+    terms = [(1, 1)]
+    for support in supports:
+        terms = [(a * d, b * x) for d, x in support for a, b in terms]
+    return dict(terms)
 
 
 def tensor_join(*vecs: CuspDivisor) -> CuspDivisor:
@@ -117,7 +126,7 @@ def tensor_join(*vecs: CuspDivisor) -> CuspDivisor:
     multilinearly, for any number of factors at pairwise coprime levels (no
     factors give the unit at level 1)."""
     levels = tuple(v.n for v in vecs)
-    return from_dict(math.prod(levels), tensor_terms(levels, [v.coeffs for v in vecs]))
+    return from_dict(math.prod(levels), tensor_terms(levels, [v.support for v in vecs]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +140,7 @@ def _p_parts(d: int, p: int):
 
 def _map_basis(D: CuspDivisor, n_target: int, rule) -> CuspDivisor:
     out = {}
-    for d, c in D.as_dict().items():
+    for d, c in D.support:
         for d_new, mult in rule(d):
             out[d_new] = out.get(d_new, 0) + c * mult
     return from_dict(n_target, out)

@@ -12,9 +12,9 @@ Generators are keyed by their exponent tuple I.  Yoo's case split depends
 only on the shape (I, u, s, r_u, kind), so _case makes it once per shape:
 one base vector per prime slot (A, B or B2), at most one two-prime D in
 place of two slots, and the H factor of the order.  generator_factors and
-generator_order read it; generator_vector is the tensor_join of the
-factors, and construct_Z, construct_Y and predicted_order wrap them for a
-divisor d.
+generator_order read it; generator_terms multiplies the factors' nonzero
+entries, generator_vector places the terms in a divisor, and construct_Z,
+construct_Y and predicted_order wrap them for a divisor d.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
-                       pi2_pull, pi12_pull_div_p, tensor_join)
+                       pi2_pull, pi12_pull_div_p, tensor_terms)
 from .intarith import (FactoredInteger, A_tuple, E_tuple, exponent_tuple,
                        factor, in_delta, in_E_set, in_F_set, in_F1_set,
                        in_G_set, in_G1_set, in_H_u, in_H_u1, in_square, in_T_u,
@@ -242,11 +242,14 @@ def D_vector(L: OrderedLevel, i: int, j: int) -> CuspDivisor:
 
 @lru_cache(maxsize=4096)
 def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
+    """(g_j/G) B_i (x) A_j0 - (g_i/G) A_i0 (x) B_j, G = gcd(g_i, g_j): as A(p, r, 0)
+    is (P_1), the two tensors sit on the supports of B_i and of B_j."""
     gi, gj = _gamma(pi, ri), _gamma(pj, rj)
     G = math.gcd(gi, gj)
-    left = tensor_join(base_vector_B(pi, ri), base_vector_A(pj, rj, 0))
-    right = tensor_join(base_vector_A(pi, ri, 0), base_vector_B(pj, rj))
-    return (gj // G) * left - (gi // G) * right
+    terms = {d: gj // G * c for d, c in base_vector_B(pi, ri).support}
+    for d, c in base_vector_B(pj, rj).support:
+        terms[d] = terms.get(d, 0) - gi // G * c
+    return from_dict(pi ** ri * pj ** rj, terms)
 
 
 @lru_cache(maxsize=None)
@@ -298,9 +301,17 @@ def generator_factors(L: OrderedLevel, I, kind: str) -> tuple:
     return tuple(vecs)
 
 
+def generator_terms(L: OrderedLevel, I, kind: str) -> dict:
+    """The nonzero terms {d: c}, d ascending, of the generator of kind "Z",
+    "Z1" or "Y2" at the exponent tuple I of L, from its factors' supports."""
+    vecs = generator_factors(L, I, kind)
+    terms = tensor_terms(tuple([v.n for v in vecs]), [v.support for v in vecs])
+    return dict(sorted(terms.items()))
+
+
 def generator_vector(L: OrderedLevel, I, kind: str) -> CuspDivisor:
     """The generator of kind "Z", "Z1" or "Y2" at the exponent tuple I of L."""
-    return tensor_join(*generator_factors(L, I, kind))
+    return from_dict(L.base.value, generator_terms(L, I, kind))
 
 
 # The (L, d) wrappers construct_Z, construct_Y and predicted_order: only the

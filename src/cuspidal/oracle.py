@@ -30,7 +30,7 @@ from .intarith import degree_weights, factor, kappa, valuation
 @dataclass(frozen=True)
 class AbelianGroupStructure:
     n: int
-    cyclic_factors: tuple  # (label, CuspDivisor or None, order > 1)
+    cyclic_factors: tuple  # (label, callable for the terms or None, order > 1)
     ell_primary: dict      # ell -> tuple of ell-power orders, descending
     invariant_factors: tuple  # ascending divisibility chain
     group_order: int

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .divisors import CuspDivisor, from_dict, tensor_terms
 from .etalinalg import eta_divisor, ligozat_check, ligozat_weights, upsilon_apply
-from .intarith import degree_weights, factor, kappa
+from .intarith import degree_weights, divisors, factor, kappa
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,8 @@ def tensor_profile(vecs) -> OrderProfile:
     if deg == 0:
         # the numerator of k * h / (24 * GCD), GCD > 0
         order = k * h // math.gcd(k * h, 24 * g)
-    return OrderProfile(n, g, tensor_terms(levels, wbars), dict(pw), h, order, deg)
+    supports = [[(d, x) for d, x in zip(divisors(m), w) if x] for m, w in zip(levels, wbars)]
+    return OrderProfile(n, g, tensor_terms(levels, supports), dict(pw), h, order, deg)
 
 
 def eta_certificate(C: CuspDivisor) -> tuple:

@@ -13,29 +13,28 @@ per prime ordering (the Z block on the default level, then B(p, r, 1) when
 N = p^r, else one Y2 block per relevant ell), each with rows (d, I, label,
 closed-form order) in ascending d, I the exponent tuple of d in the block's
 prime ordering read off divisor_exponents(N), and two functools.cache
-callables, vector(d) and profile(d), so each generator is built and
+callables, terms(d) and profile(d), so each generator is built and
 profiled at most once per walk; Y2 blocks of equal orderings share the
 table and the two callables.  A generator is a tensor of prime-power base
-vectors and at most one two-prime D vector, and profile(d) is read off the
-gcd, normalized image, total and parity sums of each factor's image under
-Upsilon (orderengine.tensor_profile): it builds no vector, no V and no
-Vbar, only the support of Vbar (its nonzero entries), and never applies
-Upsilon at N.  compute_group keeps the rows of order > 1 (of ell-part > 1
-for Y2) and builds only their vectors;
-verify_certificates re-sorts each block by the rank of I in
+vectors and at most one two-prime D vector: terms(d), its nonzero terms
+d ascending, are products of the factors' nonzero entries (no sigma0(N)
+tuple), and profile(d) is read off the gcd, normalized image, total and
+parity sums of each factor's image under Upsilon (tensor_profile), never
+applying Upsilon at N.  compute_group keeps the rows of order > 1 (of
+ell-part > 1 for Y2), each with a callable for its terms that only the
+printers call; verify_certificates re-sorts each block by the rank of I in
 divisor_orderings, which depends only on the shape (exponents, u) of the
 block's level, profiles each generator and re-runs the split-off
 hypotheses (unipotence of the normalized-profile matrices, the h and
 parity side conditions) on the concrete level N.
-crosscheck hands one walk to both, so each generator is built and profiled
-at most once.
+crosscheck hands one walk to both and builds no terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -44,7 +43,7 @@ from .etalinalg import ligozat_weights
 from .intarith import (E_tuple, divisor_exponents, divisor_of, divisors, factor,
                        in_square, kappa, valuation)
 from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
-                         generator_factors, generator_order, generator_vector,
+                         generator_factors, generator_order, generator_terms,
                          in_T_u, order_primes)
 from .oracle import AbelianGroupStructure, _merge_invariants, snf_oracle
 from .orderengine import profile, tensor_profile
@@ -141,21 +140,21 @@ class _Block(NamedTuple):
     order) in ascending d, I the exponent tuple of d in the prime order of
     level.  kind is "Z" for the non-squarefree block, "B" for B(p, r, 1) at
     N = p^r and "Y2" for the squarefree block of the target prime level.ell.
-    vector(d) and profile(d), from _memo, are the generator at d and its
-    profile, each made at most once per walk; profile(d) is read off the
-    generator's tensor factors, without vector(d)."""
+    terms(d) and profile(d), from _memo, are the nonzero terms {d: c} of the
+    generator at d, d ascending, and its profile, each made at most once per
+    walk; profile(d) is read off the tensor factors, without terms(d)."""
     kind: str
     level: OrderedLevel
     rows: tuple
-    vector: Callable
+    terms: Callable
     profile: Callable
 
 
 def _memo(L: OrderedLevel, Is: dict, kind: str):
-    """The cached pair vector(d), the generator of kind at the exponent tuple
-    Is[d] of L, and profile(d), its profile from the Upsilon images of its
-    tensor factors at their own levels, which never builds vector(d)."""
-    return (cache(lambda d: generator_vector(L, Is[d], kind)),
+    """The cached pair terms(d), the nonzero terms of the generator of kind
+    at the exponent tuple Is[d] of L, and profile(d), its profile from the
+    Upsilon images of its tensor factors at their own levels."""
+    return (cache(lambda d: generator_terms(L, Is[d], kind)),
             cache(lambda d: tensor_profile(generator_factors(L, Is[d], kind))))
 
 
@@ -169,8 +168,8 @@ def _blocks(n: int):
     One builder makes every block from its level and the exponent tuples of
     its divisors, read off divisor_exponents(N) in the block's prime
     ordering: the B block is the Z generator at the tuple (1,).  Y2 blocks
-    with equal (factors, s) share rows, vector and profile.  Orders of 1 are
-    kept; vectors are built only on request."""
+    with equal (factors, s) share rows, terms and profile.  Orders of 1 are
+    kept; terms are built only on request."""
     fn = factor(n)
     if fn.t == 0:
         return
@@ -204,10 +203,10 @@ def _blocks(n: int):
 
 
 def compute_group(n, blocks=None) -> AbelianGroupStructure:
-    """The decomposition of C(N) into explicit cyclic factors: one per row of
+    """C(N) as explicit cyclic factors (label, terms, order): one per row of
     the table of order > 1, each Y2 row taken with the ell-part of its order,
-    and the prime ordering of each ell with such a row.  blocks, if given, is
-    a walk of _blocks(N) whose vectors are shared with the caller."""
+    and the prime ordering of each ell with such a row.  terms() builds the
+    nonzero terms {d: c}, d ascending.  blocks, if given, is a walk of _blocks(N)."""
     factors, orderings = [], {}
     for blk in _blocks(n) if blocks is None else blocks:
         ell = blk.level.ell if blk.kind == "Y2" else None
@@ -215,7 +214,7 @@ def compute_group(n, blocks=None) -> AbelianGroupStructure:
             if ell:
                 order = ell ** valuation(order, ell)
             if order > 1:
-                factors.append((label, blk.vector(d), order))
+                factors.append((label, partial(blk.terms, d), order))
                 if ell:
                     orderings[ell] = blk.level.base.primes
     orders = [o for _, _, o in factors]
@@ -243,9 +242,9 @@ def group_to_json(G: AbelianGroupStructure) -> dict:
                      for ell, ps in sorted(G.orderings.items())],
         "generators": [
             {"label": lab,
-             "divisor": divisor_to_json(vec),
+             "divisor": divisor_to_json(G.n, terms().items()),
              "order": str(o)}
-            for lab, vec, o in G.cyclic_factors],
+            for lab, terms, o in G.cyclic_factors],
         "ell_primary": {str(ell): [str(o) for o in v] for ell, v in sorted(G.ell_primary.items())},
         "invariant_factors": [str(d) for d in G.invariant_factors],
         "group_order": str(G.group_order),
@@ -291,7 +290,7 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
     """Re-check every block of the table on N: closed-form orders against the
     profiles, and unipotence or the ell = 2 split conditions in the divisor
     orderings of the block's shape.  blocks, if given, is a walk of
-    _blocks(N) whose vectors and profiles are shared with the caller."""
+    _blocks(N) whose profiles are shared with the caller."""
     rep = CertificateReport(n)
     if n == 1:
         rep.record("trivial", "N=1", True)
@@ -378,7 +377,7 @@ def _ell2_split_conditions(rep, L, rows, deltas, profs):
 def crosscheck(n) -> dict:
     """compute_group vs snf_oracle vs verify_certificates; full agreement
     expected for every N.  compute_group and verify_certificates share one
-    walk of _blocks(N), so each generator is built and profiled once.  A
+    walk of _blocks(N); each generator is profiled once and never built.  A
     generator whose closed-form order disagrees with its profile shows up
     as a failed order/... step of the certificates."""
     blocks = tuple(_blocks(n))

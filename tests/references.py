@@ -1,21 +1,34 @@
 """Test-only references: operators, closed forms and dense formulas that
 the package's main path does not call.  The tests check the package against
-them: the Hecke and Atkin-Lehner compatibilities of the degeneracy maps, the
-closed-form orders of the C_d and the tensor profiles against profile, the
-entries a_N(d, delta) of 24 * Lambda(N) against lambda24, and the
-tensor-local snf_oracle against its dense premise rows."""
+them: the two-prime D vectors by their dense definition, the Hecke and
+Atkin-Lehner compatibilities of the degeneracy maps, the closed-form orders
+of the C_d and the tensor profiles against profile, the entries
+a_N(d, delta) of 24 * Lambda(N) against lambda24, and the tensor-local
+snf_oracle against its dense premise rows."""
 
 import math
 from fractions import Fraction
 from operator import mul
 
 from cuspidal.cusps import Cusp, make_cusp
-from cuspidal.divisors import C_generator, CuspDivisor, _map_basis, _p_parts
+from cuspidal.divisors import C_generator, CuspDivisor, _map_basis, _p_parts, tensor_join
 from cuspidal.intarith import (FactoredInteger, divisors, factor,
                                kappa, valuation, z_of)
 from cuspidal.etalinalg import _unit, ligozat_weights, upsilon_apply
+from cuspidal.generators import base_vector_A, base_vector_B
 from cuspidal.orderengine import OrderProfile, profile
 from cuspidal.structure import invariant_factors_of_quotient
+
+
+def two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
+    """The two-prime D vector by its definition, (g_j/G) B_i (x) A_j0 -
+    (g_i/G) A_i0 (x) B_j with g = p^(r-1) (p + 1) and G = gcd(g_i, g_j), the
+    tensors built densely through tensor_join."""
+    gi, gj = pi ** (ri - 1) * (pi + 1), pj ** (rj - 1) * (pj + 1)
+    G = math.gcd(gi, gj)
+    left = tensor_join(base_vector_B(pi, ri), base_vector_A(pj, rj, 0))
+    right = tensor_join(base_vector_A(pi, ri, 0), base_vector_B(pj, rj))
+    return (gj // G) * left - (gi // G) * right
 
 
 def radical(fn: FactoredInteger) -> int:

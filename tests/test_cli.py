@@ -104,6 +104,38 @@ def test_group_verb(capsys):
     assert obj["invariant_factors"] == ["5"]
 
 
+# sha256 of the raw stdout of `group N --json` and of `group N`: unlike the
+# seed-0 digests, which hash sorted-key JSON, these see the order of
+# "coeffs" and every character of the text form.
+GROUP_JSON_STDOUT = {
+    1: "61862e7164c3882cd89ccb6bcf4fe0770d18f08a599a554822e585372a6116d7",
+    11: "3c842e9b7068df5c25dbc7e410d404ad739936fe3f8240e88026b3337bdf58af",
+    35: "baf455fc90bae1343f97cd546cf2aebff7293c35050406cd894a36e0d6b11226",
+    64: "43521f2d85820d13fa58f5c6a60936eeea73bad71723c3ca0bad3717d340a20f",
+    210: "1a74bd922e43757398e44c54a9aed987b21d8a532f3825ef060aff51518c16a5",
+    720: "ef5f790ceb11f1db82d62ad56c3d0fe6ef71414d35bdcd57d0e743f1ca13c371",
+    4620: "351b67076ff89dc74ecb6d1859ede3a61973dbad8e53706273ac770364bbc112",
+    5040: "4494a4dab2fa2b65a6fc119255c98d9a9cc6e57d682b3df4709b3f892e779542",
+    55440: "39d187ed6b51f91433aac5dec43aae881b21555bda9f56595aed6b10f02c3aae",
+    720720: "7e8b1bb9e533958fa5684596870bf36e9bb6541011ee49d6c783592221edec44",
+}
+
+GROUP_TEXT_STDOUT = {
+    11: "00a1636c094448ae79654fc704405b3bf0bd741b615ea613916f70dfa1e6b183",
+    35: "500ea464ab8b94b0726f26fece87af51a65cceef40c12573fa55b3de6e09e05f",
+    210: "59aad2962ba1632fdc81f36aed55ad7c3cfa7cf14672d25c52bf8bb6416d2422",
+    720: "ec6d97586ceac101e3d2e3df3bdb9bd593ba62bd21d16a5d51464e5d7fa8e9f8",
+}
+
+
+@pytest.mark.parametrize("flags, pinned",
+                         [(["--json"], GROUP_JSON_STDOUT), ([], GROUP_TEXT_STDOUT)])
+def test_group_stdout_matches_the_pinned_digests(capsys, flags, pinned):
+    for n, want in pinned.items():
+        code, out, _ = run(capsys, "group", str(n), *flags)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, n
+
+
 def test_verify_verb(capsys):
     code, out, _ = run(capsys, "verify", "32")
     assert code == 0 and "pass" in out

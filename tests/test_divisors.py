@@ -135,6 +135,19 @@ def test_tensor_join_matches_dict_product():
             tensor_join(*(orbit_divisor(m, 1) for m in levels))
 
 
+def test_support_is_the_nonzero_coefficients_ascending():
+    """support holds the nonzero (d, c) in ascending d, as as_dict does, and
+    caching it leaves equality and the hash as they were."""
+    rng = random.Random(5)
+    for m in (1, 2, 12, 36, 720, 2 ** 7, 3 * 5 * 7 * 11, 2 ** 4 * 3 ** 2 * 5 * 7):
+        for _ in range(10):
+            D = CuspDivisor(m, tuple(rng.choice((0, 0, 0, 1, -2, 5)) for _ in divisors(m)))
+            want = [(d, c) for d, c in zip(divisors(m), D.coeffs) if c]
+            assert list(D.support) == want == list(D.as_dict().items())
+            E = CuspDivisor(m, D.coeffs)
+            assert D == E and hash(D) == hash(E)
+
+
 def test_from_dict_rejects_non_divisors():
     assert from_dict(12, {12: 3, 1: -1}).coeffs == (-1, 0, 0, 0, 0, 3)
     for d in (5, 24, 36, 13):

@@ -7,14 +7,14 @@ import pytest
 from base_images import base_vector_image
 from cuspidal.divisors import orbit_divisor
 from cuspidal.etalinalg import upsilon_apply
-from cuspidal.generators import (D_vector, base_vector_A, base_vector_B,
+from cuspidal.generators import (D_vector, _two_prime_D, base_vector_A, base_vector_B,
                                  base_vector_B2, construct_Y, construct_Z,
                                  default_level, divisor_orderings, iota_delta,
                                  iota_r, order_primes, prec_ladder,
                                  predicted_order, tri_ladder)
 from cuspidal.intarith import divisor_of, divisors, in_square, kappa, valuation
 from cuspidal.orderengine import profile
-from references import radical
+from references import radical, two_prime_D
 
 
 def test_ladders():
@@ -236,3 +236,13 @@ def test_Y_variants_degree_zero():
         assert construct_Y(L, d).degree() == 0
     with pytest.raises(ValueError):
         construct_Y(L, 4)
+
+
+def test_two_prime_D_matches_its_dense_definition():
+    """The D vector read off the supports of B_i and B_j equals the
+    difference of the two tensor_joins that define it, on every ordered pair
+    of prime powers p^r, q^s with p != q <= 13 and r, s <= 6."""
+    powers = [(p, r) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 7)]
+    for (p, r), (q, s) in product(powers, repeat=2):
+        if p != q:
+            assert _two_prime_D.__wrapped__(p, r, q, s) == two_prime_D(p, r, q, s), (p, r, q, s)

@@ -12,7 +12,7 @@ from sympy import Matrix, Symbol, eye, zeros
 from sympy.matrices.normalforms import smith_normal_form
 
 from cuspidal import cli, etalinalg, generators, intarith, oracle, orderengine, structure
-from cuspidal.divisors import kron
+from cuspidal.divisors import from_dict, kron
 from cuspidal.etalinalg import (_lambda24_block, _upsilon_block_entry, eta_divisor,
                                 ligozat_check, ligozat_weights)
 from cuspidal.generators import (base_vector_B, construct_Y, construct_Z,
@@ -309,8 +309,8 @@ def test_snf_oracle_examples():
 def test_compute_group_examples():
     G = compute_group(11)
     assert G.invariant_factors == (5,) and G.group_order == 5
-    lab, vec, o = G.cyclic_factors[0]
-    assert o == 5 and vec.as_dict() == {1: 1, 11: -1}  # (0) - (infinity)
+    lab, terms, o = G.cyclic_factors[0]
+    assert o == 5 and terms() == {1: 1, 11: -1}  # (0) - (infinity)
     assert compute_group(32).invariant_factors == (4,)
     assert compute_group(49).invariant_factors == (2,)
     assert compute_group(1).group_order == 1
@@ -323,8 +323,8 @@ def test_group_invariants_consistent():
         assert math.prod(G.invariant_factors) == G.group_order
         for i in range(len(G.invariant_factors) - 1):
             assert G.invariant_factors[i + 1] % G.invariant_factors[i] == 0
-        for lab, vec, o in G.cyclic_factors:
-            assert profile(vec).order % o == 0
+        for lab, terms, o in G.cyclic_factors:
+            assert profile(from_dict(n, terms())).order % o == 0
 
 
 def test_ell_primary():
@@ -516,7 +516,7 @@ def test_blocks_match_the_per_divisor_wrappers():
                 else:
                     (p, r), = L.base.factors
                     want = predicted_order(L, p, "Z"), base_vector_B(p, r)
-                assert (order, blk.vector(d)) == want, (n, blk.kind, L.ell, d)
+                assert (order, from_dict(n, blk.terms(d))) == want, (n, blk.kind, L.ell, d)
 
 
 def _assert_factor_route_matches_the_dense_route(n):
@@ -672,13 +672,79 @@ def test_crosscheck_witnesses_the_H_u_branch_at_s_4():
     assert witnesses == {11: 1, 33: 1, 231: 2}
 
 
+# (block kind, _case branch, H, s) of every generator row of _blocks(N) over
+# N <= 720, ROADMAP_LADDER, 4620 and 3000 uniform levels <= 10^6 (Random(0)).
+# The branches are A and B2 (on T_u) for Z, B for the block B(p, r, 1) at
+# N = p^r, and F, G, E, H_u (a D pair (m, k)) and pair (a D pair (m, n)) for Y2.
+BRANCH_KEYS = {(kind, branch, H, s) for kind, branch, H, ss in (
+    ("B", "B", 2, (0, 1)),
+    ("Z", "A", 1, (0, 1)), ("Z", "A", 2, (1,)), ("Z", "B2", 1, (1,)), ("Z", "B2", 2, (1,)),
+    ("Y2", "E", 1, range(7)), ("Y2", "E", 2, range(7)),
+    ("Y2", "F", 1, range(1, 7)), ("Y2", "G", 1, (1,)),
+    ("Y2", "H_u", 1, (0, 2, 3, 4)), ("Y2", "H_u", 2, (0, 2, 3, 4)),
+    ("Y2", "pair", 1, range(7)), ("Y2", "pair", 2, range(7))) for s in ss}
+
+
+def _branch_keys(n):
+    """The BRANCH_KEYS keys of the rows of _blocks(N), read off the exponent
+    tuples as _case reads them, without building or profiling a generator."""
+    keys = set()
+    for blk in structure._blocks(n):
+        L = blk.level
+        for _, I, _, _ in blk.rows:
+            if blk.kind != "Y2":
+                branch = ("B" if not intarith.in_square(I) else
+                          "B2" if intarith.in_T_u(I, L.r_u, L.u) else "A")
+            else:
+                branch = next((name for name, hit in (
+                    ("F", intarith.in_F_set(I, L.s)), ("G", intarith.in_G_set(I, L.s)),
+                    ("E", intarith.in_E_set(I)), ("H_u", intarith.in_H_u(I, L.u))) if hit),
+                    "pair")
+            H = generators._case(I, L.u, L.s, L.r_u, "Y2" if blk.kind == "Y2" else "Z")[2]
+            keys.add((blk.kind, branch, H, L.s))
+    return keys
+
+
+def test_tier1_crosschecks_witness_every_generator_branch():
+    """The levels tier-1 crosschecks (N <= 720 and ROADMAP_LADDER in
+    test_divisor_orderings_computed_once_per_shape and the ladder digest,
+    4620 in the H_u witness test) reach every key of BRANCH_KEYS."""
+    assert len(BRANCH_KEYS) == 50
+    levels = list(range(1, 721)) + list(ROADMAP_LADDER) + [4620]
+    assert set().union(*map(_branch_keys, levels)) == BRANCH_KEYS
+
+
+@pytest.mark.slow
+def test_branch_keys_are_those_of_a_wide_sample():
+    """BRANCH_KEYS is exactly the set the wide sample reaches."""
+    rng = random.Random(0)
+    levels = list(range(1, 721)) + list(ROADMAP_LADDER) + [4620]
+    levels += [rng.randint(1, 10 ** 6) for _ in range(3000)]
+    assert set().union(*map(_branch_keys, levels)) == BRANCH_KEYS
+
+
+def test_crosscheck_builds_no_generator(monkeypatch):
+    """crosscheck reads only the orders: it passes with the block term
+    builder and generator_vector both refusing to run, while group_to_json,
+    which prints the generators, cannot."""
+    def refuse(L, I, kind):
+        raise AssertionError(f"the {kind} generator at {I} was built")
+
+    monkeypatch.setattr(structure, "generator_terms", refuse)
+    monkeypatch.setattr(generators, "generator_vector", refuse)
+    for n in (4620, 5040, 30030, 55440, 720720, 2 ** 20, 3 ** 12):
+        assert crosscheck(n)["pass"], n
+    with pytest.raises(AssertionError, match="was built"):
+        group_to_json(compute_group(5040))
+
+
 def test_blocks_share_tables_exactly_when_orderings_agree():
     for n in _table_levels():
         y2 = [blk for blk in structure._blocks(n) if blk.kind == "Y2"]
         for a in y2:
             for b in y2:
                 same = (a.level.base.factors, a.level.s) == (b.level.base.factors, b.level.s)
-                assert (a.vector is b.vector) == same, (n, a.level.ell, b.level.ell)
+                assert (a.terms is b.terms) == same, (n, a.level.ell, b.level.ell)
                 assert (a.profile is b.profile) == same, (n, a.level.ell, b.level.ell)
                 assert (a.rows is b.rows) == same, (n, a.level.ell, b.level.ell)
 
