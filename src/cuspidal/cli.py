@@ -25,7 +25,7 @@ from .structure import compute_group, crosscheck, group_to_json
 MAX_LEVEL = 10 ** 6
 MAX_QEXP = 1000  # eta --qexp costs about K^2 series steps
 
-_TERM = re.compile(r"([+-]?\d+)\*\((\d+)\)")
+_TERM = re.compile(r"([+-]?\d+)\*\((\d+)\)", re.ASCII)
 
 
 def _is_int(x) -> bool:
@@ -56,6 +56,9 @@ def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
             raise ValueError(f'a JSON divisor\'s "N" must be an integer, not {level!r}')
         if level != n:
             raise ValueError(f"divisor level {level} does not match N={n}")
+        bad = next((d for d in obj["coeffs"] if not (d.isascii() and d.isdigit())), None)
+        if bad is not None:
+            raise ValueError(f"a JSON divisor key must be decimal digits 0-9, not {bad!r}")
         terms = [(int(d), c) for d, c in obj["coeffs"].items()]
     else:
         compact = text.replace(",", "+").replace(" ", "")

@@ -10,23 +10,21 @@ the tests and the benchmark tracer.
 
 The generators come from one walk, _blocks(N), over Yoo's table: one block
 per prime ordering (the Z block on the default level, then B(p, r, 1) when
-N = p^r, else one Y2 block per relevant ell), each with rows (d, I, label,
-closed-form order) in ascending d, I the exponent tuple of d in the block's
-prime ordering read off divisor_exponents(N), and two functools.cache
-callables, terms(d) and profile(d), so each generator is built and
-profiled at most once per walk; Y2 blocks of equal orderings share the
-table and the two callables.  A generator is a tensor of prime-power base
-vectors and at most one two-prime D vector: terms(d), its nonzero terms
-d ascending, are products of the factors' nonzero entries (no sigma0(N)
-tuple), and profile(d) is read off the gcd, normalized image, total and
-parity sums of each factor's image under Upsilon (tensor_profile), never
-applying Upsilon at N.  compute_group keeps the rows of order > 1 (of
-ell-part > 1 for Y2), each with a callable for its terms that only the
-printers call; verify_certificates re-sorts each block by the rank of I in
-divisor_orderings, which depends only on the shape (exponents, u) of the
-block's level, profiles each generator and re-runs the split-off
-hypotheses (unipotence of the normalized-profile matrices, the h and
-parity side conditions) on the concrete level N.
+N = p^r, else one Y2 block per relevant ell on its own order_primes(N, ell)),
+each plain data, rows (d, I, label, closed-form order) in ascending d, I the
+exponent tuple of d in the block's prime ordering read off
+divisor_exponents(N).  A generator is a tensor of prime-power base vectors
+and at most one two-prime D vector (generator_factors(L, I, kind)): its
+nonzero terms, d ascending, are products of the factors' nonzero entries
+(generator_terms, no sigma0(N) tuple), and its profile is read off the gcd,
+normalized image, total and parity sums of each factor's image under
+Upsilon (tensor_profile), never applying Upsilon at N.  compute_group keeps
+the rows of order > 1 (of ell-part > 1 for Y2), each with a callable for
+its terms that only the printers call; verify_certificates re-sorts each
+block by the rank of I in divisor_orderings, which depends only on the
+shape (exponents, u) of the block's level, profiles each generator and
+re-runs the split-off hypotheses (unipotence of the normalized-profile
+matrices, the h and parity side conditions) on the concrete level N.
 crosscheck hands one walk to both and builds no terms.
 """
 
@@ -34,9 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import ligozat_weights
@@ -139,23 +137,10 @@ class _Block(NamedTuple):
     """The generators of one prime ordering: rows (d, I, label, closed-form
     order) in ascending d, I the exponent tuple of d in the prime order of
     level.  kind is "Z" for the non-squarefree block, "B" for B(p, r, 1) at
-    N = p^r and "Y2" for the squarefree block of the target prime level.ell.
-    terms(d) and profile(d), from _memo, are the nonzero terms {d: c} of the
-    generator at d, d ascending, and its profile, each made at most once per
-    walk; profile(d) is read off the tensor factors, without terms(d)."""
+    N = p^r and "Y2" for the squarefree block of the target prime level.ell."""
     kind: str
     level: OrderedLevel
     rows: tuple
-    terms: Callable
-    profile: Callable
-
-
-def _memo(L: OrderedLevel, Is: dict, kind: str):
-    """The cached pair terms(d), the nonzero terms of the generator of kind
-    at the exponent tuple Is[d] of L, and profile(d), its profile from the
-    Upsilon images of its tensor factors at their own levels."""
-    return (cache(lambda d: generator_terms(L, Is[d], kind)),
-            cache(lambda d: tensor_profile(generator_factors(L, Is[d], kind))))
 
 
 def _relevant_ells(n: int):
@@ -167,9 +152,8 @@ def _blocks(n: int):
     when N = p^r, else one Y2 block per relevant ell on order_primes(N, ell).
     One builder makes every block from its level and the exponent tuples of
     its divisors, read off divisor_exponents(N) in the block's prime
-    ordering: the B block is the Z generator at the tuple (1,).  Y2 blocks
-    with equal (factors, s) share rows, terms and profile.  Orders of 1 are
-    kept; terms are built only on request."""
+    ordering: the B block is the Z generator at the tuple (1,).  Orders of 1
+    are kept."""
     fn = factor(n)
     if fn.t == 0:
         return
@@ -180,8 +164,8 @@ def _blocks(n: int):
 
     def block(kind, L, Is, label):
         gen = "Y2" if kind == "Y2" else "Z"
-        rows = tuple((d, I, label(d, I), generator_order(L, I, gen)) for d, I in Is.items())
-        return _Block(kind, L, rows, *_memo(L, Is, gen))
+        return _Block(kind, L, tuple((d, I, label(d, I), generator_order(L, I, gen))
+                                     for d, I in Is.items()))
 
     if fn.t == 1:
         (p, r), = fn.factors
@@ -191,15 +175,11 @@ def _blocks(n: int):
         yield block("B", L0, {p: (1,)}, label)
         return
     yield block("Z", L0, nsf, lambda d, I: f"Z({d})")
-    tables = {}  # (factors, s) -> the first Y2 block of that ordering
     for ell in _relevant_ells(n):
         L = order_primes(n, ell)
-        key = (L.base.factors, L.s)
-        if key not in tables:
-            perm = [fn.primes.index(q) for q in L.base.primes]
-            tables[key] = block("Y2", L, {d: tuple(I[k] for k in perm) for d, I in sf.items()},
-                                lambda d, I: f"Y2({d})")
-        yield tables[key]._replace(level=L)
+        perm = [fn.primes.index(q) for q in L.base.primes]
+        yield block("Y2", L, {d: tuple(I[k] for k in perm) for d, I in sf.items()},
+                    lambda d, I: f"Y2({d})")
 
 
 def compute_group(n, blocks=None) -> AbelianGroupStructure:
@@ -210,11 +190,12 @@ def compute_group(n, blocks=None) -> AbelianGroupStructure:
     factors, orderings = [], {}
     for blk in _blocks(n) if blocks is None else blocks:
         ell = blk.level.ell if blk.kind == "Y2" else None
-        for d, _, label, order in blk.rows:
+        gen = "Y2" if ell else "Z"
+        for _, I, label, order in blk.rows:
             if ell:
                 order = ell ** valuation(order, ell)
             if order > 1:
-                factors.append((label, partial(blk.terms, d), order))
+                factors.append((label, partial(generator_terms, blk.level, I, gen), order))
                 if ell:
                     orderings[ell] = blk.level.base.primes
     orders = [o for _, _, o in factors]
@@ -290,26 +271,28 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
     """Re-check every block of the table on N: closed-form orders against the
     profiles, and unipotence or the ell = 2 split conditions in the divisor
     orderings of the block's shape.  blocks, if given, is a walk of
-    _blocks(N) whose profiles are shared with the caller."""
+    _blocks(N)."""
     rep = CertificateReport(n)
     if n == 1:
         rep.record("trivial", "N=1", True)
         return rep
     for blk in _blocks(n) if blocks is None else blocks:
+        L = blk.level
         if blk.kind == "B":
-            (d, _, _, order), = blk.rows
-            rep.record("order/Z", f"d={d}", blk.profile(d).order == order)
+            (d, I, _, order), = blk.rows
+            pz = tensor_profile(generator_factors(L, I, "Z"))
+            rep.record("order/Z", f"d={d}", pz.order == order)
             continue
         if not blk.rows:
             continue
-        L = blk.level
         prec, tri = divisor_orderings(L.base.exponents, L.u)
         rank = {I: i for i, I in enumerate(prec)}
         rows = sorted(blk.rows, key=lambda row: rank[row[1]])
         # the rows are one stretch of prec (Delta for Y2, the rest for Z),
         # and the deltas from its first rank on are the columns
         deltas = [divisor_of(L.base, J) for J in tri[rank[rows[0][1]]:]]
-        profs = [blk.profile(d) for d, *_ in rows]
+        gen = "Y2" if blk.kind == "Y2" else "Z"
+        profs = [tensor_profile(generator_factors(L, I, gen)) for _, I, _, _ in rows]
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
             # outside the exceptional 2-power set T_u.

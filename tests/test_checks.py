@@ -56,6 +56,23 @@ def test_no_unused_imports_in_the_package():
         assert not unused, f"{name}: unused imports {unused}"
 
 
+def test_functools_caches_are_made_only_at_module_level():
+    """cache and lru_cache are never named inside the body of a function or
+    a lambda, a nested decorator included: a cache made there is built again
+    on every call and dropped with its caller.  The decorators of
+    module-level functions and cached_property stay allowed."""
+    names = {"cache", "lru_cache"}
+    for name, tree in _package_trees().items():
+        bodies = [stmt for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for stmt in node.body]
+        bodies += [node.body for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
+        lines = sorted({sub.lineno for body in bodies for sub in ast.walk(body)
+                        if isinstance(sub, ast.Name) and sub.id in names
+                        or isinstance(sub, ast.Attribute) and sub.attr in names})
+        assert not lines, f"{name}: a functools cache made inside a function, lines {lines}"
+
+
 def test_only_cli_main_writes_to_stderr():
     """Every CLI message reaches stderr through main's handlers, which
     prefix it with "error: "."""

@@ -46,6 +46,19 @@ def test_json_divisor_sums_keys_naming_one_divisor(capsys):
     assert D.as_dict() == {2: 7, 6: -7}
 
 
+def test_divisor_keys_are_ascii_decimal_digits(capsys):
+    """A JSON key names a divisor only when it is digits 0-9; the exit-1
+    message names the first key that is not.  The text form reads ASCII
+    digits only."""
+    for key in ("1_2", " 12 ", "+1", "-1", "\uff11\uff12", "x", "", "1.0"):
+        spec = json.dumps({"coeffs": {"1": -1, key: 1}})
+        code, out, err = run(capsys, "order", "12", "--divisor", spec)
+        assert code == 1 and out == "", key
+        assert err == f"error: a JSON divisor key must be decimal digits 0-9, not {key!r}\n"
+    code, out, err = run(capsys, "order", "12", "--divisor", "1*(\uff11\uff12),-1*(1)")
+    assert code == 1 and out == "" and err.startswith("error: parse error at position 0")
+
+
 def test_divisor_json_roundtrip():
     D = C_generator(36, 6)
     text = json.dumps({"N": D.n, "coeffs": {str(d): c for d, c in D.as_dict().items()}})

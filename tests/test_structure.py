@@ -6,6 +6,7 @@ import os
 import random
 from collections import Counter
 from operator import mul
+from typing import Callable, NamedTuple
 
 import pytest
 from sympy import Matrix, Symbol, eye, zeros
@@ -165,25 +166,6 @@ def _modulus_12_kappa(monkeypatch):
     """kappa(N) / 2 when it is even, so the oracle works modulo 12 kappa."""
     real = oracle.kappa
     monkeypatch.setattr(oracle, "kappa", lambda n: real(n) // 2 if real(n) % 2 == 0 else real(n))
-
-
-# Defects injected into the oracle, each with levels where crosscheck must
-# then report the two routes' invariant factors as different.
-ORACLE_DEFECTS = {
-    "parity columns dropped": (_parity_columns_dropped, (15, 24, 32, 35, 64, 210)),
-    "kappa doubled": (_kappa_doubled, (5, 12, 16, 35, 64, 210)),
-    "wrong modulus 12 kappa": (_modulus_12_kappa, (14, 15, 24, 32, 35, 210)),
-}
-
-
-@pytest.mark.parametrize("name", ORACLE_DEFECTS)
-def test_crosscheck_catches_oracle_defects(monkeypatch, name):
-    inject, levels = ORACLE_DEFECTS[name]
-    inject(monkeypatch)
-    for n in levels:
-        rec = crosscheck(n)
-        assert not rec["pass"], (name, n)
-        assert [m["kind"] for m in rec["mismatches"]] == ["invariant_factors"], (name, n)
 
 
 ROADMAP_LADDER = (720, 840, 960, 2310, 5040, 30030, 55440, 720720, 2 ** 20, 3 ** 12)
@@ -516,23 +498,27 @@ def test_blocks_match_the_per_divisor_wrappers():
                 else:
                     (p, r), = L.base.factors
                     want = predicted_order(L, p, "Z"), base_vector_B(p, r)
-                assert (order, from_dict(n, blk.terms(d))) == want, (n, blk.kind, L.ell, d)
+                gen = "Y2" if blk.kind == "Y2" else "Z"
+                terms = generators.generator_terms(L, I, gen)
+                assert (order, from_dict(n, terms)) == want, (n, blk.kind, L.ell, d)
 
 
 def _assert_factor_route_matches_the_dense_route(n):
     """Each generator's profile at N read off its tensor factors equals
     profile() of its dense vector in every field and in the key order of
     Pw, and its V is Upsilon(N) times that vector: every row of every
-    block, and the Z1 rows on T_u that verify_certificates profiles."""
+    block, and the Z1 rows on T_u that verify_certificates profiles.  A
+    block of the kind and (factors, s) of one already seen has its rows."""
     seen = set()
     for blk in structure._blocks(n):
-        if blk.profile in seen:
-            continue
-        seen.add(blk.profile)
         L = blk.level
+        key = (blk.kind, L.base.factors, L.s)
+        if key in seen:
+            continue
+        seen.add(key)
+        kind = "Y2" if blk.kind == "Y2" else "Z"
         for d, I, _, _ in blk.rows:
-            kind = "Y2" if blk.kind == "Y2" else "Z"
-            routes = [(kind, blk.profile(d))]
+            routes = [(kind, tensor_profile(generators.generator_factors(L, I, kind)))]
             if kind == "Z" and generators.in_T_u(I, L.r_u, L.u):
                 routes.append(("Z1", tensor_profile(generators.generator_factors(L, I, "Z1"))))
             for k, got in routes:
@@ -597,31 +583,152 @@ def _extra_support_term_at_N(monkeypatch):
                         lambda levels, coeffs: {math.prod(levels): 1, **real(levels, coeffs)})
 
 
-# Defects injected into the per-factor data of tensor_profile, one per
-# identity it relies on, and into the support it forms from them, each with
-# levels where crosscheck must then fail on certificate criteria (the
-# "/ell=..." suffix dropped) among the named.
-FACTOR_DEFECTS = {
-    "one Wbar entry off by one": (_spoil_factor(_wbar_entry_off_by_one), (12, 30, 60, 210, 720),
-                                  {"nsf-unipotence", "sf-unipotence", "ell2/column"}),
-    "gcd doubled": (_spoil_factor(_gcd_doubled), (15, 20, 60, 210, 720),
-                    {"order/Z", "order/Y2"}),
-    "parity sum flipped": (_spoil_factor(_parity_sum_flipped), (12, 30, 60, 210, 720),
-                           {"ell2/h-table", "ell2/parity", "order/Z", "order/Y2"}),
-    "extra support term at N": (_extra_support_term_at_N, (12, 30, 60, 210, 720),
-                                {"nsf-unipotence", "sf-unipotence", "ell2/column"}),
+def _patch_everywhere(monkeypatch, name, fn, modules):
+    for module in modules:
+        monkeypatch.setattr(module, name, fn)
+
+
+def _Y2_order_tripled_on_D_pairs(monkeypatch):
+    """The closed-form order of every Y2 generator with a two-prime D
+    vector, times 3."""
+    real = generators.generator_order
+
+    def order(L, I, kind):
+        o = real(L, I, kind)
+        return 3 * o if kind == "Y2" and generators._case(I, L.u, L.s, L.r_u, kind)[1] else o
+
+    _patch_everywhere(monkeypatch, "generator_order", order, (generators, structure))
+
+
+def _first_two_primes_swapped(monkeypatch):
+    """order_primes with its first two primes swapped, built by _make_level,
+    so that _admissible never sees it."""
+    real = generators.order_primes
+
+    def swapped(n, ell):
+        fs = real(n, ell).base.factors
+        return generators._make_level(fs[1::-1] + fs[2:], ell)
+
+    _patch_everywhere(monkeypatch, "order_primes", swapped, (generators, structure))
+
+
+def _certificate_T_u_flipped(monkeypatch):
+    """The T_u test of the certificates and labels negated when 2^5 | N, so
+    the B2 generators are held to the unipotence of Z1.  The generators keep
+    the true T_u: flipped there, _case asks for B2(r, f) outside 3 <= f <= r,
+    which raises ValueError."""
+    real = intarith.in_T_u
+    monkeypatch.setattr(structure, "in_T_u", lambda I, r_u, u: real(I, r_u, u) != (r_u >= 5))
+
+
+def _kappa_doubled_everywhere(monkeypatch):
+    real = intarith.kappa
+    _patch_everywhere(monkeypatch, "kappa", lambda n: 2 * real(n),
+                      (intarith, oracle, orderengine, structure))
+
+
+def _upsilon_corner_off_by_one(monkeypatch):
+    """The entry (r, r) of every block Upsilon(p^r), r >= 2, plus one."""
+    real = etalinalg._upsilon_block_entry
+    _patch_everywhere(monkeypatch, "_upsilon_block_entry",
+                      lambda p, r, i, j: real(p, r, i, j) + (r >= 2 and i == j == r),
+                      (etalinalg, oracle))
+
+
+def _parity_weights_zeroed(monkeypatch):
+    """Ligozat's parity weights 12 [v_p(d) odd] all zero."""
+    real = etalinalg.ligozat_weights
+
+    def weights(n):
+        w = real(n)
+        return w[:2] + tuple((0,) * len(row) for row in w[2:])
+
+    _patch_everywhere(monkeypatch, "ligozat_weights", weights,
+                      (etalinalg, oracle, orderengine, structure))
+
+
+class _Defect(NamedTuple):
+    """A defect to inject and fixed levels where crosscheck must then report
+    exactly the mismatch kinds, its failed certificate criteria (the
+    "/ell=..." suffix dropped) among criteria, or raise an ArithmeticError
+    that matches raises instead."""
+    inject: Callable
+    levels: tuple
+    kinds: tuple = ()
+    criteria: frozenset = frozenset()
+    raises: str = ""
+
+
+_ORACLE = ("invariant_factors",)
+_CERTIFICATES = ("certificates",)
+_BOTH = ("invariant_factors", "certificates")
+
+# Defects injected into the oracle, into the per-factor data of
+# tensor_profile (one per identity it relies on) and the support it forms
+# from them, into Yoo's route (a closed-form order, a prime ordering, the
+# T_u test), and into the premises both routes share (kappa, Upsilon, the
+# parity weights), patched in every module that binds the name.
+DEFECTS = {
+    "parity columns dropped": _Defect(_parity_columns_dropped, (15, 24, 32, 35, 64, 210), _ORACLE),
+    "kappa doubled": _Defect(_kappa_doubled, (5, 12, 16, 35, 64, 210), _ORACLE),
+    "wrong modulus 12 kappa": _Defect(_modulus_12_kappa, (14, 15, 24, 32, 35, 210), _ORACLE),
+    "one Wbar entry off by one": _Defect(
+        _spoil_factor(_wbar_entry_off_by_one), (12, 30, 60, 210, 720), _CERTIFICATES,
+        {"nsf-unipotence", "sf-unipotence", "ell2/column"}),
+    "gcd doubled": _Defect(_spoil_factor(_gcd_doubled), (15, 20, 60, 210, 720),
+                           _CERTIFICATES, {"order/Z", "order/Y2"}),
+    "parity sum flipped": _Defect(
+        _spoil_factor(_parity_sum_flipped), (12, 30, 60, 210, 720), _CERTIFICATES,
+        {"ell2/h-table", "ell2/parity", "order/Z", "order/Y2"}),
+    "extra support term at N": _Defect(
+        _extra_support_term_at_N, (12, 30, 60, 210, 720), _CERTIFICATES,
+        {"nsf-unipotence", "sf-unipotence", "ell2/column"}),
+    "Y2 order tripled on D pairs": _Defect(_Y2_order_tripled_on_D_pairs, (6, 10, 15),
+                                           _BOTH, {"order/Y2"}),
+    "first two primes swapped": _Defect(
+        _first_two_primes_swapped, (15, 21, 30, 35), _BOTH,
+        {"sf-unipotence", "ell2/column", "ell2/parity"}),
+    "certificate T_u flipped": _Defect(_certificate_T_u_flipped, (32, 64, 96),
+                                       _CERTIFICATES, {"nsf-unipotence"}),
+    # 2, 4 and the primes p = 3 (mod 4) pass with kappa doubled
+    "kappa doubled everywhere": _Defect(
+        _kappa_doubled_everywhere, (5, 6, 12, 32), _BOTH,
+        {"order/Z", "order/Y2", "level16-relation"}),
+    "Upsilon corner off by one": _Defect(_upsilon_corner_off_by_one, (4, 9, 12),
+                                         raises="is not an eta unit"),
+    "parity weights zeroed": _Defect(
+        _parity_weights_zeroed, (15, 17, 20, 32), _BOTH,
+        {"ell2/h-table", "ell2/parity", "order/Z", "order/Y2"}),
 }
 
 
-@pytest.mark.parametrize("name", FACTOR_DEFECTS)
-def test_crosscheck_catches_factor_data_defects(monkeypatch, name):
-    inject, levels, criteria = FACTOR_DEFECTS[name]
-    inject(monkeypatch)
-    for n in levels:
-        rec = crosscheck(n)
-        assert [m["kind"] for m in rec["mismatches"]] == ["certificates"], (name, n)
-        failed = {s["criterion"].split("/ell=")[0] for s in rec["mismatches"][0]["failures"]}
-        assert failed and failed <= criteria, (name, n, failed)
+def _clear_level_caches():
+    """The caches a defect in kappa, Upsilon or the Ligozat weights can
+    fill with wrong entries."""
+    for cached in (oracle._local_block, orderengine._factor_image,
+                   etalinalg._upsilon_axes, etalinalg.upsilon):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("name", DEFECTS)
+def test_crosscheck_catches_injected_defects(monkeypatch, name):
+    defect = DEFECTS[name]
+    _clear_level_caches()
+    defect.inject(monkeypatch)
+    try:
+        for n in defect.levels:
+            if defect.raises:
+                with pytest.raises(ArithmeticError, match=defect.raises):
+                    crosscheck(n)
+                continue
+            rec = crosscheck(n)
+            assert [m["kind"] for m in rec["mismatches"]] == list(defect.kinds), (name, n)
+            failed = {s["criterion"].split("/ell=")[0] for m in rec["mismatches"]
+                      if m["kind"] == "certificates" for s in m["failures"]}
+            assert failed <= defect.criteria, (name, n, failed)
+    finally:
+        monkeypatch.undo()
+        _clear_level_caches()
 
 
 def test_certificates_apply_upsilon_only_at_factor_levels(monkeypatch):
@@ -739,14 +846,15 @@ def test_crosscheck_builds_no_generator(monkeypatch):
 
 
 def test_blocks_share_tables_exactly_when_orderings_agree():
+    """Y2 blocks of one (factors, s) have equal rows, each block built from
+    its own order_primes(N, ell); blocks are plain data, (kind, level, rows)."""
+    assert structure._Block._fields == ("kind", "level", "rows")
     for n in _table_levels():
         y2 = [blk for blk in structure._blocks(n) if blk.kind == "Y2"]
         for a in y2:
             for b in y2:
-                same = (a.level.base.factors, a.level.s) == (b.level.base.factors, b.level.s)
-                assert (a.terms is b.terms) == same, (n, a.level.ell, b.level.ell)
-                assert (a.profile is b.profile) == same, (n, a.level.ell, b.level.ell)
-                assert (a.rows is b.rows) == same, (n, a.level.ell, b.level.ell)
+                if (a.level.base.factors, a.level.s) == (b.level.base.factors, b.level.s):
+                    assert a.rows == b.rows, (n, a.level.ell, b.level.ell)
 
 
 def test_table_path_never_recomputes_exponent_tuples(monkeypatch):
