@@ -26,8 +26,8 @@ from itertools import product
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
                        pi2_pull, pi12_pull_div_p, tensor_terms)
-from .intarith import (FactoredInteger, A_tuple, E_tuple, exponent_tuple,
-                       factor, in_delta, in_E_set, in_F_set, in_F1_set,
+from .intarith import (LEVEL_CACHE_SIZE, FactoredInteger, A_tuple, E_tuple,
+                       exponent_tuple, factor, in_delta, in_E_set, in_F_set, in_F1_set,
                        in_G_set, in_G1_set, in_H_u, in_H_u1, in_square, in_T_u,
                        tuple_k, tuple_m, tuple_n, valuation)
 
@@ -240,7 +240,7 @@ def D_vector(L: OrderedLevel, i: int, j: int) -> CuspDivisor:
     return _two_prime_D(*L.base.factors[i - 1], *L.base.factors[j - 1])
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
     """(g_j/G) B_i (x) A_j0 - (g_i/G) A_i0 (x) B_j, G = gcd(g_i, g_j): as A(p, r, 0)
     is (P_1), the two tensors sit on the supports of B_i and of B_j."""

@@ -5,6 +5,11 @@ constructions.
 An exponent tuple I = (f_1, ..., f_t) encodes the divisor p_1^f_1 * ... * p_t^f_t
 of N = p_1^r_1 * ... * p_t^r_t relative to an explicit (possibly permuted)
 ordering of the prime factors.
+
+A level's divisor data lives on its FactoredInteger, which factor returns.
+Every cache keyed by an integer level holds at most LEVEL_CACHE_SIZE
+entries, so memory stays bounded however many levels a process visits; only
+caches keyed by a shape or a prime power are unbounded.
 """
 
 from __future__ import annotations
@@ -13,10 +18,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+LEVEL_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """A positive integer together with an ordered prime-power factorization."""
+    """A positive integer with an ordered prime-power factorization, and the
+    owner of its divisor data, each computed once, in that prime ordering."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
@@ -47,8 +55,33 @@ class FactoredInteger:
                 return i
         return 0
 
+    @cached_property
+    def divisor_exponents(self) -> tuple:
+        """The exponent tuple of each divisor in this prime ordering, divisors ascending."""
+        pairs = [(1, ())]
+        for p, r in self.factors:
+            pairs = [(d * p ** k, I + (k,)) for d, I in pairs for k in range(r + 1)]
+        pairs.sort()
+        return tuple(I for _, I in pairs)
 
-@lru_cache(maxsize=None)
+    @cached_property
+    def divisors(self) -> tuple[int, ...]:
+        """All positive divisors, ascending."""
+        return tuple(divisor_of(self, I) for I in self.divisor_exponents)
+
+    @cached_property
+    def divisor_positions(self) -> dict:
+        """{d: position of d in divisors}; shared, so never mutate it."""
+        return {d: i for i, d in enumerate(self.divisors)}
+
+    @cached_property
+    def degree_weights(self) -> tuple:
+        """phi(gcd(d, N/d)) over the divisors d: both the number of level-d
+        cusps and the degree of the orbit divisor (P_d)."""
+        return tuple(phi(z_of(self.value, d)) for d in self.divisors)
+
+
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def factor(n: int) -> FactoredInteger:
     """Factor a positive integer by trial division; primes ascending.  n = 1
     gives t = 0.  Division stops at the square root of the unfactored part,
@@ -69,33 +102,27 @@ def factor(n: int) -> FactoredInteger:
     return FactoredInteger(n, tuple(facs))
 
 
-@lru_cache(maxsize=None)
+# The divisor data of factor(n), kept as functions of n for the callers
+# that hold only a level.
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending."""
-    return tuple(divisor_of(factor(n), I) for I in divisor_exponents(n))
+    return factor(n).divisors
 
 
-@lru_cache(maxsize=None)
-def divisor_positions(n: int) -> dict:
-    """{d: position of d in divisors(n)}; shared, so never mutate it."""
-    return {d: i for i, d in enumerate(divisors(n))}
-
-
-@lru_cache(maxsize=None)
 def divisor_exponents(n: int) -> tuple:
-    """The exponent tuple of each divisor of n over its primes ascending,
-    divisors ascending; divisors(n) is read off it."""
-    pairs = [(1, ())]
-    for p, r in factor(n).factors:
-        pairs = [(d * p ** k, I + (k,)) for d, I in pairs for k in range(r + 1)]
-    pairs.sort()
-    return tuple(I for _, I in pairs)
+    return factor(n).divisor_exponents
+
+
+def divisor_positions(n: int) -> dict:
+    return factor(n).divisor_positions
+
+
+def degree_weights(n: int) -> tuple:
+    return factor(n).degree_weights
 
 
 def phi(n: int) -> int:
     """Euler totient."""
-    fn = factor(n)
-    return math.prod(p ** (r - 1) * (p - 1) for p, r in fn.factors) if fn.factors else 1
+    return math.prod(p ** (r - 1) * (p - 1) for p, r in factor(n).factors)
 
 
 def valuation(n: int, p: int) -> int:
@@ -110,20 +137,12 @@ def valuation(n: int, p: int) -> int:
 
 def kappa(n) -> int:
     """kappa(N) = (N/rad N) * prod (p^2 - 1)."""
-    fn = factor(n)
-    return math.prod(p ** (r - 1) * (p * p - 1) for p, r in fn.factors) if fn.factors else 1
+    return math.prod(p ** (r - 1) * (p * p - 1) for p, r in factor(n).factors)
 
 
 def z_of(n: int, d: int) -> int:
     """z = gcd(d, N/d), the modulus of the cusp residue at level d."""
     return math.gcd(d, n // d)
-
-
-@lru_cache(maxsize=None)
-def degree_weights(n: int) -> tuple:
-    """phi(gcd(d, N/d)) over the divisors d of N, ascending: both the number
-    of level-d cusps and the degree of the orbit divisor (P_d)."""
-    return tuple(phi(z_of(n, d)) for d in divisors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +176,19 @@ def tuple_m(I) -> int:
     raise ValueError("tuple has no entry equal to 1")
 
 
+def _next_zero(I, after: int) -> int:
+    """Smallest 1-based index > after with f = 0; t+1 if none."""
+    return next((i for i in range(after + 1, len(I) + 1) if I[i - 1] == 0), len(I) + 1)
+
+
 def tuple_n(I) -> int:
     """Smallest n > m(I) with f_n = 0; t+1 if none."""
-    t = len(I)
-    m = tuple_m(I)
-    for i in range(m + 1, t + 1):
-        if I[i - 1] == 0:
-            return i
-    return t + 1
+    return _next_zero(I, tuple_m(I))
 
 
 def tuple_k(I) -> int:
     """Smallest k > n(I) with f_k = 0; t+1 if none."""
-    t = len(I)
-    n = tuple_n(I)
-    for i in range(n + 1, t + 1):
-        if I[i - 1] == 0:
-            return i
-    return t + 1
+    return _next_zero(I, tuple_n(I))
 
 
 def A_tuple(k: int, t: int) -> tuple[int, ...]:
@@ -187,14 +201,9 @@ def E_tuple(k: int, t: int) -> tuple[int, ...]:
 
 def in_T_u(I, r_u: int, u: int) -> bool:
     """The exceptional 2-power set, for 2 at slot u with exponent r_u in N:
-    nonempty only when 2 | N with r_u >= 5."""
-    if u == 0 or r_u <= 4:
-        return False
-    if not in_square(I):
-        return False
-    if not 3 <= I[u - 1] <= r_u:
-        return False
-    return all(f == 1 for i, f in enumerate(I, start=1) if i != u)
+    nonempty only when 2 | N with r_u >= 5.  3 <= f_u makes I square."""
+    return (u != 0 and r_u >= 5 and 3 <= I[u - 1] <= r_u
+            and all(f == 1 for i, f in enumerate(I, start=1) if i != u))
 
 
 def in_E_set(I) -> bool:
@@ -216,34 +225,23 @@ def in_H_u1(I, u: int) -> bool:
 
 def _zero_positions(I):
     """The 1-based positions of the 0 entries of I if every other entry is 1,
-    else None."""
-    zeros = []
-    for i, f in enumerate(I, start=1):
-        if f == 0:
-            zeros.append(i)
-        elif f != 1:
-            return None
-    return zeros
+    else []."""
+    if not all(f in (0, 1) for f in I):
+        return []
+    return [i for i, f in enumerate(I, start=1) if f == 0]
 
 
 def in_F_set(I, u: int) -> bool:
     """I = E(n) for some n in I_u: {3..t} if u = 1, else {2..t} without u."""
-    if u == 0:
-        return False
     zeros = _zero_positions(I)
-    if zeros is None or len(zeros) != 1:
-        return False
-    return zeros[0] != u and zeros[0] >= (3 if u == 1 else 2)
+    return u != 0 and len(zeros) == 1 and zeros[0] != u and zeros[0] >= (3 if u == 1 else 2)
 
 
 def in_F1_set(I, u: int) -> bool:
     """I = E_u(n) (zeros at n and u) for some n in I_u."""
-    if u == 0:
-        return False
     zeros = _zero_positions(I)
-    if zeros is None or len(zeros) != 2 or u not in zeros:
-        return False
-    return sum(zeros) - u >= (3 if u == 1 else 2)
+    return (u != 0 and len(zeros) == 2 and u in zeros
+            and sum(zeros) - u >= (3 if u == 1 else 2))
 
 
 def in_G_set(I, u: int) -> bool:
@@ -253,4 +251,4 @@ def in_G_set(I, u: int) -> bool:
 def in_G1_set(I, u: int) -> bool:
     """I = E(n) for some n >= 1 if u = 1, else n >= 2."""
     zeros = _zero_positions(I)
-    return zeros is not None and len(zeros) == 1 and zeros[0] >= (1 if u == 1 else 2)
+    return len(zeros) == 1 and zeros[0] >= (1 if u == 1 else 2)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .divisors import CuspDivisor, from_dict, tensor_terms
 from .etalinalg import eta_divisor, ligozat_check, ligozat_weights, upsilon_apply
-from .intarith import degree_weights, divisors, factor, kappa
+from .intarith import LEVEL_CACHE_SIZE, degree_weights, divisors, factor, kappa
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class _Factor(NamedTuple):
     kappa: int
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def _factor_image(m: int, coeffs: tuple) -> _Factor:
     """The _Factor of the tensor factor with these coefficients at level m,
     with Upsilon applied at m.  Keyed by (m, coeffs), not by the divisor,

@@ -125,6 +125,10 @@ GROUP_JSON_STDOUT = {
     11: "3c842e9b7068df5c25dbc7e410d404ad739936fe3f8240e88026b3337bdf58af",
     35: "baf455fc90bae1343f97cd546cf2aebff7293c35050406cd894a36e0d6b11226",
     64: "43521f2d85820d13fa58f5c6a60936eeea73bad71723c3ca0bad3717d340a20f",
+    # 32 * odd: the B2 replacement on T_u shows only here, as crosscheck
+    # passes with T_u negated at these levels
+    96: "27c3000095ffe233f25810e68a9957fc61d8dcf71f73f85d4b78f28780a6ed73",
+    160: "b08461221b3b9e0445bd3290dd6575de4a0f75c47ced5fe41d301214a7bbe76e",
     210: "1a74bd922e43757398e44c54a9aed987b21d8a532f3825ef060aff51518c16a5",
     720: "ef5f790ceb11f1db82d62ad56c3d0fe6ef71414d35bdcd57d0e743f1ca13c371",
     4620: "351b67076ff89dc74ecb6d1859ede3a61973dbad8e53706273ac770364bbc112",

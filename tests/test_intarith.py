@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
-from sympy import factorint
+from sympy import factorint, multiplicity, totient
 
 from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, degree_weights,
-                               divisor_exponents, divisor_of,
+                               divisor_exponents, divisor_of, divisor_positions,
                                divisors, exponent_tuple, factor, in_delta,
                                in_E_set, in_F_set, in_F1_set, in_G_set,
                                in_G1_set, in_H_u, in_square, in_T_u, kappa,
@@ -67,12 +68,33 @@ def test_exponent_tuples():
     assert in_delta((1, 0, 1)) and not in_square((1, 0, 1))
 
 
+def _brute_divisor_data(n):
+    """(divisors, exponent tuples over the primes ascending, positions,
+    degree weights) of n from their definitions, through sympy."""
+    ds = sorted({e for d in range(1, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
+    primes = sorted(factorint(n))
+    return (tuple(ds), tuple(tuple(multiplicity(p, d) for p in primes) for d in ds),
+            {d: i for i, d in enumerate(ds)},
+            tuple(totient(math.gcd(d, n // d)) for d in ds))
+
+
 def test_divisor_exponents_match_exponent_tuple():
+    """divisor_exponents against exponent_tuple, and the divisor data that
+    factor(n) owns against its definitions, on n <= 500 and the ladder, both
+    through factor(n) and through a FactoredInteger built by hand."""
     for n in range(1, 3001):
         N = factor(n)
         exps = divisor_exponents(n)
         assert exps == tuple(exponent_tuple(N, d) for d in divisors(n)), n
         assert tuple(divisor_of(N, I) for I in exps) == divisors(n), n
+    for n in list(range(1, 501)) + [720, 840, 960, 2310, 5040, 30030, 55440, 720720,
+                                    2 ** 20, 3 ** 12]:
+        want = _brute_divisor_data(n)
+        assert (divisors(n), divisor_exponents(n), divisor_positions(n),
+                degree_weights(n)) == want, n
+        by_hand = FactoredInteger(n, tuple(sorted(factorint(n).items())))
+        assert (by_hand.divisors, by_hand.divisor_exponents, by_hand.divisor_positions,
+                by_hand.degree_weights) == want, n
 
 
 def test_m_n_k():

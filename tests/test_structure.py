@@ -1,8 +1,10 @@
 import ast
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import random
 from collections import Counter
 from operator import mul
@@ -12,6 +14,7 @@ import pytest
 from sympy import Matrix, Symbol, eye, zeros
 from sympy.matrices.normalforms import smith_normal_form
 
+import cuspidal
 from cuspidal import cli, etalinalg, generators, intarith, oracle, orderengine, structure
 from cuspidal.divisors import from_dict, kron
 from cuspidal.etalinalg import (_lambda24_block, _upsilon_block_entry, eta_divisor,
@@ -542,11 +545,28 @@ def test_factor_route_profiles_match_the_dense_route_to_3000():
         _assert_factor_route_matches_the_dense_route(n)
 
 
-def test_factor_caches_are_bounded():
-    """The caches keyed by tensor factor hold at most a fixed number of
-    entries, however many levels a sweep visits."""
-    for cached in (orderengine._factor_image, generators._two_prime_D):
-        assert isinstance(cached.cache_info().maxsize, int), cached
+# The functools caches keyed by a shape or a prime power: a sweep over
+# levels adds few entries to them, so they stay unbounded.
+UNBOUNDED_CACHES = {"generators._case", "generators.divisor_orderings",
+                    "generators.base_vector_A", "generators.base_vector_B",
+                    "generators.base_vector_B2", "oracle._local_block"}
+
+
+def test_caches_keyed_by_a_level_share_one_bound():
+    """Every functools cache that a package module defines and that is keyed
+    by an integer level holds at most intarith.LEVEL_CACHE_SIZE entries,
+    however many levels a sweep visits; the level's divisor data lives on
+    factor's FactoredInteger, intarith's one cache."""
+    caches = {}  # "module.name": maxsize
+    for info in pkgutil.iter_modules(cuspidal.__path__):
+        module = importlib.import_module(f"cuspidal.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    assert {name for name, size in caches.items() if size is None} == UNBOUNDED_CACHES
+    bounded = {name: size for name, size in caches.items() if size is not None}
+    assert set(bounded.values()) == {intarith.LEVEL_CACHE_SIZE}, bounded
+    assert [name for name in caches if name.startswith("intarith.")] == ["intarith.factor"]
 
 
 def _spoil_factor(spoil):
