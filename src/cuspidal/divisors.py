@@ -39,9 +39,6 @@ class CuspDivisor:
     def support(self) -> tuple:
         return tuple([(d, c) for d, c in zip(divisors(self.n), self.coeffs) if c])
 
-    def as_dict(self) -> dict:
-        return dict(self.support)
-
     def degree(self):
         return sum(map(mul, self.coeffs, degree_weights(self.n)))
 

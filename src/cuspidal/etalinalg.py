@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 
 from .divisors import CuspDivisor, tensor_join
-from .intarith import LEVEL_CACHE_SIZE, divisor_exponents, divisor_positions, divisors, factor
+from .intarith import CACHE_SIZE, divisor_exponents, divisor_positions, divisors, factor
 
 
 def _lambda24_block(p: int, r: int) -> list:
@@ -30,7 +30,7 @@ def _lambda24_block(p: int, r: int) -> list:
     return [[p ** (max(f, r - f) - abs(f - g)) for g in range(r + 1)] for f in range(r + 1)]
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def lambda24(n: int) -> tuple:
     """24 * Lambda(N) as an integer matrix (rows d, columns delta): row d is
     the tensor_join of the rows v_p(d) of the blocks 24 * Lambda(p^r),
@@ -51,7 +51,7 @@ def _upsilon_block_entry(p: int, r: int, i: int, j: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _upsilon_axes(n: int) -> tuple:
     """One tuple of rows per prime power p^r || N, one row per divisor d, in
     the order of divisors(N): (a, b, j, c, k) with j, k the positions of d/p
@@ -88,7 +88,7 @@ def _unit(n: int, d: int) -> tuple:
 
 
 # Only the tests and the benchmark tracer (perfbench/spans.py) call upsilon.
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def upsilon(n: int) -> tuple:
     """Upsilon(N) as a matrix: rows delta (S1 index), columns d (S2 index),
     column d being upsilon_apply(N, e_d)."""
@@ -99,7 +99,7 @@ def upsilon(n: int) -> tuple:
 # Ligozat conditions and eta divisors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def ligozat_weights(n: int) -> tuple:
     """Ligozat's weights over the divisors d of N, ascending: d, N/d, and
     12 * [v_p(d) odd] for each prime p | N, primes ascending."""

@@ -26,7 +26,7 @@ from itertools import product
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
                        pi2_pull, pi12_pull_div_p, tensor_terms)
-from .intarith import (LEVEL_CACHE_SIZE, FactoredInteger, A_tuple, E_tuple,
+from .intarith import (CACHE_SIZE, FactoredInteger, A_tuple, E_tuple,
                        exponent_tuple, factor, in_delta, in_E_set, in_F_set, in_F1_set,
                        in_G_set, in_G1_set, in_H_u, in_H_u1, in_square, in_T_u,
                        tuple_k, tuple_m, tuple_n, valuation)
@@ -145,7 +145,7 @@ def _colex_key(I, u: int, ranks):
     return rest + ((ranks[u - 1][I[u - 1]],) if u else ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def divisor_orderings(exponents: tuple, u: int) -> tuple:
     """(prec, tri) for the shape (r_1, ..., r_t; u): the exponent tuples of
     the divisors d_1, d_2, ... > 1 in the order prec, and delta_i = iota(d_i).
@@ -169,7 +169,7 @@ def divisor_orderings(exponents: tuple, u: int) -> tuple:
 # Base vectors at prime-power levels
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def base_vector_A(p: int, r: int, f: int) -> CuspDivisor:
     n = p ** r
     if not 0 <= f <= r:
@@ -184,8 +184,7 @@ def base_vector_A(p: int, r: int, f: int) -> CuspDivisor:
         return pi1_pull(base_vector_A(p, 1, 1), p, r - 1)
     if f == 2:
         if r % 2 == 1:
-            from .divisors import beta_pull
-            return beta_pull(base_vector_A(p, r - 1, 2), p)
+            return pi2_pull(base_vector_A(p, r - 1, 2), p, 1)
         corr = p ** (r - 2) * base_vector_A(p, r, r)
         return pi12_pull_div_p(base_vector_A(p, r - 2, 2), p) + corr
     if (r - f) % 2 == 0:
@@ -195,7 +194,7 @@ def base_vector_A(p: int, r: int, f: int) -> CuspDivisor:
     return pi2_pull(base_vector_A(p, r - j, r - j), p, j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def base_vector_B(p: int, r: int) -> CuspDivisor:
     return _gamma(p, r) * base_vector_A(p, r, 0) - base_vector_A(p, r, 1)
 
@@ -209,7 +208,7 @@ def _E_vec(r: int, k: int) -> tuple:
     return head + (0,) * (k - 2) + (-1,) + (0,) * (r - k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def base_vector_B2(r: int, f: int) -> CuspDivisor:
     """The replacement 2-power vectors (level 2^r, r >= 5, 3 <= f <= r)."""
     if r < 5 or not 3 <= f <= r:
@@ -240,7 +239,7 @@ def D_vector(L: OrderedLevel, i: int, j: int) -> CuspDivisor:
     return _two_prime_D(*L.base.factors[i - 1], *L.base.factors[j - 1])
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
     """(g_j/G) B_i (x) A_j0 - (g_i/G) A_i0 (x) B_j, G = gcd(g_i, g_j): as A(p, r, 0)
     is (P_1), the two tensors sit on the supports of B_i and of B_j."""
@@ -252,7 +251,7 @@ def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
     return from_dict(pi ** ri * pj ** rj, terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _case(I, u: int, s: int, r_u: int, kind: str):
     """Yoo's case split for the generator of kind "Z", "Z1" or "Y2" at the
     exponent tuple I, with 2 at slot u (0 if N is odd) to the power r_u,

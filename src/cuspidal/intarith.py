@@ -7,9 +7,9 @@ of N = p_1^r_1 * ... * p_t^r_t relative to an explicit (possibly permuted)
 ordering of the prime factors.
 
 A level's divisor data lives on its FactoredInteger, which factor returns.
-Every cache keyed by an integer level holds at most LEVEL_CACHE_SIZE
-entries, so memory stays bounded however many levels a process visits; only
-caches keyed by a shape or a prime power are unbounded.
+Every functools cache in the package, whether keyed by a level, a prime
+power or a shape, holds at most CACHE_SIZE entries, so memory stays bounded
+however many levels a process visits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-LEVEL_CACHE_SIZE = 4096
+CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class FactoredInteger:
         return tuple(phi(z_of(self.value, d)) for d in self.divisors)
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def factor(n: int) -> FactoredInteger:
     """Factor a positive integer by trial division; primes ascending.  n = 1
     gives t = 0.  Division stops at the square root of the unfactored part,

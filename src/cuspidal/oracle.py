@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .divisors import kron
 from .etalinalg import _upsilon_block_entry, ligozat_weights
-from .intarith import degree_weights, factor, kappa, valuation
+from .intarith import CACHE_SIZE, degree_weights, factor, kappa, valuation
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def _diagonalize(A):
     return P, Pinv, Q, tuple(A[k][k] for k in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _local_block(p: int, r: int) -> _LocalBlock:
     """The _LocalBlock of p^r, shared by every level and every prime ell;
     ArithmeticError unless P * Upsilon(p^r) * Q = diag(D) and P * P^-1 = Id

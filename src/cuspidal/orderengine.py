@@ -10,20 +10,25 @@ eta quotient whose divisor is the order times C.
 Upsilon(N) is the Kronecker product of its p^r blocks, so for a pure tensor
 C = v_1 (x) ... (x) v_k at pairwise coprime levels M_i, V is the tensor of
 the images W_i = Upsilon(M_i) * v_i.  Three identities then give the
-profile from small data about each factor (GCD g_i, Wbar_i = W_i / g_i, the
-total of Wbar_i and its parity sums at the primes of M_i):
+profile from the profile of each factor at its own level (GCD g_i, the
+support of Wbar_i = W_i / g_i and its parity sums at the primes of M_i):
 
 * GCD = g_1 * ... * g_k, as the gcd of a tensor is the product of gcds;
 * Vbar = Wbar_1 (x) ... (x) Wbar_k;
 * Pw_p = (the parity sum for p of the factor that holds p) times the
-  totals of all other factors, as [v_p(d) odd] depends on one factor only.
+  support totals of all other factors, as [v_p(d) odd] depends on one
+  factor only.
+
+The degree is the product of the factors' degrees, and h and the order
+follow from GCD and Pw as for any profile, in one helper.
 
 Yoo's generators are such tensors, of prime-power base vectors and at most
-one two-prime D vector: tensor_profile applies Upsilon to each factor at its
-own level, once per factor, never at N, and multiplies only the nonzero
-entries of the Wbar_i.  A profile stores that support {d: Vbar_d != 0};
-the sigma0(N) tuples Vbar and V are derived from it on request.  profile(C)
-of any divisor is the tensor profile of the one factor C.
+one two-prime D vector: tensor_profile profiles each factor at its own
+level, once per factor (cached), never applying Upsilon at N, and
+multiplies only the factors' supports.  A profile stores that support
+{d: Vbar_d != 0}; the sigma0(N) tuples Vbar and V are derived from it on
+request.  profile(C) of any divisor is the tensor profile of the one
+factor C.
 """
 
 from __future__ import annotations
@@ -33,11 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import NamedTuple
 
 from .divisors import CuspDivisor, from_dict, tensor_terms
 from .etalinalg import eta_divisor, ligozat_check, ligozat_weights, upsilon_apply
-from .intarith import LEVEL_CACHE_SIZE, degree_weights, divisors, factor, kappa
+from .intarith import CACHE_SIZE, degree_weights, divisors, factor, kappa
 
 
 @dataclass(frozen=True)
@@ -71,59 +75,55 @@ def profile(C: CuspDivisor) -> OrderProfile:
     return tensor_profile((C,))
 
 
-class _Factor(NamedTuple):
-    """What tensor_profile needs of a factor v at level M, W = Upsilon(M) * v:
-    gcd = gcd(W), wbar = W / gcd (None when W = 0), total = sum(wbar), pw the
-    pairs (p, parity sum of wbar at p) over the primes of M, the degree of v
-    and kappa(M)."""
-    gcd: int
-    wbar: tuple | None
-    total: int
-    pw: tuple
-    degree: int
-    kappa: int
+def _with_order(n: int, g: int, support: dict, pw: dict, degree: int) -> OrderProfile:
+    """The profile at level n with these fields, h and the order derived:
+    h = 2 when some Pw_p is odd, else 1, and for degree 0 the order is the
+    numerator of kappa(n) * h / (24 * GCD), which is 1 when GCD = 0."""
+    h = 2 if any(s % 2 for s in pw.values()) else 1
+    order = None
+    if degree == 0:
+        k = kappa(n) * h
+        order = k // math.gcd(k, 24 * g)
+    return OrderProfile(n, g, support, pw, h, order, degree)
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def _factor_image(m: int, coeffs: tuple) -> _Factor:
-    """The _Factor of the tensor factor with these coefficients at level m,
-    with Upsilon applied at m.  Keyed by (m, coeffs), not by the divisor,
-    whose generated __hash__ would rebuild that pair on every lookup."""
+@lru_cache(maxsize=CACHE_SIZE)
+def _factor_profile(m: int, coeffs: tuple) -> OrderProfile:
+    """The profile of the tensor factor with these coefficients at its own
+    level m, with Upsilon applied at m.  Keyed by (m, coeffs), not by the
+    divisor, whose generated __hash__ would rebuild that pair on every
+    lookup.  Its support and pw are shared, so never mutate them."""
     W = upsilon_apply(m, coeffs)
     deg = sum(map(mul, coeffs, degree_weights(m)))
     g = math.gcd(*W)
     if g == 0:
-        return _Factor(0, None, 0, (), deg, kappa(m))
-    wbar = tuple([w // g for w in W])
+        return _with_order(m, 0, {}, {}, deg)
+    wbar = [w // g for w in W]
     # Ligozat's weight rows 12 * [v_p(d) odd], primes ascending
-    pw = tuple([(p, sum(map(mul, w, wbar)) // 12)
-                for p, w in zip(factor(m).primes, ligozat_weights(m)[2:])])
-    return _Factor(g, wbar, sum(wbar), pw, deg, kappa(m))
+    pw = {p: sum(map(mul, w, wbar)) // 12
+          for p, w in zip(factor(m).primes, ligozat_weights(m)[2:])}
+    return _with_order(m, g, {d: x for d, x in zip(divisors(m), wbar) if x}, pw, deg)
 
 
 def tensor_profile(vecs) -> OrderProfile:
     """The profile of tensor_join(*vecs), factors at pairwise coprime levels,
-    from the factors' _Factor data: GCD, the degree and kappa are the
-    products of theirs, the support of Vbar is the tensor of the nonzero
-    entries of their wbar, and Pw_p is the parity sum for p of the factor at
-    p times the totals of the others."""
-    levels = tuple([v.n for v in vecs])
-    gs, wbars, totals, pws, degs, ks = zip(*[_factor_image(v.n, v.coeffs) for v in vecs])
-    n, g, deg, k = math.prod(levels), math.prod(gs), math.prod(degs), math.prod(ks)
-    if g == 0:
-        return OrderProfile(n, 0, {}, {}, 1, 1 if deg == 0 else None, deg)
+    from the factors' own profiles: GCD and the degree are the products of
+    theirs, the support is the tensor of their supports, and Pw_p is the
+    parity sum for p of the factor at p times the support totals of the
+    others."""
+    profs = [_factor_profile(v.n, v.coeffs) for v in vecs]
+    levels = tuple([f.n for f in profs])
+    g = math.prod([f.gcd_value for f in profs])
     pw = []
-    for i, sums in enumerate(pws):
-        rest = math.prod(totals[:i]) * math.prod(totals[i + 1:])
-        pw += [(p, s * rest) for p, s in sums]
-    pw.sort()
-    h = 2 if any(s % 2 for _, s in pw) else 1
-    order = None
-    if deg == 0:
-        # the numerator of k * h / (24 * GCD), GCD > 0
-        order = k * h // math.gcd(k * h, 24 * g)
-    supports = [[(d, x) for d, x in zip(divisors(m), w) if x] for m, w in zip(levels, wbars)]
-    return OrderProfile(n, g, tensor_terms(levels, supports), dict(pw), h, order, deg)
+    if g:
+        totals = [sum(f.support.values()) for f in profs]
+        for i, f in enumerate(profs):
+            rest = math.prod(totals[:i]) * math.prod(totals[i + 1:])
+            pw += [(p, s * rest) for p, s in f.pw.items()]
+        pw.sort()
+    return _with_order(math.prod(levels), g,
+                       tensor_terms(levels, [f.support.items() for f in profs]),
+                       dict(pw), math.prod([f.degree for f in profs]))
 
 
 def eta_certificate(C: CuspDivisor) -> tuple:

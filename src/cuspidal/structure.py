@@ -16,9 +16,9 @@ exponent tuple of d in the block's prime ordering read off
 divisor_exponents(N).  A generator is a tensor of prime-power base vectors
 and at most one two-prime D vector (generator_factors(L, I, kind)): its
 nonzero terms, d ascending, are products of the factors' nonzero entries
-(generator_terms, no sigma0(N) tuple), and its profile is read off the gcd,
-normalized image, total and parity sums of each factor's image under
-Upsilon (tensor_profile), never applying Upsilon at N.  compute_group keeps
+(generator_terms, no sigma0(N) tuple), and its profile combines the
+profiles of its factors at their own levels (tensor_profile), never applying
+Upsilon at N.  compute_group keeps
 the rows of order > 1 (of ell-part > 1 for Y2), each with a callable for
 its terms that only the printers call; verify_certificates re-sorts each
 block by the rank of I in divisor_orderings, which depends only on the

@@ -87,28 +87,52 @@ def test_only_cli_main_writes_to_stderr():
     assert stderr_uses(main) == stderr_uses(tree) > 0
 
 
+def _methods(cls):
+    return [node for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def test_every_definition_is_referenced_in_the_package():
-    """Every top-level function and class is named somewhere in the package
-    outside its own body.  Names match across modules, so this is a lower
-    bound on dead code.  The console entry point main and the names the
-    benchmark tracer wraps are exempt."""
+    """Every top-level function and class, and every method and property of
+    a package class but the dunder methods, is named somewhere in the
+    package outside its own body.  Names match across modules, so this is a
+    lower bound on dead code.  The console entry point main and the names
+    the benchmark tracer wraps are exempt."""
     trees = _package_trees()
     exempt = {"main"} | {fn for _, fn in _load_spans().TRACED}
     referenced = set()
     for tree in trees.values():
-        inside = {id(sub): node.name for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  for sub in ast.walk(node)}
+        defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [method for node in defs if isinstance(node, ast.ClassDef)
+                 for method in _methods(node)]
+        inside = {}  # id(node): the names of the definitions around it
+        for node in defs:
+            for sub in ast.walk(node):
+                inside.setdefault(id(sub), set()).add(node.name)
         for sub in ast.walk(tree):
             ref = (sub.id if isinstance(sub, ast.Name) else
                    sub.attr if isinstance(sub, ast.Attribute) else None)
-            if ref and inside.get(id(sub)) != ref:
+            if ref and ref not in inside.get(id(sub), ()):
                 referenced.add(ref)
-    unreferenced = [f"{name[:-3]}.{node.name}" for name, tree in trees.items()
-                    for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in referenced | exempt]
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced | exempt:
+                unreferenced.append(f"{name[:-3]}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unreferenced += [f"{name[:-3]}.{node.name}.{m.name}" for m in _methods(node)
+                                 if not m.name.startswith("__") and m.name not in referenced]
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def test_package_imports_are_made_only_at_module_level():
+    """Every relative import, the package's way to import its own modules,
+    is a statement of the module body: an import inside a function hides a
+    dependency from the module's header and runs again on every call."""
+    for name, tree in _package_trees().items():
+        top = {id(node) for node in tree.body}
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top]
+        assert not lines, f"{name}: package imports inside a function, lines {lines}"
 
 
 def test_checks_hold_under_optimize():

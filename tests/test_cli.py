@@ -20,11 +20,11 @@ def run(capsys, *argv):
 
 def test_parse_divisor_spec():
     D = parse_divisor_spec("1*(1),-1*(11)", 11)
-    assert D.as_dict() == {1: 1, 11: -1}
+    assert dict(D.support) == {1: 1, 11: -1}
     D = parse_divisor_spec("2*(1)-1*(6)", 36)
     assert D.coeffs == C_generator(36, 6).coeffs
     D = parse_divisor_spec('{"N": 11, "coeffs": {"1": 1, "11": -1}}', 11)
-    assert D.as_dict() == {1: 1, 11: -1}
+    assert dict(D.support) == {1: 1, 11: -1}
     with pytest.raises(ValueError):
         parse_divisor_spec("1*(5)", 12)
     with pytest.raises(ValueError):
@@ -43,7 +43,7 @@ def test_json_divisor_sums_keys_naming_one_divisor(capsys):
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["divisor"]["coeffs"] == {}
     D = parse_divisor_spec('{"coeffs": {"2": 3, "002": 4, "6": -7}}', 12)
-    assert D.as_dict() == {2: 7, 6: -7}
+    assert dict(D.support) == {2: 7, 6: -7}
 
 
 def test_divisor_keys_are_ascii_decimal_digits(capsys):
@@ -61,7 +61,7 @@ def test_divisor_keys_are_ascii_decimal_digits(capsys):
 
 def test_divisor_json_roundtrip():
     D = C_generator(36, 6)
-    text = json.dumps({"N": D.n, "coeffs": {str(d): c for d, c in D.as_dict().items()}})
+    text = json.dumps({"N": D.n, "coeffs": {str(d): c for d, c in D.support}})
     assert parse_divisor_spec(text, 36).coeffs == D.coeffs
 
 
@@ -151,6 +151,38 @@ def test_group_stdout_matches_the_pinned_digests(capsys, flags, pinned):
     for n, want in pinned.items():
         code, out, _ = run(capsys, "group", str(n), *flags)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, n
+
+
+# sha256 of the raw stdout of `order N --divisor spec` as text and with
+# --json, over profiles at 11 (h = 2) and two ladder levels, a divisor of
+# nonzero degree, the zero divisor (GCD 0) and a three-prime level (h = 1).
+ORDER_STDOUT = {
+    (11, "1*(1),-1*(11)"): (
+        "1e7a9b93101e50c2346192a615f3c0658e83482edfd3adade30addaace83c4ed",
+        "cd25feccc06f0926965cb2d0151730f5d447735e9a14b8d475effd7e763fe279"),
+    (5040, "1*(1),-1*(5040)"): (
+        "d1a4add1efe0922641f0f13bd5c9ba9b44a74c03b8aea5a8c39b446d5905974f",
+        "305af296e0e8b13376dc8de4046933cfc6e77ea1abd3d0a4e60515073f373d10"),
+    (720720, "3*(1),-2*(7),-1*(720720)"): (
+        "7e836eb6a303f091a2e216ea3444a302370caad2b30fdff7dfdf01f60dd2a046",
+        "6d2bc5e1b3026fdb5af6162661e5c4f31bd5bf416dafecbbc9b24cd7c356e3cc"),
+    (12, "1*(1)"): (
+        "ab2df45f1fa97bd604aa02e6dbad4c18e494206857a39cfa3855dc47df0dc894",
+        "b2f20d876015c7431af02cbc6db1eb56f55de992d23d1a0dde9e985112e2a831"),
+    (12, "0*(1)"): (
+        "6816c472289ac953186f84d0269cbd46e292a5cd950bc81fa06e1672f764ad04",
+        "cd69b709c543c2630699b66d183350b5c5ac0e2052b5dbeef41475ce2eb57258"),
+    (30, "2*(1),-1*(6),-1*(10)"): (
+        "1eba0b2b78e2a66d6c27e04215dfebcb22efaf389c1ab7fd21a481d5ffda3081",
+        "d9bb9d8fb11ce8d2c6178fd72765c2ba3851ffc07970e28acc5ff52c7df68429"),
+}
+
+
+@pytest.mark.parametrize("n, spec", ORDER_STDOUT)
+def test_order_stdout_matches_the_pinned_digests(capsys, n, spec):
+    for flags, want in zip(([], ["--json"]), ORDER_STDOUT[n, spec]):
+        code, out, _ = run(capsys, "order", str(n), "--divisor", spec, *flags)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, flags
 
 
 def test_verify_verb(capsys):

@@ -15,9 +15,9 @@ from references import (alpha_push, atkin_lehner, beta_push, cusp_alpha_push,
 def test_divisor_arithmetic():
     D = from_dict(12, {1: 2, 6: -1})
     E = from_dict(12, {6: 1})
-    assert (D + E).as_dict() == {1: 2}
-    assert (D - E).as_dict() == {1: 2, 6: -2}
-    assert (3 * D).as_dict() == {1: 6, 6: -3}
+    assert dict((D + E).support) == {1: 2}
+    assert dict((D - E).support) == {1: 2, 6: -2}
+    assert dict((3 * D).support) == {1: 6, 6: -3}
     assert str(D) == "2*(1),-1*(6)"
     with pytest.raises(ValueError):
         from_dict(12, {5: 1})
@@ -50,7 +50,7 @@ def test_pushforward_matches_pointwise_action():
                     orbit_size = phi(z_of(n // p, dd))
                     assert cnt % orbit_size == 0
                     expected[dd] = cnt // orbit_size
-                assert image.as_dict() == expected
+                assert dict(image.support) == expected
 
 
 def test_atkin_lehner_involution_on_basis():
@@ -108,7 +108,7 @@ def _dict_tensor(*vecs):
     for v in vecs:
         nxt = {}
         for d1, c1 in out.items():
-            for d2, c2 in v.as_dict().items():
+            for d2, c2 in v.support:
                 nxt[d1 * d2] = nxt.get(d1 * d2, 0) + c1 * c2
         out = nxt
     return from_dict(math.prod(v.n for v in vecs), out)
@@ -136,14 +136,14 @@ def test_tensor_join_matches_dict_product():
 
 
 def test_support_is_the_nonzero_coefficients_ascending():
-    """support holds the nonzero (d, c) in ascending d, as as_dict does, and
-    caching it leaves equality and the hash as they were."""
+    """support holds the nonzero (d, c) in ascending d, and caching it
+    leaves equality and the hash as they were."""
     rng = random.Random(5)
     for m in (1, 2, 12, 36, 720, 2 ** 7, 3 * 5 * 7 * 11, 2 ** 4 * 3 ** 2 * 5 * 7):
         for _ in range(10):
             D = CuspDivisor(m, tuple(rng.choice((0, 0, 0, 1, -2, 5)) for _ in divisors(m)))
             want = [(d, c) for d, c in zip(divisors(m), D.coeffs) if c]
-            assert list(D.support) == want == list(D.as_dict().items())
+            assert list(D.support) == want
             E = CuspDivisor(m, D.coeffs)
             assert D == E and hash(D) == hash(E)
 

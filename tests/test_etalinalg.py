@@ -115,7 +115,7 @@ def test_ligozat():
 
 def test_eta_divisor():
     D = eta_divisor(11, (12, -12))
-    assert D.as_dict() == {1: 5, 11: -5}
+    assert dict(D.support) == {1: 5, 11: -5}
     assert D.coeffs == tuple(5 * c for c in C_generator(11, 11).coeffs)
 
 

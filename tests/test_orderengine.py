@@ -132,6 +132,18 @@ def test_tensor_profile_against_direct():
             for nd in (False, True) if not (z and nd)} <= seen
 
 
+def test_factor_profile_is_the_profile_at_the_factor_level():
+    """The per-factor cache returns the factor's own OrderProfile, h and
+    the order included, for base vectors, zero divisors and divisors of
+    nonzero degree."""
+    rng = random.Random(7)
+    for m in (1, 2, 11, 12, 25, 35, 64, 210, 3 ** 5):
+        ds = divisors(m)
+        for D in (from_dict(m, {}), from_dict(m, {1: 1}),
+                  from_dict(m, {d: rng.randrange(-3, 4) for d in ds})):
+            assert orderengine._factor_profile(D.n, D.coeffs) == profile(D), (m, D)
+
+
 def test_tensor_profile_requires_degree_zero():
     with pytest.raises(ValueError):
         tensor_profile(from_dict(3, {1: 1}), from_dict(5, {1: 1}))

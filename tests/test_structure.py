@@ -7,6 +7,7 @@ import os
 import pkgutil
 import random
 from collections import Counter
+from dataclasses import replace
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -545,53 +546,53 @@ def test_factor_route_profiles_match_the_dense_route_to_3000():
         _assert_factor_route_matches_the_dense_route(n)
 
 
-# The functools caches keyed by a shape or a prime power: a sweep over
-# levels adds few entries to them, so they stay unbounded.
-UNBOUNDED_CACHES = {"generators._case", "generators.divisor_orderings",
-                    "generators.base_vector_A", "generators.base_vector_B",
-                    "generators.base_vector_B2", "oracle._local_block"}
-
-
-def test_caches_keyed_by_a_level_share_one_bound():
-    """Every functools cache that a package module defines and that is keyed
-    by an integer level holds at most intarith.LEVEL_CACHE_SIZE entries,
-    however many levels a sweep visits; the level's divisor data lives on
-    factor's FactoredInteger, intarith's one cache."""
+def test_every_cache_shares_one_bound():
+    """Every functools cache that a package module defines, whether keyed by
+    a level, a prime power or a shape, holds at most intarith.CACHE_SIZE
+    entries, however many levels a sweep visits; the level's divisor data
+    lives on factor's FactoredInteger, intarith's one cache."""
     caches = {}  # "module.name": maxsize
     for info in pkgutil.iter_modules(cuspidal.__path__):
         module = importlib.import_module(f"cuspidal.{info.name}")
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
-    assert {name for name, size in caches.items() if size is None} == UNBOUNDED_CACHES
-    bounded = {name: size for name, size in caches.items() if size is not None}
-    assert set(bounded.values()) == {intarith.LEVEL_CACHE_SIZE}, bounded
+    assert {"oracle._local_block", "generators._case",
+            "orderengine._factor_profile"} <= set(caches)
+    assert set(caches.values()) == {intarith.CACHE_SIZE}, caches
     assert [name for name in caches if name.startswith("intarith.")] == ["intarith.factor"]
 
 
 def _spoil_factor(spoil):
-    """An injector that passes the data of every tensor factor through spoil
-    before tensor_profile reads it."""
+    """An injector that passes the profile of every tensor factor through
+    spoil before tensor_profile reads it."""
     def inject(monkeypatch):
-        real = orderengine._factor_image
-        monkeypatch.setattr(orderengine, "_factor_image",
+        real = orderengine._factor_profile
+        monkeypatch.setattr(orderengine, "_factor_profile",
                             lambda m, coeffs: spoil(real(m, coeffs)))
     return inject
 
 
 def _wbar_entry_off_by_one(f):
-    return f._replace(wbar=f.wbar[:-1] + (f.wbar[-1] + 1,)) if f.wbar else f
+    """One unit of Wbar moved from d = 1 to d = m, so the total, which
+    tensor_profile reads off the support, is unchanged."""
+    if not f.support:
+        return f
+    wbar = {**f.support}
+    for d, step in ((f.n, 1), (1, -1)):
+        wbar[d] = wbar.get(d, 0) + step
+    return replace(f, support={d: x for d, x in sorted(wbar.items()) if x})
 
 
 def _gcd_doubled(f):
-    return f._replace(gcd=2 * f.gcd)
+    return replace(f, gcd_value=2 * f.gcd_value)
 
 
 def _parity_sum_flipped(f):
     if not f.pw:
         return f
-    (p, s), *rest = f.pw
-    return f._replace(pw=((p, s + 1), *rest))
+    (p, s), *rest = f.pw.items()
+    return replace(f, pw={p: s + 1, **dict(rest)})
 
 
 def _extra_support_term_at_N(monkeypatch):
@@ -683,8 +684,8 @@ _ORACLE = ("invariant_factors",)
 _CERTIFICATES = ("certificates",)
 _BOTH = ("invariant_factors", "certificates")
 
-# Defects injected into the oracle, into the per-factor data of
-# tensor_profile (one per identity it relies on) and the support it forms
+# Defects injected into the oracle, into the factor profiles that
+# tensor_profile combines (one per identity it relies on) and the support it forms
 # from them, into Yoo's route (a closed-form order, a prime ordering, the
 # T_u test), and into the premises both routes share (kappa, Upsilon, the
 # parity weights), patched in every module that binds the name.
@@ -725,7 +726,7 @@ DEFECTS = {
 def _clear_level_caches():
     """The caches a defect in kappa, Upsilon or the Ligozat weights can
     fill with wrong entries."""
-    for cached in (oracle._local_block, orderengine._factor_image,
+    for cached in (oracle._local_block, orderengine._factor_profile,
                    etalinalg._upsilon_axes, etalinalg.upsilon):
         cached.cache_clear()
 
@@ -762,7 +763,7 @@ def test_certificates_apply_upsilon_only_at_factor_levels(monkeypatch):
 
     monkeypatch.setattr(orderengine, "upsilon_apply", record)
     for n in (5040, 30030, 55440, 720720):
-        orderengine._factor_image.cache_clear()
+        orderengine._factor_profile.cache_clear()
         levels.clear()
         assert verify_certificates(n).passed
         assert levels and all(m < n and n % m == 0 and factor(m).t <= 2 for m in levels), n
