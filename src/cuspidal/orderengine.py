@@ -110,15 +110,19 @@ def tensor_profile(vecs) -> OrderProfile:
     from the factors' own profiles: GCD and the degree are the products of
     theirs, the support is the tensor of their supports, and Pw_p is the
     parity sum for p of the factor at p times the support totals of the
-    others."""
+    others.  One factor's profile is its own."""
     profs = [_factor_profile(v.n, v.coeffs) for v in vecs]
+    if len(profs) == 1:
+        return profs[0]
     levels = tuple([f.n for f in profs])
     g = math.prod([f.gcd_value for f in profs])
     pw = []
     if g:
         totals = [sum(f.support.values()) for f in profs]
         for i, f in enumerate(profs):
-            rest = math.prod(totals[:i]) * math.prod(totals[i + 1:])
+            totals[i], t = 1, totals[i]  # the product of the other totals
+            rest = math.prod(totals)
+            totals[i] = t
             pw += [(p, s * rest) for p, s in f.pw.items()]
         pw.sort()
     return _with_order(math.prod(levels), g,

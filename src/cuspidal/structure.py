@@ -8,23 +8,26 @@ which shares no code with the generators.  invariant_factors_of_quotient,
 the dense elimination, and eta_unit_lattice stay here as references for
 the tests and the benchmark tracer.
 
-The generators come from one walk, _blocks(N), over Yoo's table: one block
-per prime ordering (the Z block on the default level, then B(p, r, 1) when
-N = p^r, else one Y2 block per relevant ell on its own order_primes(N, ell)),
-each plain data, rows (d, I, label, closed-form order) in ascending d, I the
-exponent tuple of d in the block's prime ordering read off
-divisor_exponents(N).  A generator is a tensor of prime-power base vectors
-and at most one two-prime D vector (generator_factors(L, I, kind)): its
-nonzero terms, d ascending, are products of the factors' nonzero entries
-(generator_terms, no sigma0(N) tuple), and its profile combines the
-profiles of its factors at their own levels (tensor_profile), never applying
-Upsilon at N.  compute_group keeps
+The generators come from one walk, _blocks(N), over Yoo's table: the Z
+block on the default level, then B(p, r, 1) when N = p^r, else one Y2 block
+per relevant ell, ascending, on order_primes(N, ell).  Each block is plain
+data, rows (d, I, label, closed-form order) in ascending d, I the exponent
+tuple of d in the block's prime ordering read off divisor_exponents(N).  A
+Y2 row depends on ell only through the ordering (factors, s), so the ell
+with equal (factors, s) share one rows tuple, built once: over N <= 720 the
+8198 Y2 rows come from 6645 rows of distinct tables.  A generator is a
+tensor of prime-power base vectors and at most one two-prime D vector
+(generator_factors(L, I, kind)): its nonzero terms, d ascending, are
+products of the factors' nonzero entries (generator_terms, no sigma0(N)
+tuple), and its profile combines the profiles of its factors at their own
+levels (tensor_profile), never applying Upsilon at N.  compute_group keeps
 the rows of order > 1 (of ell-part > 1 for Y2), each with a callable for
 its terms that only the printers call; verify_certificates re-sorts each
-block by the rank of I in divisor_orderings, which depends only on the
-shape (exponents, u) of the block's level, profiles each generator and
-re-runs the split-off hypotheses (unipotence of the normalized-profile
-matrices, the h and parity side conditions) on the concrete level N.
+distinct table by the rank of I in divisor_orderings, which depends only on
+the shape (exponents, u) of the block's level, profiles each distinct
+generator once (5224 of the 8198 Y2 rows over N <= 720) and re-runs the
+split-off hypotheses (unipotence of the normalized-profile matrices, the h
+and parity side conditions) for every ell on the concrete level N.
 crosscheck hands one walk to both and builds no terms.
 """
 
@@ -149,11 +152,12 @@ def _relevant_ells(n: int):
 
 def _blocks(n: int):
     """Yoo's table for C(N): the Z block on the default level, then B(p, r, 1)
-    when N = p^r, else one Y2 block per relevant ell on order_primes(N, ell).
-    One builder makes every block from its level and the exponent tuples of
-    its divisors, read off divisor_exponents(N) in the block's prime
-    ordering: the B block is the Z generator at the tuple (1,).  Orders of 1
-    are kept."""
+    when N = p^r, else one Y2 block per relevant ell, ascending, on
+    order_primes(N, ell); the ell whose orderings have equal (factors, s)
+    share one rows tuple.  One builder makes the rows from a level and the
+    exponent tuples of its divisors, read off divisor_exponents(N) in the
+    block's prime ordering: the B block is the Z generator at the tuple (1,).
+    Orders of 1 are kept."""
     fn = factor(n)
     if fn.t == 0:
         return
@@ -162,24 +166,26 @@ def _blocks(n: int):
     for d, I in zip(divisors(n)[1:], divisor_exponents(n)[1:]):
         (nsf if in_square(I) else sf)[d] = I
 
-    def block(kind, L, Is, label):
-        gen = "Y2" if kind == "Y2" else "Z"
-        return _Block(kind, L, tuple((d, I, label(d, I), generator_order(L, I, gen))
-                                     for d, I in Is.items()))
+    def rows(L, Is, label, gen="Z"):
+        return tuple((d, I, label(d, I), generator_order(L, I, gen)) for d, I in Is.items())
 
     if fn.t == 1:
         (p, r), = fn.factors
         label = lambda d, I: (f"B2({r},{I[0]})" if in_T_u(I, r, L0.u)
                               else f"B({p},{r},{I[0]})")
-        yield block("Z", L0, nsf, label)
-        yield block("B", L0, {p: (1,)}, label)
+        yield _Block("Z", L0, rows(L0, nsf, label))
+        yield _Block("B", L0, rows(L0, {p: (1,)}, label))
         return
-    yield block("Z", L0, nsf, lambda d, I: f"Z({d})")
+    yield _Block("Z", L0, rows(L0, nsf, lambda d, I: f"Z({d})"))
+    tables = {}  # (factors, s) -> the Y2 rows, which depend on ell through them only
     for ell in _relevant_ells(n):
         L = order_primes(n, ell)
-        perm = [fn.primes.index(q) for q in L.base.primes]
-        yield block("Y2", L, {d: tuple(I[k] for k in perm) for d, I in sf.items()},
-                    lambda d, I: f"Y2({d})")
+        key = (L.base.factors, L.s)
+        if key not in tables:
+            perm = [fn.primes.index(q) for q in L.base.primes]
+            tables[key] = rows(L, {d: tuple(I[k] for k in perm) for d, I in sf.items()},
+                               lambda d, I: f"Y2({d})", "Y2")
+        yield _Block("Y2", L, tables[key])
 
 
 def compute_group(n, blocks=None) -> AbelianGroupStructure:
@@ -205,8 +211,11 @@ def compute_group(n, blocks=None) -> AbelianGroupStructure:
 
 
 def cuspidal_equals_rational(n: int) -> bool:
-    """True when the full cuspidal group is known to coincide with C(N):
-    N = 4M or 8M with M odd squarefree."""
+    """True exactly when N = 4M or 8M with M odd and squarefree, the
+    hypothesis under which the full cuspidal group is known to coincide
+    with C(N).  It is not "every cusp is rational": that holds for
+    N = 2^a M, a <= 3, M odd squarefree, so the flag is False at
+    squarefree N and at N = 2M, where every cusp is rational too."""
     for q in (4, 8):
         if n % q == 0:
             m = n // q
@@ -270,34 +279,46 @@ def _check_unipotent(rep, rows, deltas, profs, label, modulus=None):
 def verify_certificates(n, blocks=None) -> CertificateReport:
     """Re-check every block of the table on N: closed-form orders against the
     profiles, and unipotence or the ell = 2 split conditions in the divisor
-    orderings of the block's shape.  blocks, if given, is a walk of
+    orderings of the block's shape.  Each table of one (kind, factors, s) is
+    sorted and each distinct set of tensor factors profiled once per call;
+    every check still runs for every ell.  blocks, if given, is a walk of
     _blocks(N)."""
     rep = CertificateReport(n)
     if n == 1:
         rep.record("trivial", "N=1", True)
         return rep
+    tables, profiles = {}, {}  # by (kind, factors, s) and by the set of tensor factors
+
+    def prof(L, I, gen):
+        vecs = generator_factors(L, I, gen)
+        key = frozenset(vecs)
+        if key not in profiles:
+            profiles[key] = tensor_profile(vecs)
+        return profiles[key]
+
     for blk in _blocks(n) if blocks is None else blocks:
         L = blk.level
         if blk.kind == "B":
             (d, I, _, order), = blk.rows
-            pz = tensor_profile(generator_factors(L, I, "Z"))
-            rep.record("order/Z", f"d={d}", pz.order == order)
+            rep.record("order/Z", f"d={d}", prof(L, I, "Z").order == order)
             continue
         if not blk.rows:
             continue
-        prec, tri = divisor_orderings(L.base.exponents, L.u)
-        rank = {I: i for i, I in enumerate(prec)}
-        rows = sorted(blk.rows, key=lambda row: rank[row[1]])
-        # the rows are one stretch of prec (Delta for Y2, the rest for Z),
-        # and the deltas from its first rank on are the columns
-        deltas = [divisor_of(L.base, J) for J in tri[rank[rows[0][1]]:]]
-        gen = "Y2" if blk.kind == "Y2" else "Z"
-        profs = [tensor_profile(generator_factors(L, I, gen)) for _, I, _, _ in rows]
+        key = (blk.kind, L.base.factors, L.s)
+        if key not in tables:
+            prec, tri = divisor_orderings(L.base.exponents, L.u)
+            rank = {I: i for i, I in enumerate(prec)}
+            rows = sorted(blk.rows, key=lambda row: rank[row[1]])
+            # the rows are one stretch of prec (Delta for Y2, the rest for Z),
+            # and the deltas from its first rank on are the columns
+            deltas = [divisor_of(L.base, J) for J in tri[rank[rows[0][1]]:]]
+            gen = "Y2" if blk.kind == "Y2" else "Z"
+            tables[key] = rows, deltas, [prof(L, I, gen) for _, I, _, _ in rows]
+        rows, deltas, profs = tables[key]
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
             # outside the exceptional 2-power set T_u.
-            profs1 = [tensor_profile(generator_factors(L, I, "Z1"))
-                      if in_T_u(I, L.r_u, L.u) else pz
+            profs1 = [prof(L, I, "Z1") if in_T_u(I, L.r_u, L.u) else pz
                       for (_, I, _, _), pz in zip(rows, profs)]
             _check_unipotent(rep, rows, deltas, profs1, "nsf-unipotence")
             for (d, _, _, order), pz in zip(rows, profs):

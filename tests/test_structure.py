@@ -342,6 +342,15 @@ def test_crosscheck_range():
         assert rec["pass"], rec["mismatches"]
 
 
+def test_crosscheck_on_a_uniform_sample():
+    """150 uniform levels <= 10^6 (Random(5)), where about half of the Y2
+    rows repeat a generator of another ell."""
+    rng = random.Random(5)
+    for n in [rng.randint(1, 10 ** 6) for _ in range(150)]:
+        rec = crosscheck(n)
+        assert rec["pass"], (n, rec["mismatches"])
+
+
 def test_crosscheck_matches_the_batch_reference():
     with open(os.path.join(REPO, "perfbench", "reference", "batch-720.jsonl")) as fh:
         lines = fh.read().splitlines()[:300]
@@ -412,6 +421,16 @@ def test_flag():
     assert not cuspidal_equals_rational(16 * 3)
     assert not cuspidal_equals_rational(4 * 9)
     assert not cuspidal_equals_rational(11)
+
+
+def test_flag_is_4M_or_8M_with_M_odd_squarefree():
+    """The flag encodes that hypothesis only: it is False at squarefree N and
+    at N = 2M, though every cusp is rational there."""
+    for n in range(1, 1001):
+        m, r2 = n >> valuation(n, 2), valuation(n, 2)
+        want = r2 in (2, 3) and all(r == 1 for r in factor(m).exponents)
+        assert cuspidal_equals_rational(n) == want, n
+    assert not any(map(cuspidal_equals_rational, (2, 6, 35, 210, 2 * 3 * 5 * 7 * 11)))
 
 
 def test_group_json_schema():
@@ -633,6 +652,20 @@ def _first_two_primes_swapped(monkeypatch):
     _patch_everywhere(monkeypatch, "order_primes", swapped, (generators, structure))
 
 
+def _first_two_primes_swapped_for_ell_5(monkeypatch):
+    """As above for ell = 5 only, at levels where ell = 3 and ell = 5 share
+    an ordering without the defect: a Y2 table is shared by value, so ell = 5
+    gets its own table and its own certificates."""
+    real = generators.order_primes
+
+    def swapped(n, ell):
+        L = real(n, ell)
+        fs = L.base.factors
+        return generators._make_level(fs[1::-1] + fs[2:], ell) if ell == 5 else L
+
+    _patch_everywhere(monkeypatch, "order_primes", swapped, (generators, structure))
+
+
 def _certificate_T_u_flipped(monkeypatch):
     """The T_u test of the certificates and labels negated when 2^5 | N, so
     the B2 generators are held to the unipotence of Z1.  The generators keep
@@ -709,6 +742,8 @@ DEFECTS = {
     "first two primes swapped": _Defect(
         _first_two_primes_swapped, (15, 21, 30, 35), _BOTH,
         {"sf-unipotence", "ell2/column", "ell2/parity"}),
+    "first two primes swapped for ell = 5": _Defect(
+        _first_two_primes_swapped_for_ell_5, (55, 93, 99, 155), _BOTH, {"sf-unipotence"}),
     "certificate T_u flipped": _Defect(_certificate_T_u_flipped, (32, 64, 96),
                                        _CERTIFICATES, {"nsf-unipotence"}),
     # 2, 4 and the primes p = 3 (mod 4) pass with kappa doubled
@@ -867,15 +902,23 @@ def test_crosscheck_builds_no_generator(monkeypatch):
 
 
 def test_blocks_share_tables_exactly_when_orderings_agree():
-    """Y2 blocks of one (factors, s) have equal rows, each block built from
-    its own order_primes(N, ell); blocks are plain data, (kind, level, rows)."""
+    """Y2 blocks of one (factors, s) hold one rows tuple, built once, and
+    blocks of different (factors, s) hold different rows; one block per
+    relevant ell, in ascending ell, each on its own order_primes(N, ell).
+    Blocks are plain data, (kind, level, rows)."""
     assert structure._Block._fields == ("kind", "level", "rows")
     for n in _table_levels():
         y2 = [blk for blk in structure._blocks(n) if blk.kind == "Y2"]
+        if y2:
+            assert [b.level.ell for b in y2] == list(structure._relevant_ells(n)), n
         for a in y2:
+            assert a.level == generators.order_primes(n, a.level.ell), (n, a.level.ell)
             for b in y2:
-                if (a.level.base.factors, a.level.s) == (b.level.base.factors, b.level.s):
-                    assert a.rows == b.rows, (n, a.level.ell, b.level.ell)
+                same = (a.level.base.factors, a.level.s) == (b.level.base.factors, b.level.s)
+                assert (a.rows is b.rows) == same, (n, a.level.ell, b.level.ell)
+    for n in DEFECTS["first two primes swapped for ell = 5"].levels:
+        rows = {blk.level.ell: blk.rows for blk in structure._blocks(n) if blk.kind == "Y2"}
+        assert rows[3] is rows[5], n
 
 
 def test_table_path_never_recomputes_exponent_tuples(monkeypatch):
@@ -919,3 +962,62 @@ def test_divisor_orderings_computed_once_per_shape():
     for n in range(1, 721):
         assert crosscheck(n)["pass"], n
     assert generators.divisor_orderings.cache_info().misses == len(shapes) == 109
+
+
+def _guard_levels():
+    return list(range(1, 721)) + list(ROADMAP_LADDER)
+
+
+def test_generator_orders_computed_once_per_distinct_table(monkeypatch):
+    """_blocks(N) runs generator_order once per Z or B row and once per row
+    of each distinct Y2 table, one per (factors, s) of order_primes(N, ell)
+    over the relevant ell: 2^t - 1 squarefree divisors d > 1 each."""
+    calls = Counter()
+    real = structure.generator_order
+
+    def count(L, I, kind):
+        calls[kind] += 1
+        return real(L, I, kind)
+
+    monkeypatch.setattr(structure, "generator_order", count)
+    for n in _guard_levels():
+        calls.clear()
+        list(structure._blocks(n))
+        fn = factor(n)
+        nsf = sum(1 for I in divisor_exponents(n)[1:] if intarith.in_square(I))
+        tables = {(L.base.factors, L.s) for L in (generators.order_primes(n, ell)
+                                                  for ell in structure._relevant_ells(n))}
+        want = Counter()
+        if fn.t == 1:
+            want["Z"] = nsf + 1
+        elif fn.t:
+            want["Z"] = nsf
+            want["Y2"] = len(tables) * (2 ** fn.t - 1)
+        assert calls == want, n
+
+
+def test_certificates_profile_each_distinct_generator_once(monkeypatch):
+    """verify_certificates calls tensor_profile once per distinct set of
+    tensor factors of the level's generators (Z, Z1 on T_u, B and Y2),
+    however many ell share a Y2 table or a generator."""
+    seen = []
+    real = structure.tensor_profile
+
+    def record(vecs):
+        seen.append(frozenset(vecs))
+        return real(vecs)
+
+    monkeypatch.setattr(structure, "tensor_profile", record)
+    for n in _guard_levels():
+        blocks = tuple(structure._blocks(n))
+        want = set()
+        for blk in blocks:
+            L = blk.level
+            kinds = ("Y2",) if blk.kind == "Y2" else ("Z", "Z1")
+            for _, I, _, _ in blk.rows:
+                for kind in kinds:
+                    if kind != "Z1" or (blk.kind == "Z" and generators.in_T_u(I, L.r_u, L.u)):
+                        want.add(frozenset(generators.generator_factors(L, I, kind)))
+        seen.clear()
+        assert verify_certificates(n, blocks).passed, n
+        assert len(seen) == len(set(seen)) and set(seen) == want, n
