@@ -24,6 +24,7 @@ from .structure import compute_group, crosscheck, group_to_json
 
 MAX_LEVEL = 10 ** 6
 MAX_QEXP = 1000  # eta --qexp costs about K^2 series steps
+BATCH_SLICE_PER_JOB = 64  # batch --jobs submits at most this many levels per job at once
 
 _TERM = re.compile(r"([+-]?\d+)\*\((\d+)\)", re.ASCII)
 
@@ -194,9 +195,11 @@ def cmd_batch(args) -> int:
             if todo:
                 if args.jobs > 1:
                     from concurrent.futures import ProcessPoolExecutor
+                    step = BATCH_SLICE_PER_JOB * args.jobs
                     with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                        for rec in ex.map(crosscheck, todo):
-                            cached[rec["N"]] = rec
+                        for i in range(0, len(todo), step):
+                            for rec in ex.map(crosscheck, todo[i:i + step]):
+                                cached[rec["N"]] = rec
                 else:
                     for n in todo:
                         cached[n] = crosscheck(n)

@@ -9,13 +9,12 @@ with gcd(x, d) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intarith import divisors, factor, z_of
 
 
-@dataclass(frozen=True, order=True)
-class Cusp:
+class Cusp(NamedTuple):
     n: int
     d: int
     x: int

@@ -15,25 +15,32 @@ Kronecker product, in factor order, that the oracle uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
 from .intarith import degree_weights, divisor_positions, divisors, phi, valuation
 
 
-@dataclass(frozen=True)
 class CuspDivisor:
     """An element of S2(N): coefficients on (P_d), d ascending, and its
     support, the pairs (d, c) with c != 0 in that order, found once."""
 
-    n: int
-    coeffs: tuple
+    def __init__(self, n: int, coeffs: tuple):
+        if len(coeffs) != len(divisors(n)):
+            raise ValueError(f"a divisor at level {n} needs {len(divisors(n))} "
+                             f"coefficients, not {len(coeffs)}")
+        self.n, self.coeffs = n, coeffs
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(divisors(self.n)):
-            raise ValueError(f"a divisor at level {self.n} needs {len(divisors(self.n))} "
-                             f"coefficients, not {len(self.coeffs)}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.coeffs) == (other.n, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
+
+    def __repr__(self):
+        return f"CuspDivisor(n={self.n!r}, coeffs={self.coeffs!r})"
 
     @cached_property
     def support(self) -> tuple:

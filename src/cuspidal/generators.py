@@ -20,9 +20,9 @@ construct_Y and predicted_order wrap them for a divisor d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
                        pi2_pull, pi12_pull_div_p, tensor_terms)
@@ -36,24 +36,19 @@ from .intarith import (CACHE_SIZE, FactoredInteger, A_tuple, E_tuple,
 # Prime ordering for a target prime ell
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderedLevel:
+class OrderedLevel(NamedTuple):
+    """N in one prime ordering for the target prime ell, with s = 0 for odd
+    ell, else u; u is the slot of 2 (0 if N is odd) and r_u the exponent of
+    2 in N (0 if N is odd)."""
     base: FactoredInteger
     ell: int
     s: int
+    u: int
+    r_u: int
 
     @property
     def t(self) -> int:
         return self.base.t
-
-    @cached_property
-    def u(self) -> int:
-        return self.base.u
-
-    @cached_property
-    def r_u(self) -> int:
-        """The exponent of 2 in N, or 0 if N is odd."""
-        return self.base.exponents[self.u - 1] if self.u else 0
 
 
 def _gamma(p: int, r: int) -> int:
@@ -73,9 +68,14 @@ def _admissible(factors, ell: int) -> bool:
 
 
 def _make_level(factors, ell: int) -> OrderedLevel:
-    value = math.prod(p ** r for p, r in factors)
-    base = FactoredInteger(value, tuple(factors))
-    return OrderedLevel(base, ell, 0 if ell % 2 else base.u)
+    """The level with this prime ordering, on factor(N) itself when the
+    ordering is ascending, so its divisor data are built once per level."""
+    factors = tuple(factors)
+    base = factor(math.prod(p ** r for p, r in factors))
+    if base.factors != factors:
+        base = FactoredInteger(base.value, factors)
+    u = base.u
+    return OrderedLevel(base, ell, 0 if ell % 2 else u, u, base.exponents[u - 1] if u else 0)
 
 
 def order_primes(n, ell: int) -> OrderedLevel:

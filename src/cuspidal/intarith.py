@@ -15,25 +15,32 @@ however many levels a process visits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
 class FactoredInteger:
     """A positive integer with an ordered prime-power factorization, and the
     owner of its divisor data, each computed once, in that prime ordering."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
+        if value != math.prod(p ** r for p, r in factors):
+            raise ValueError(f"factors {factors} do not multiply to {value}")
+        if len({p for p, _ in factors}) != len(factors):
+            raise ValueError(f"repeated prime in {factors}")
+        self.value, self.factors = value, factors
 
-    def __post_init__(self):
-        if self.value != math.prod(p ** r for p, r in self.factors):
-            raise ValueError(f"factors {self.factors} do not multiply to {self.value}")
-        if len({p for p, _ in self.factors}) != len(self.factors):
-            raise ValueError(f"repeated prime in {self.factors}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.factors) == (other.value, other.factors)
+
+    def __hash__(self):
+        return hash((self.value, self.factors))
+
+    def __repr__(self):
+        return f"FactoredInteger(value={self.value!r}, factors={self.factors!r})"
 
     @property
     def t(self) -> int:

@@ -17,7 +17,6 @@ structure imports AbelianGroupStructure and _merge_invariants from here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
@@ -27,14 +26,13 @@ from .etalinalg import _upsilon_block_entry, ligozat_weights
 from .intarith import CACHE_SIZE, degree_weights, factor, kappa, valuation
 
 
-@dataclass(frozen=True)
-class AbelianGroupStructure:
+class AbelianGroupStructure(NamedTuple):
     n: int
     cyclic_factors: tuple  # (label, callable for the terms or None, order > 1)
     ell_primary: dict      # ell -> tuple of ell-power orders, descending
     invariant_factors: tuple  # ascending divisibility chain
     group_order: int
-    orderings: dict = field(default_factory=dict)  # ell -> tuple of primes
+    orderings: dict        # ell -> tuple of primes
 
 
 def _merge_invariants(orders):
@@ -239,4 +237,4 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
     if math.prod(invs) != math.prod(local):
         raise ArithmeticError(f"invariant factors {invs} do not multiply to the "
                               f"order {math.prod(local)} of the local parts")
-    return AbelianGroupStructure(n, (), prim, invs, math.prod(invs))
+    return AbelianGroupStructure(n, (), prim, invs, math.prod(invs), {})

@@ -34,18 +34,17 @@ factor C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .divisors import CuspDivisor, from_dict, tensor_terms
 from .etalinalg import eta_divisor, ligozat_check, ligozat_weights, upsilon_apply
 from .intarith import CACHE_SIZE, degree_weights, divisors, factor, kappa
 
 
-@dataclass(frozen=True)
-class OrderProfile:
+class OrderProfile(NamedTuple):
     """The profile of a divisor at level n: gcd_value = GCD, support =
     {d: Vbar_d} over the nonzero entries of Vbar ({} when GCD = 0), pw =
     Pw_p over the primes of n ascending ({} when GCD = 0), h, the order (None

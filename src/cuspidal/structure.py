@@ -34,7 +34,6 @@ crosscheck hands one walk to both and builds no terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from operator import mul
 from typing import NamedTuple
@@ -216,13 +215,8 @@ def cuspidal_equals_rational(n: int) -> bool:
     with C(N).  It is not "every cusp is rational": that holds for
     N = 2^a M, a <= 3, M odd squarefree, so the flag is False at
     squarefree N and at N = 2M, where every cusp is rational too."""
-    for q in (4, 8):
-        if n % q == 0:
-            m = n // q
-            fm = factor(m)
-            if m % 2 == 1 and all(r == 1 for r in fm.exponents):
-                return True
-    return False
+    fn = factor(n)
+    return fn.u == 1 and fn.exponents[0] in (2, 3) and all(r == 1 for r in fn.exponents[1:])
 
 
 def group_to_json(G: AbelianGroupStructure) -> dict:
@@ -246,10 +240,9 @@ def group_to_json(G: AbelianGroupStructure) -> dict:
 # Runtime verification of the split-off criteria
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CertificateReport:
-    n: int
-    steps: list = field(default_factory=list)
+    def __init__(self, n: int):
+        self.n, self.steps = n, []
 
     def record(self, criterion: str, detail: str, ok: bool):
         self.steps.append({"criterion": criterion, "detail": detail, "pass": ok})

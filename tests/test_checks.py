@@ -6,7 +6,6 @@ import importlib.util
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -172,7 +171,7 @@ def test_failed_identities_raise_arithmetic_error(monkeypatch):
     assert eta_certificate(C) == (5, (12, -12))
     # a profile that reports order 1: 24 * V / kappa(11) is not integral
     real = orderengine.profile
-    monkeypatch.setattr(orderengine, "profile", lambda D: replace(real(D), order=1))
+    monkeypatch.setattr(orderengine, "profile", lambda D: real(D)._replace(order=1))
     with pytest.raises(ArithmeticError, match="integral"):
         eta_certificate(C)
     monkeypatch.undo()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -229,6 +230,13 @@ def test_cli_import_does_not_load_process_pool():
     assert not _loaded_by_cli_import("concurrent.futures.process")
 
 
+def test_cli_import_does_not_load_dataclasses():
+    # the package's records are NamedTuples or small value classes; dataclasses
+    # would pull in inspect, ast, dis and tokenize at every start-up
+    assert not _loaded_by_cli_import("dataclasses")
+    assert not _loaded_by_cli_import("inspect")
+
+
 def test_arithmetic_error_exits_2(capsys, monkeypatch):
     def broken(n):
         raise ArithmeticError(f"an identity fails at {n}")
@@ -397,12 +405,43 @@ def test_batch_unwritable_out_fails_before_any_level(tmp_path, capsys, monkeypat
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 def test_batch_jobs_2_matches_jobs_1(tmp_path, capsys):
+    # three slices at --jobs 2: two full ones and one level
+    top = 2 * 2 * cli.BATCH_SLICE_PER_JOB + 1
     out_file = tmp_path / "batch.jsonl"
     runs = []
     for jobs in ("1", "2"):
-        code, out, _ = run(capsys, "batch", "--max", "60", "--jobs", jobs,
+        code, out, _ = run(capsys, "batch", "--max", str(top), "--jobs", jobs,
                            "--out", str(out_file), "--force")
         runs.append((code, out, out_file.read_bytes()))
         out_file.unlink()
     assert runs[0] == runs[1]
-    assert runs[0][0] == 0 and "60/60 pass" in runs[0][1]
+    assert runs[0][0] == 0 and f"{top}/{top} pass" in runs[0][1]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_batch_jobs_submits_bounded_slices(tmp_path, capsys, monkeypatch):
+    """batch --jobs J hands the pool at most BATCH_SLICE_PER_JOB * J levels
+    at a time, in order, and every level once."""
+    slices = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, levels):
+            slices.append(list(levels))
+            return map(fn, levels)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    top = 2 * 2 * cli.BATCH_SLICE_PER_JOB + 1
+    code, out, _ = run(capsys, "batch", "--max", str(top), "--jobs", "2",
+                       "--out", str(tmp_path / "batch.jsonl"), "--force")
+    assert code == 0 and f"{top}/{top} pass" in out
+    assert [len(s) for s in slices] == [2 * cli.BATCH_SLICE_PER_JOB] * 2 + [1]
+    assert sum(slices, []) == list(range(1, top + 1))

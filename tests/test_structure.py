@@ -7,7 +7,6 @@ import os
 import pkgutil
 import random
 from collections import Counter
-from dataclasses import replace
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -600,18 +599,18 @@ def _wbar_entry_off_by_one(f):
     wbar = {**f.support}
     for d, step in ((f.n, 1), (1, -1)):
         wbar[d] = wbar.get(d, 0) + step
-    return replace(f, support={d: x for d, x in sorted(wbar.items()) if x})
+    return f._replace(support={d: x for d, x in sorted(wbar.items()) if x})
 
 
 def _gcd_doubled(f):
-    return replace(f, gcd_value=2 * f.gcd_value)
+    return f._replace(gcd_value=2 * f.gcd_value)
 
 
 def _parity_sum_flipped(f):
     if not f.pw:
         return f
     (p, s), *rest = f.pw.items()
-    return replace(f, pw={p: s + 1, **dict(rest)})
+    return f._replace(pw={p: s + 1, **dict(rest)})
 
 
 def _extra_support_term_at_N(monkeypatch):
