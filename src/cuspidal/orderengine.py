@@ -90,8 +90,9 @@ def _with_order(n: int, g: int, support: dict, pw: dict, degree: int) -> OrderPr
 def _factor_profile(m: int, coeffs: tuple) -> OrderProfile:
     """The profile of the tensor factor with these coefficients at its own
     level m, with Upsilon applied at m.  Keyed by (m, coeffs), not by the
-    divisor, whose generated __hash__ would rebuild that pair on every
-    lookup.  Its support and pw are shared, so never mutate them."""
+    divisor, whose __hash__ is a Python call that builds and hashes that
+    pair on every lookup and so makes a lookup about twice as slow.  Its
+    support and pw are shared, so never mutate them."""
     W = upsilon_apply(m, coeffs)
     deg = sum(map(mul, coeffs, degree_weights(m)))
     g = math.gcd(*W)

@@ -22,12 +22,12 @@ products of the factors' nonzero entries (generator_terms, no sigma0(N)
 tuple), and its profile combines the profiles of its factors at their own
 levels (tensor_profile), never applying Upsilon at N.  compute_group keeps
 the rows of order > 1 (of ell-part > 1 for Y2), each with a callable for
-its terms that only the printers call; verify_certificates re-sorts each
-distinct table by the rank of I in divisor_orderings, which depends only on
-the shape (exponents, u) of the block's level, profiles each distinct
-generator once (5224 of the 8198 Y2 rows over N <= 720) and re-runs the
-split-off hypotheses (unipotence of the normalized-profile matrices, the h
-and parity side conditions) for every ell on the concrete level N.
+its terms that only the printers call; verify_certificates memoizes per
+distinct table: it re-sorts each by the rank of I in divisor_orderings,
+which depends only on the shape (exponents, u) of the block's level,
+profiles each of its rows once and re-runs the split-off hypotheses
+(unipotence of the normalized-profile matrices, the h and parity side
+conditions) for every ell on the concrete level N.
 crosscheck hands one walk to both and builds no terms.
 """
 
@@ -41,10 +41,10 @@ from typing import NamedTuple
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import ligozat_weights
 from .intarith import (E_tuple, divisor_exponents, divisor_of, divisors, factor,
-                       in_square, kappa, valuation)
+                       in_square, in_T_u, kappa, valuation)
 from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
                          generator_factors, generator_order, generator_terms,
-                         in_T_u, order_primes)
+                         order_primes)
 from .oracle import AbelianGroupStructure, _merge_invariants, snf_oracle
 from .orderengine import profile, tensor_profile
 
@@ -272,28 +272,21 @@ def _check_unipotent(rep, rows, deltas, profs, label, modulus=None):
 def verify_certificates(n, blocks=None) -> CertificateReport:
     """Re-check every block of the table on N: closed-form orders against the
     profiles, and unipotence or the ell = 2 split conditions in the divisor
-    orderings of the block's shape.  Each table of one (kind, factors, s) is
-    sorted and each distinct set of tensor factors profiled once per call;
+    orderings of the block's shape.  The one memo is per distinct table: the
+    rows of one (kind, factors, s) are sorted and profiled once per call, and
     every check still runs for every ell.  blocks, if given, is a walk of
     _blocks(N)."""
     rep = CertificateReport(n)
     if n == 1:
         rep.record("trivial", "N=1", True)
         return rep
-    tables, profiles = {}, {}  # by (kind, factors, s) and by the set of tensor factors
-
-    def prof(L, I, gen):
-        vecs = generator_factors(L, I, gen)
-        key = frozenset(vecs)
-        if key not in profiles:
-            profiles[key] = tensor_profile(vecs)
-        return profiles[key]
-
+    tables = {}  # (kind, factors, s) -> the sorted rows, their deltas and profiles
     for blk in _blocks(n) if blocks is None else blocks:
         L = blk.level
         if blk.kind == "B":
             (d, I, _, order), = blk.rows
-            rep.record("order/Z", f"d={d}", prof(L, I, "Z").order == order)
+            rep.record("order/Z", f"d={d}",
+                       tensor_profile(generator_factors(L, I, "Z")).order == order)
             continue
         if not blk.rows:
             continue
@@ -306,12 +299,14 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
             # and the deltas from its first rank on are the columns
             deltas = [divisor_of(L.base, J) for J in tri[rank[rows[0][1]]:]]
             gen = "Y2" if blk.kind == "Y2" else "Z"
-            tables[key] = rows, deltas, [prof(L, I, gen) for _, I, _, _ in rows]
+            tables[key] = rows, deltas, [tensor_profile(generator_factors(L, I, gen))
+                                         for _, I, _, _ in rows]
         rows, deltas, profs = tables[key]
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
             # outside the exceptional 2-power set T_u.
-            profs1 = [prof(L, I, "Z1") if in_T_u(I, L.r_u, L.u) else pz
+            profs1 = [tensor_profile(generator_factors(L, I, "Z1"))
+                      if in_T_u(I, L.r_u, L.u) else pz
                       for (_, I, _, _), pz in zip(rows, profs)]
             _check_unipotent(rep, rows, deltas, profs1, "nsf-unipotence")
             for (d, _, _, order), pz in zip(rows, profs):
@@ -374,9 +369,10 @@ def _ell2_split_conditions(rep, L, rows, deltas, profs):
 def crosscheck(n) -> dict:
     """compute_group vs snf_oracle vs verify_certificates; full agreement
     expected for every N.  compute_group and verify_certificates share one
-    walk of _blocks(N); each generator is profiled once and never built.  A
-    generator whose closed-form order disagrees with its profile shows up
-    as a failed order/... step of the certificates."""
+    walk of _blocks(N); each row of a distinct table is profiled once per
+    call and no generator is built.  A generator whose closed-form order
+    disagrees with its profile shows up as a failed order/... step of the
+    certificates."""
     blocks = tuple(_blocks(n))
     G = compute_group(n, blocks)
     O = snf_oracle(n)

@@ -16,7 +16,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 import cuspidal
 from cuspidal import cli, etalinalg, generators, intarith, oracle, orderengine, structure
-from cuspidal.divisors import from_dict, kron
+from cuspidal.divisors import CuspDivisor, from_dict, kron
 from cuspidal.etalinalg import (_lambda24_block, _upsilon_block_entry, eta_divisor,
                                 ligozat_check, ligozat_weights)
 from cuspidal.generators import (base_vector_B, construct_Y, construct_Z,
@@ -627,6 +627,32 @@ def _patch_everywhere(monkeypatch, name, fn, modules):
         monkeypatch.setattr(module, name, fn)
 
 
+def _branch(L, I, kind):
+    """The _case branch of the generator of kind "Z" (Z and B blocks) or
+    "Y2" at the exponent tuple I of L, as named in BRANCH_KEYS."""
+    if kind != "Y2":
+        return ("B" if not intarith.in_square(I) else
+                "B2" if intarith.in_T_u(I, L.r_u, L.u) else "A")
+    return next((name for name, hit in (
+        ("F", intarith.in_F_set(I, L.s)), ("G", intarith.in_G_set(I, L.s)),
+        ("E", intarith.in_E_set(I)), ("H_u", intarith.in_H_u(I, L.u))) if hit), "pair")
+
+
+def _order_scaled_on_branch(branch):
+    """An injector: the closed-form order of the generators of this _case
+    branch alone, times the block's ell for Y2 and times 2 for Z and B."""
+    real = generators.generator_order
+
+    def order(L, I, kind):
+        o = real(L, I, kind)
+        if _branch(L, I, kind) != branch:
+            return o
+        return o * (L.ell if kind == "Y2" else 2)
+
+    return lambda monkeypatch: _patch_everywhere(monkeypatch, "generator_order", order,
+                                                 (generators, structure))
+
+
 def _Y2_order_tripled_on_D_pairs(monkeypatch):
     """The closed-form order of every Y2 generator with a two-prime D
     vector, times 3."""
@@ -719,8 +745,9 @@ _BOTH = ("invariant_factors", "certificates")
 # Defects injected into the oracle, into the factor profiles that
 # tensor_profile combines (one per identity it relies on) and the support it forms
 # from them, into Yoo's route (a closed-form order, a prime ordering, the
-# T_u test), and into the premises both routes share (kappa, Upsilon, the
-# parity weights), patched in every module that binds the name.
+# T_u test, the closed-form order of one _case branch at its smallest
+# tier-1 witness), and into the premises both routes share (kappa, Upsilon,
+# the parity weights), patched in every module that binds the name.
 DEFECTS = {
     "parity columns dropped": _Defect(_parity_columns_dropped, (15, 24, 32, 35, 64, 210), _ORACLE),
     "kappa doubled": _Defect(_kappa_doubled, (5, 12, 16, 35, 64, 210), _ORACLE),
@@ -754,6 +781,16 @@ DEFECTS = {
     "parity weights zeroed": _Defect(
         _parity_weights_zeroed, (15, 17, 20, 32), _BOTH,
         {"ell2/h-table", "ell2/parity", "order/Z", "order/Y2"}),
+    "B order doubled": _Defect(_order_scaled_on_branch("B"), (2,), _BOTH, {"order/Z"}),
+    "A order doubled": _Defect(_order_scaled_on_branch("A"), (4,), _BOTH, {"order/Z"}),
+    "B2 order doubled": _Defect(_order_scaled_on_branch("B2"), (32,), _BOTH, {"order/Z"}),
+    "E order times ell": _Defect(_order_scaled_on_branch("E"), (6,), _BOTH, {"order/Y2"}),
+    "F order times ell": _Defect(_order_scaled_on_branch("F"), (30,), _BOTH, {"order/Y2"}),
+    "G order times ell": _Defect(_order_scaled_on_branch("G"), (20,), _BOTH, {"order/Y2"}),
+    "H_u order times ell": _Defect(_order_scaled_on_branch("H_u"), (60,), _BOTH,
+                                   {"order/Y2"}),
+    "pair order times ell": _Defect(_order_scaled_on_branch("pair"), (6,), _BOTH,
+                                    {"order/Y2"}),
 }
 
 
@@ -853,17 +890,10 @@ def _branch_keys(n):
     keys = set()
     for blk in structure._blocks(n):
         L = blk.level
+        gen = "Y2" if blk.kind == "Y2" else "Z"
         for _, I, _, _ in blk.rows:
-            if blk.kind != "Y2":
-                branch = ("B" if not intarith.in_square(I) else
-                          "B2" if intarith.in_T_u(I, L.r_u, L.u) else "A")
-            else:
-                branch = next((name for name, hit in (
-                    ("F", intarith.in_F_set(I, L.s)), ("G", intarith.in_G_set(I, L.s)),
-                    ("E", intarith.in_E_set(I)), ("H_u", intarith.in_H_u(I, L.u))) if hit),
-                    "pair")
-            H = generators._case(I, L.u, L.s, L.r_u, "Y2" if blk.kind == "Y2" else "Z")[2]
-            keys.add((blk.kind, branch, H, L.s))
+            H = generators._case(I, L.u, L.s, L.r_u, gen)[2]
+            keys.add((blk.kind, _branch(L, I, gen), H, L.s))
     return keys
 
 
@@ -995,28 +1025,47 @@ def test_generator_orders_computed_once_per_distinct_table(monkeypatch):
         assert calls == want, n
 
 
-def test_certificates_profile_each_distinct_generator_once(monkeypatch):
-    """verify_certificates calls tensor_profile once per distinct set of
-    tensor factors of the level's generators (Z, Z1 on T_u, B and Y2),
-    however many ell share a Y2 table or a generator."""
-    seen = []
+def _factor_key(vecs):
+    """The tensor factors of a generator as (level, coeffs) pairs, so that
+    counting them hashes no CuspDivisor."""
+    return tuple([(v.n, v.coeffs) for v in vecs])
+
+
+def test_certificates_profile_each_row_of_each_distinct_table_once(monkeypatch):
+    """verify_certificates calls tensor_profile exactly once per row of each
+    distinct (kind, factors, s) table, once more per Z1 row on T_u and once
+    for the B row, however many ell share a Y2 table: the profiled factor
+    sets are exactly those of the walk's generators, and none is hashed, so
+    it runs with CuspDivisor.__hash__ refusing."""
+    calls = Counter()
     real = structure.tensor_profile
 
     def record(vecs):
-        seen.append(frozenset(vecs))
+        calls[_factor_key(vecs)] += 1
         return real(vecs)
+
+    def refuse(D):
+        raise AssertionError(f"a divisor at level {D.n} was hashed")
 
     monkeypatch.setattr(structure, "tensor_profile", record)
     for n in _guard_levels():
         blocks = tuple(structure._blocks(n))
-        want = set()
+        want, walk, tables = Counter(), set(), set()
         for blk in blocks:
             L = blk.level
-            kinds = ("Y2",) if blk.kind == "Y2" else ("Z", "Z1")
+            table = (blk.kind, L.base.factors, L.s)
+            gen = "Y2" if blk.kind == "Y2" else "Z"
             for _, I, _, _ in blk.rows:
+                on_T_u = blk.kind == "Z" and intarith.in_T_u(I, L.r_u, L.u)
+                kinds = (gen, "Z1") if on_T_u else (gen,)
                 for kind in kinds:
-                    if kind != "Z1" or (blk.kind == "Z" and generators.in_T_u(I, L.r_u, L.u)):
-                        want.add(frozenset(generators.generator_factors(L, I, kind)))
-        seen.clear()
-        assert verify_certificates(n, blocks).passed, n
-        assert len(seen) == len(set(seen)) and set(seen) == want, n
+                    key = _factor_key(generators.generator_factors(L, I, kind))
+                    walk.add(key)
+                    if table not in tables:
+                        want[key] += 1
+            tables.add(table)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(CuspDivisor, "__hash__", refuse)
+            assert verify_certificates(n, blocks).passed, n
+        assert calls == want and set(calls) == walk, n
