@@ -9,12 +9,14 @@ correction vectors D, the composite generators Z (one per divisor) and Y2
 (one per squarefree divisor), and their closed-form predicted orders.
 
 Generators are keyed by their exponent tuple I.  Yoo's case split depends
-only on the shape (I, u, s, r_u, kind), so _case makes it once per shape:
-one base vector per prime slot (A, B or B2), at most one two-prime D in
-place of two slots, and the H factor of the order.  generator_factors and
-generator_order read it; generator_terms multiplies the factors' nonzero
-entries, generator_vector places the terms in a divisor, and construct_Z,
-construct_Y and predicted_order wrap them for a divisor d.
+only on the shape (I, u, s, r_u, kind), so _case makes it once per shape,
+in one pass over I: one base vector per prime slot (A, B or B2), at most
+one two-prime D in place of two slots, and the H factor of the order.
+generator_factors and generator_order read it; generator_terms multiplies
+the factors' nonzero entries, generator_vector places the terms in a
+divisor, and construct_Z, construct_Y and predicted_order wrap them for a
+divisor d.  divisor_orderings lists both twisted orders as products over
+the slots' ladders and sorts nothing.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
                        pi2_pull, pi12_pull_div_p, tensor_terms)
-from .intarith import (CACHE_SIZE, FactoredInteger, A_tuple, E_tuple,
-                       exponent_tuple, factor, in_delta, in_E_set, in_F_set, in_F1_set,
-                       in_G_set, in_G1_set, in_H_u, in_H_u1, in_square, in_T_u,
-                       tuple_k, tuple_m, tuple_n, valuation)
+from .intarith import CACHE_SIZE, FactoredInteger, exponent_tuple, factor, valuation
 
 
 # ---------------------------------------------------------------------------
@@ -119,50 +119,61 @@ def tri_ladder(r: int) -> tuple:
     return tuple(vals)
 
 
-def iota_r(r: int) -> dict:
-    return dict(zip(prec_ladder(r), tri_ladder(r)))
+def _m_n_k(I):
+    """For I in Delta(t): its 1-based slots that hold 0, m, the first slot
+    that holds 1, and n < k, the first two 0 slots after m (t + 1 if none)."""
+    zeros = [i for i, f in enumerate(I, start=1) if not f]
+    m = I.index(1) + 1
+    n, k = (zeros[m - 1:] + [len(I) + 1] * 2)[:2]
+    return zeros, m, n, k
 
 
 def iota_delta(I, u: int) -> tuple:
-    """The bijection on Delta(t) (t >= 2)."""
-    t = len(I)
-    m = tuple_m(I)
-    x = max(m, u)
+    """The bijection on Delta(t) (t >= 2): the complement of I, but with 1 at
+    max(m, u) when no 0 follows m (I in E), and with 1 at m and 0 at u when
+    the one 0 after m is at u (I in H_u^1)."""
+    _, m, n, k = _m_n_k(I)
     b = [1 - a for a in I]
-    if in_E_set(I):
-        b[x - 1] = 1
-    elif in_H_u1(I, u):
-        b[m - 1] = 1
-        b[u - 1] = 0
+    if n > len(I):
+        b[max(m, u) - 1] = 1
+    elif n == u and k > len(I):
+        b[m - 1], b[u - 1] = 1, 0
     return tuple(b)
 
 
-def _colex_key(I, u: int, ranks):
-    """Twisted colexicographic key: coordinates compared via the given per-slot
-    ladder ranks, larger index more significant, the u-coordinate least."""
-    t = len(I)
-    rest = tuple(ranks[j][I[j]] for j in range(t - 1, -1, -1) if j != u - 1)
-    return rest + ((ranks[u - 1][I[u - 1]],) if u else ())
+def _colex(ladders, u: int) -> list:
+    """The product of the per-slot ladders in twisted colexicographic order:
+    each slot's values in its ladder's order, the last slot most significant
+    and slot u least."""
+    t = len(ladders)
+    slots = [j for j in range(t - 1, -1, -1) if j != u - 1] + [u - 1] * (u > 0)
+    tuples = product(*[ladders[j] for j in slots])
+    if t == 1:
+        return list(tuples)
+    return list(map(itemgetter(*[slots.index(j) for j in range(t)]), tuples))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def divisor_orderings(exponents: tuple, u: int) -> tuple:
     """(prec, tri) for the shape (r_1, ..., r_t; u): the exponent tuples of
     the divisors d_1, d_2, ... > 1 in the order prec, and delta_i = iota(d_i).
-    The squarefree block Delta comes first, ordered by the tri key of its
-    iota_delta image, then the square block in the prec colex order; iota is
-    iota_delta on Delta (t >= 2) and iota_r slot by slot elsewhere."""
+    The squarefree block Delta comes first, as the iota_delta preimages of
+    Delta in the tri order, then the square block in the prec order; there
+    iota acts slot by slot and maps each prec ladder onto its tri ladder, so
+    the tri order lists the images.  When t = 1 every divisor > 1 is in the
+    prec order."""
     t = len(exponents)
-    tri_ranks = [{f: i for i, f in enumerate(tri_ladder(r))} for r in exponents]
-    prec_ranks = [{f: i for i, f in enumerate(prec_ladder(r))} for r in exponents]
-    delta = [I for I in product((0, 1), repeat=t) if any(I)]
-    square = [I for I in product(*[range(r + 1) for r in exponents]) if in_square(I)]
-    prec = (sorted(delta, key=lambda I: _colex_key(iota_delta(I, u), u, tri_ranks))
-            + sorted(square, key=lambda I: _colex_key(I, u, prec_ranks)))
-    iotas = [iota_r(r) for r in exponents]
-    tri = tuple(iota_delta(I, u) if t >= 2 and in_delta(I) else
-                tuple(im[f] for im, f in zip(iotas, I)) for I in prec)
-    return tuple(prec), tri
+    prec, tri, lo = [], [], 1 if t == 1 else 2  # lo: the least max(I) after Delta
+    if t > 1:
+        preimage = {iota_delta(I, u): I for I in product((0, 1), repeat=t) if any(I)}
+        tri = [J for J in _colex([(0, 1)] * t, u) if any(J)]
+        prec = [preimage[J] for J in tri]
+    for I, J in zip(_colex([prec_ladder(r) for r in exponents], u),
+                    _colex([tri_ladder(r) for r in exponents], u)):
+        if max(I) >= lo:
+            prec.append(I)
+            tri.append(J)
+    return tuple(prec), tuple(tri)
 
 
 # ---------------------------------------------------------------------------
@@ -255,32 +266,50 @@ def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
 def _case(I, u: int, s: int, r_u: int, kind: str):
     """Yoo's case split for the generator of kind "Z", "Z1" or "Y2" at the
     exponent tuple I, with 2 at slot u (0 if N is odd) to the power r_u,
-    s = u for ell = 2 and 0 for odd ell, as (parts, pair, H).  pair is the (i, j) of the
-    two-prime correction D_vector(L, i, j), which fills slots i and j, or
-    None.  parts holds (i, vector, f) for every other slot i: vector "A" is
-    A_p(r, f), "B" is B_p(r, 1) (f is 1 there) and "B2" is B2(r, f) at the
-    slot of 2.  H is _frak_H (Z) or _script_H (Y2).  Z1 is Z without the B2
-    replacement on T_u."""
-    slot, vector, pair = 0, "A", None  # at most one slot holds a B or B2
-    if kind in ("Z", "Z1"):
-        if not in_square(I):
-            slot, vector = tuple_m(I), "B"
-        elif kind == "Z" and in_T_u(I, r_u, u):
+    s = u for ell = 2 and 0 for odd ell, as (parts, pair, H, slot).  pair is
+    the (i, j) of the two-prime correction D_vector(L, i, j), which fills
+    slots i and j, or None.  parts holds (i, vector, f) for every other slot
+    i: vector "A" is A_p(r, f), "B" is B_p(r, 1) (f is 1 there) and "B2" is
+    B2(r, f) at the slot of 2.  slot is the one slot with a B or B2, or 0.
+    H is the H factor of the order.  Z1 is Z without the B2 replacement on
+    T_u.  One pass over I: for Z, f_u and whether every other entry is 1;
+    for Y2, the 0 slots and m, n, k."""
+    slot, vector, pair = 0, "A", None
+    if kind != "Y2":
+        fu = I[u - 1] if u else 1  # so for odd N, others_one and fu <= 1 mean A(1)
+        others_one = all(f == 1 for i, f in enumerate(I, start=1) if i != u)
+        if max(I) <= 1:
+            slot, vector = I.index(1) + 1, "B"
+        elif kind == "Z" and others_one and 3 <= fu <= r_u and r_u >= 5:  # T_u
             slot, vector = u, "B2"
-    elif not in_delta(I):
+        # H = 2 on A(1) = (1, ..., 1), on E(u) and at one f_u when 2^3 | N
+        H = 2 if others_one and (fu <= 1 or fu == 3 and 3 <= r_u <= 4 or
+                                 r_u >= 5 and fu == r_u + 1 - math.gcd(2, r_u)) else 1
+    elif not any(I) or max(I) > 1:
         raise ValueError("Y2 exists only for squarefree divisors > 1")
-    elif in_F_set(I, s):
-        slot, vector, pair = s, "B", (max(1, 3 - s), tuple_n(I))
-    elif in_G_set(I, s):
-        slot, vector = 1, "B"
-    elif in_E_set(I):
-        slot, vector = max(tuple_m(I), u), "B"
     else:
-        pair = (tuple_m(I), tuple_k(I) if in_H_u(I, u) else tuple_n(I))
+        zeros, m, n, k = _m_n_k(I)
+        t = len(I)
+        # F: I = E(z), z in I_s, which is {3..t} if s = 1, else {2..t} without s;
+        # G: I = E(2) with s = 1, and E(2) is (1,) when t = 1
+        F = s and len(zeros) == 1 and zeros[0] != s and zeros[0] >= (3 if s == 1 else 2)
+        G = s == 1 and zeros == [2][:t - 1]
+        if F:
+            slot, vector, pair = s, "B", (max(1, 3 - s), n)
+        elif G:
+            slot, vector = 1, "B"
+        elif n > t:  # E: the 1's run from m to t
+            slot, vector = max(m, u), "B"
+        else:  # a D pair, (m, k) on H_u (n = u, k <= t), else (m, n)
+            pair = (m, k if n == u and k <= t else n)
+        # H = 2 on A(1), on G1 (I = E(z), z >= 2 unless u = 1) and on F1
+        # (zeros at u and at z in I_u), outside F and G
+        numer = (len(zeros) <= 1 and (u == 1 or zeros != [1]) or
+                 len(zeros) == 2 and u in zeros and sum(zeros) - u >= (3 if u == 1 else 2))
+        H = 2 if numer and not (F or G) else 1
     parts = tuple((i, vector if i == slot else "A", f)
                   for i, f in enumerate(I, start=1) if not (pair and i in pair))
-    H = _script_H(I, u, s) if kind == "Y2" else _frak_H(I, u, r_u)
-    return parts, pair, H
+    return parts, pair, H, slot
 
 
 def generator_factors(L: OrderedLevel, I, kind: str) -> tuple:
@@ -288,7 +317,7 @@ def generator_factors(L: OrderedLevel, I, kind: str) -> tuple:
     kind "Z", "Z1" or "Y2" at the exponent tuple I of L: the base vector of
     each slot outside the D pair at its level p^r, then the D vector, if
     any, at its level p_i^r_i * p_j^r_j."""
-    parts, pair, _ = _case(I, L.u, L.s, L.r_u, kind)
+    parts, pair, _, _ = _case(I, L.u, L.s, L.r_u, kind)
     factors = L.base.factors
     vecs = []
     for i, vector, f in parts:
@@ -354,35 +383,12 @@ def G_slot(p: int, r: int, f: int) -> int:
     return p ** (r - 1 - j) * (p * p - 1)
 
 
-def _frak_H(I, u: int, r_u: int) -> int:
-    t = len(I)
-    if I == A_tuple(1, t):
-        return 2
-    if u >= 1 and I == E_tuple(u, t):
-        return 2
-    if u >= 1:
-        fu = I[u - 1]
-        others_one = all(f == 1 for i, f in enumerate(I, start=1) if i != u)
-        if 3 <= r_u <= 4 and fu == 3 and others_one:
-            return 2
-        if r_u >= 5 and fu == r_u + 1 - math.gcd(2, r_u) and others_one:
-            return 2
-    return 1
-
-
-def _script_H(I, u: int, s: int) -> int:
-    t = len(I)
-    in_numer = in_F1_set(I, u) or in_G1_set(I, u) or I == A_tuple(1, t)
-    in_denom = in_F_set(I, s) or in_G_set(I, s)
-    return 2 if in_numer and not in_denom else 1
-
-
 def generator_order(L: OrderedLevel, I, kind: str) -> int:
     """The closed-form order of the generator of kind "Z" or "Y2" at the
     exponent tuple I of L, numerator(G * H / 24), read off the case that
     builds the vector: G is G_pair(i, j) for a D pair times, over the other
     slots, p - 1 for a B and G_slot(p, r, f) for an A or B2."""
-    parts, pair, H = _case(I, L.u, L.s, L.r_u, kind)
+    parts, pair, H, _ = _case(I, L.u, L.s, L.r_u, kind)
     G = G_pair(L, *pair) if pair else 1
     factors = L.base.factors
     for i, vector, f in parts:

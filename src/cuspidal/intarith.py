@@ -1,6 +1,6 @@
 """Integer utilities: factorization, divisors and their degree weights, kappa,
-and the combinatorial index sets over exponent tuples that drive the generator
-constructions.
+exponent tuples, and the two index sets over them that the table walk reads:
+the square tuples and the exceptional 2-power set T_u.
 
 An exponent tuple I = (f_1, ..., f_t) encodes the divisor p_1^f_1 * ... * p_t^f_t
 of N = p_1^r_1 * ... * p_t^r_t relative to an explicit (possibly permuted)
@@ -153,7 +153,7 @@ def z_of(n: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exponent tuples and index sets
+# Exponent tuples, the square tuples and T_u
 # ---------------------------------------------------------------------------
 
 def exponent_tuple(N: FactoredInteger, d: int) -> tuple[int, ...]:
@@ -167,43 +167,8 @@ def divisor_of(N: FactoredInteger, I) -> int:
     return math.prod(p ** f for p, f in zip(N.primes, I))
 
 
-def in_delta(I) -> bool:
-    return any(I) and all(f <= 1 for f in I)
-
-
 def in_square(I) -> bool:
     return max(I, default=0) >= 2
-
-
-def tuple_m(I) -> int:
-    """Smallest 1-based index with f_m = 1 (for tuples in Delta(t))."""
-    for i, f in enumerate(I, start=1):
-        if f == 1:
-            return i
-    raise ValueError("tuple has no entry equal to 1")
-
-
-def _next_zero(I, after: int) -> int:
-    """Smallest 1-based index > after with f = 0; t+1 if none."""
-    return next((i for i in range(after + 1, len(I) + 1) if I[i - 1] == 0), len(I) + 1)
-
-
-def tuple_n(I) -> int:
-    """Smallest n > m(I) with f_n = 0; t+1 if none."""
-    return _next_zero(I, tuple_m(I))
-
-
-def tuple_k(I) -> int:
-    """Smallest k > n(I) with f_k = 0; t+1 if none."""
-    return _next_zero(I, tuple_n(I))
-
-
-def A_tuple(k: int, t: int) -> tuple[int, ...]:
-    return tuple(0 if i < k else 1 for i in range(1, t + 1))
-
-
-def E_tuple(k: int, t: int) -> tuple[int, ...]:
-    return tuple(0 if i == k else 1 for i in range(1, t + 1))
 
 
 def in_T_u(I, r_u: int, u: int) -> bool:
@@ -211,51 +176,3 @@ def in_T_u(I, r_u: int, u: int) -> bool:
     nonempty only when 2 | N with r_u >= 5.  3 <= f_u makes I square."""
     return (u != 0 and r_u >= 5 and 3 <= I[u - 1] <= r_u
             and all(f == 1 for i, f in enumerate(I, start=1) if i != u))
-
-
-def in_E_set(I) -> bool:
-    """The set of tuples A(m): a single run of 1's ending at position t."""
-    return in_delta(I) and tuple_n(I) == len(I) + 1
-
-
-def in_H_u(I, u: int) -> bool:
-    if u <= 1 or not in_delta(I):
-        return False
-    return tuple_n(I) == u and tuple_k(I) <= len(I)
-
-
-def in_H_u1(I, u: int) -> bool:
-    if u <= 1 or not in_delta(I):
-        return False
-    return tuple_n(I) == u and tuple_k(I) == len(I) + 1
-
-
-def _zero_positions(I):
-    """The 1-based positions of the 0 entries of I if every other entry is 1,
-    else []."""
-    if not all(f in (0, 1) for f in I):
-        return []
-    return [i for i, f in enumerate(I, start=1) if f == 0]
-
-
-def in_F_set(I, u: int) -> bool:
-    """I = E(n) for some n in I_u: {3..t} if u = 1, else {2..t} without u."""
-    zeros = _zero_positions(I)
-    return u != 0 and len(zeros) == 1 and zeros[0] != u and zeros[0] >= (3 if u == 1 else 2)
-
-
-def in_F1_set(I, u: int) -> bool:
-    """I = E_u(n) (zeros at n and u) for some n in I_u."""
-    zeros = _zero_positions(I)
-    return (u != 0 and len(zeros) == 2 and u in zeros
-            and sum(zeros) - u >= (3 if u == 1 else 2))
-
-
-def in_G_set(I, u: int) -> bool:
-    return u == 1 and I == E_tuple(2, len(I))
-
-
-def in_G1_set(I, u: int) -> bool:
-    """I = E(n) for some n >= 1 if u = 1, else n >= 2."""
-    zeros = _zero_positions(I)
-    return len(zeros) == 1 and zeros[0] >= (1 if u == 1 else 2)

@@ -22,26 +22,30 @@ products of the factors' nonzero entries (generator_terms, no sigma0(N)
 tuple), and its profile combines the profiles of its factors at their own
 levels (tensor_profile), never applying Upsilon at N.  compute_group keeps
 the rows of order > 1 (of ell-part > 1 for Y2), each with a callable for
-its terms that only the printers call; verify_certificates memoizes per
-distinct table: it re-sorts each by the rank of I in divisor_orderings,
-which depends only on the shape (exponents, u) of the block's level,
-profiles each of its rows once and re-runs the split-off hypotheses
-(unipotence of the normalized-profile matrices, the h and parity side
-conditions) for every ell on the concrete level N.
-crosscheck hands one walk to both and builds no terms.
+its terms that only the printers call.  verify_certificates re-sorts
+each distinct table by the rank of I in divisor_orderings, which depends
+only on the shape (exponents, u) of the block's level, and profiles each
+distinct generator once per call: each Z row, each Z1 row on T_u, the B
+row, and each Y2 generator keyed by (d, the prime of its B slot or 0, the
+primes of its D pair or ()), which names it in any ordering, so a Y2
+generator that several tables share is profiled once (over N <= 720,
+6868 profiles, where one per row of each distinct table was 8289).  It
+re-runs the split-off hypotheses (unipotence of the normalized-profile
+matrices, the h and parity side conditions) for every ell on the concrete
+level N.  crosscheck hands one walk to both and builds no terms.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import ligozat_weights
-from .intarith import (E_tuple, divisor_exponents, divisor_of, divisors, factor,
-                       in_square, in_T_u, kappa, valuation)
+from .intarith import (divisor_exponents, divisor_of, divisors, factor, in_square, in_T_u,
+                       kappa, valuation)
 from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
                          generator_factors, generator_order, generator_terms,
                          order_primes)
@@ -181,8 +185,8 @@ def _blocks(n: int):
         L = order_primes(n, ell)
         key = (L.base.factors, L.s)
         if key not in tables:
-            perm = [fn.primes.index(q) for q in L.base.primes]
-            tables[key] = rows(L, {d: tuple(I[k] for k in perm) for d, I in sf.items()},
+            perm = itemgetter(*[fn.primes.index(q) for q in L.base.primes])  # t >= 2
+            tables[key] = rows(L, {d: perm(I) for d, I in sf.items()},
                                lambda d, I: f"Y2({d})", "Y2")
         yield _Block("Y2", L, tables[key])
 
@@ -272,15 +276,17 @@ def _check_unipotent(rep, rows, deltas, profs, label, modulus=None):
 def verify_certificates(n, blocks=None) -> CertificateReport:
     """Re-check every block of the table on N: closed-form orders against the
     profiles, and unipotence or the ell = 2 split conditions in the divisor
-    orderings of the block's shape.  The one memo is per distinct table: the
-    rows of one (kind, factors, s) are sorted and profiled once per call, and
-    every check still runs for every ell.  blocks, if given, is a walk of
-    _blocks(N)."""
+    orderings of the block's shape.  The rows of one (kind, factors, s) are
+    sorted once per call, each distinct generator is profiled once per call
+    (a Y2 generator by its key (d, B prime or 0, D primes or ()), whatever
+    table holds it), and every check still runs for every ell.  blocks, if
+    given, is a walk of _blocks(N)."""
     rep = CertificateReport(n)
     if n == 1:
         rep.record("trivial", "N=1", True)
         return rep
     tables = {}  # (kind, factors, s) -> the sorted rows, their deltas and profiles
+    y2 = {}  # (d, prime of the B slot or 0, primes of the D pair or ()) -> profile
     for blk in _blocks(n) if blocks is None else blocks:
         L = blk.level
         if blk.kind == "B":
@@ -298,9 +304,19 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
             # the rows are one stretch of prec (Delta for Y2, the rest for Z),
             # and the deltas from its first rank on are the columns
             deltas = [divisor_of(L.base, J) for J in tri[rank[rows[0][1]]:]]
-            gen = "Y2" if blk.kind == "Y2" else "Z"
-            tables[key] = rows, deltas, [tensor_profile(generator_factors(L, I, gen))
-                                         for _, I, _, _ in rows]
+            if blk.kind == "Z":
+                profs = [tensor_profile(generator_factors(L, I, "Z")) for _, I, _, _ in rows]
+            else:
+                # every slot outside the B slot and the D pair holds A_p(r, v_p(d)),
+                # so the key names the generator in any ordering
+                profs, ps = [], L.base.primes
+                for d, I, _, _ in rows:
+                    _, pair, _, slot = _case(I, L.u, L.s, L.r_u, "Y2")
+                    gen_key = d, slot and ps[slot - 1], tuple([ps[i - 1] for i in pair or ()])
+                    if gen_key not in y2:
+                        y2[gen_key] = tensor_profile(generator_factors(L, I, "Y2"))
+                    profs.append(y2[gen_key])
+            tables[key] = rows, deltas, profs
         rows, deltas, profs = tables[key]
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
@@ -337,7 +353,6 @@ def _ell2_split_conditions(rep, L, rows, deltas, profs):
     has h = 1 with an odd anchor entry and zeros above it in its column, or
     an odd parity sum Pw_{p_h} vanishing on all earlier generators."""
     N, s = L.base, L.s
-    t = N.t
     for j, (d, I, _, _) in enumerate(rows):
         h_closed = _case(I, L.u, s, L.r_u, "Y2")[2]  # the H of the closed-form Y2 order
         rep.record("ell2/h-table", f"d={d}", profs[j].h == h_closed)
@@ -351,7 +366,7 @@ def _ell2_split_conditions(rep, L, rows, deltas, profs):
                        diag_odd and above)
         else:
             # the splitting index h != u from the parity lemma
-            if s >= 1 and I == E_tuple(s, t):
+            if s >= 1 and I[s - 1] == 0 and I.count(0) == 1:  # I = E(s)
                 h_idx = max(1, 3 - s)
             else:
                 h_idx = next(i for i, f in enumerate(I, start=1)
@@ -369,10 +384,9 @@ def _ell2_split_conditions(rep, L, rows, deltas, profs):
 def crosscheck(n) -> dict:
     """compute_group vs snf_oracle vs verify_certificates; full agreement
     expected for every N.  compute_group and verify_certificates share one
-    walk of _blocks(N); each row of a distinct table is profiled once per
-    call and no generator is built.  A generator whose closed-form order
-    disagrees with its profile shows up as a failed order/... step of the
-    certificates."""
+    walk of _blocks(N); each distinct generator is profiled once per call
+    and none is built.  A generator whose closed-form order disagrees with
+    its profile shows up as a failed order/... step of the certificates."""
     blocks = tuple(_blocks(n))
     G = compute_group(n, blocks)
     O = snf_oracle(n)

@@ -3,8 +3,9 @@ the package's main path does not call.  The tests check the package against
 them: the two-prime D vectors by their dense definition, the Hecke and
 Atkin-Lehner compatibilities of the degeneracy maps, the closed-form orders
 of the C_d and the tensor profiles against profile, the entries
-a_N(d, delta) of 24 * Lambda(N) against lambda24, and the tensor-local
-snf_oracle against its dense premise rows."""
+a_N(d, delta) of 24 * Lambda(N) against lambda24, the tensor-local
+snf_oracle against its dense premise rows, and Yoo's case split and the
+bijection iota_delta against their index-set predicates."""
 
 import math
 from fractions import Fraction
@@ -12,10 +13,10 @@ from operator import mul
 
 from cuspidal.cusps import Cusp, make_cusp
 from cuspidal.divisors import C_generator, CuspDivisor, _map_basis, _p_parts, tensor_join
-from cuspidal.intarith import (FactoredInteger, divisors, factor,
+from cuspidal.intarith import (FactoredInteger, divisors, factor, in_square, in_T_u,
                                kappa, valuation, z_of)
 from cuspidal.etalinalg import _unit, ligozat_weights, upsilon_apply
-from cuspidal.generators import base_vector_A, base_vector_B
+from cuspidal.generators import base_vector_A, base_vector_B, prec_ladder, tri_ladder
 from cuspidal.orderengine import OrderProfile, profile
 from cuspidal.structure import invariant_factors_of_quotient
 
@@ -362,3 +363,156 @@ def dense_oracle_invariants(n: int) -> tuple:
     quotient = invariant_factors_of_quotient(rows, ncols, m)
     s = (1,) * (ncols - len(quotient)) + quotient
     return tuple(m // x for x in reversed(s) if x < m)
+
+
+# ---------------------------------------------------------------------------
+# Yoo's index sets over exponent tuples, and the case split read off them
+# ---------------------------------------------------------------------------
+
+def in_delta(I) -> bool:
+    return any(I) and all(f <= 1 for f in I)
+
+
+def tuple_m(I) -> int:
+    """Smallest 1-based index with f_m = 1 (for tuples in Delta(t))."""
+    for i, f in enumerate(I, start=1):
+        if f == 1:
+            return i
+    raise ValueError("tuple has no entry equal to 1")
+
+
+def _next_zero(I, after: int) -> int:
+    """Smallest 1-based index > after with f = 0; t+1 if none."""
+    return next((i for i in range(after + 1, len(I) + 1) if I[i - 1] == 0), len(I) + 1)
+
+
+def tuple_n(I) -> int:
+    """Smallest n > m(I) with f_n = 0; t+1 if none."""
+    return _next_zero(I, tuple_m(I))
+
+
+def tuple_k(I) -> int:
+    """Smallest k > n(I) with f_k = 0; t+1 if none."""
+    return _next_zero(I, tuple_n(I))
+
+
+def A_tuple(k: int, t: int) -> tuple[int, ...]:
+    return tuple(0 if i < k else 1 for i in range(1, t + 1))
+
+
+def E_tuple(k: int, t: int) -> tuple[int, ...]:
+    return tuple(0 if i == k else 1 for i in range(1, t + 1))
+
+
+def in_E_set(I) -> bool:
+    """The set of tuples A(m): a single run of 1's ending at position t."""
+    return in_delta(I) and tuple_n(I) == len(I) + 1
+
+
+def in_H_u(I, u: int) -> bool:
+    if u <= 1 or not in_delta(I):
+        return False
+    return tuple_n(I) == u and tuple_k(I) <= len(I)
+
+
+def in_H_u1(I, u: int) -> bool:
+    if u <= 1 or not in_delta(I):
+        return False
+    return tuple_n(I) == u and tuple_k(I) == len(I) + 1
+
+
+def _zero_positions(I):
+    """The 1-based positions of the 0 entries of I if every other entry is 1,
+    else []."""
+    if not all(f in (0, 1) for f in I):
+        return []
+    return [i for i, f in enumerate(I, start=1) if f == 0]
+
+
+def in_F_set(I, u: int) -> bool:
+    """I = E(n) for some n in I_u: {3..t} if u = 1, else {2..t} without u."""
+    zeros = _zero_positions(I)
+    return u != 0 and len(zeros) == 1 and zeros[0] != u and zeros[0] >= (3 if u == 1 else 2)
+
+
+def in_F1_set(I, u: int) -> bool:
+    """I = E_u(n) (zeros at n and u) for some n in I_u."""
+    zeros = _zero_positions(I)
+    return (u != 0 and len(zeros) == 2 and u in zeros
+            and sum(zeros) - u >= (3 if u == 1 else 2))
+
+
+def in_G_set(I, u: int) -> bool:
+    return u == 1 and I == E_tuple(2, len(I))
+
+
+def in_G1_set(I, u: int) -> bool:
+    """I = E(n) for some n >= 1 if u = 1, else n >= 2."""
+    zeros = _zero_positions(I)
+    return len(zeros) == 1 and zeros[0] >= (1 if u == 1 else 2)
+
+
+def iota_r(r: int) -> dict:
+    """The bijection of {0..r} that maps prec_ladder(r) onto tri_ladder(r)."""
+    return dict(zip(prec_ladder(r), tri_ladder(r)))
+
+
+def iota_delta(I, u: int) -> tuple:
+    """The bijection on Delta(t) (t >= 2), by the predicates."""
+    m = tuple_m(I)
+    b = [1 - a for a in I]
+    if in_E_set(I):
+        b[max(m, u) - 1] = 1
+    elif in_H_u1(I, u):
+        b[m - 1] = 1
+        b[u - 1] = 0
+    return tuple(b)
+
+
+def frak_H(I, u: int, r_u: int) -> int:
+    """The H factor of the order of Z(d)."""
+    t = len(I)
+    if I == A_tuple(1, t):
+        return 2
+    if u >= 1 and I == E_tuple(u, t):
+        return 2
+    if u >= 1:
+        fu = I[u - 1]
+        others_one = all(f == 1 for i, f in enumerate(I, start=1) if i != u)
+        if 3 <= r_u <= 4 and fu == 3 and others_one:
+            return 2
+        if r_u >= 5 and fu == r_u + 1 - math.gcd(2, r_u) and others_one:
+            return 2
+    return 1
+
+
+def script_H(I, u: int, s: int) -> int:
+    """The H factor of the order of Y2(d)."""
+    t = len(I)
+    in_numer = in_F1_set(I, u) or in_G1_set(I, u) or I == A_tuple(1, t)
+    in_denom = in_F_set(I, s) or in_G_set(I, s)
+    return 2 if in_numer and not in_denom else 1
+
+
+def case(I, u: int, s: int, r_u: int, kind: str):
+    """generators._case as (parts, pair, H), one predicate per branch."""
+    slot, vector, pair = 0, "A", None  # at most one slot holds a B or B2
+    if kind in ("Z", "Z1"):
+        if not in_square(I):
+            slot, vector = tuple_m(I), "B"
+        elif kind == "Z" and in_T_u(I, r_u, u):
+            slot, vector = u, "B2"
+    elif not in_delta(I):
+        raise ValueError("Y2 exists only for squarefree divisors > 1")
+    elif in_F_set(I, s):
+        slot, vector, pair = s, "B", (max(1, 3 - s), tuple_n(I))
+    elif in_G_set(I, s):
+        slot, vector = 1, "B"
+    elif in_E_set(I):
+        slot, vector = max(tuple_m(I), u), "B"
+    else:
+        pair = (tuple_m(I), tuple_k(I) if in_H_u(I, u) else tuple_n(I))
+    parts = tuple((i, vector if i == slot else "A", f)
+                  for i, f in enumerate(I, start=1) if not (pair and i in pair))
+    H = script_H(I, u, s) if kind == "Y2" else frak_H(I, u, r_u)
+    return parts, pair, H

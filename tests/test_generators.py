@@ -5,16 +5,17 @@ from itertools import product
 import pytest
 
 from base_images import base_vector_image
+import references
+from cuspidal import generators
 from cuspidal.divisors import orbit_divisor
 from cuspidal.etalinalg import upsilon_apply
 from cuspidal.generators import (D_vector, _two_prime_D, base_vector_A, base_vector_B,
                                  base_vector_B2, construct_Y, construct_Z,
                                  default_level, divisor_orderings, iota_delta,
-                                 iota_r, order_primes, prec_ladder,
-                                 predicted_order, tri_ladder)
+                                 order_primes, prec_ladder, predicted_order, tri_ladder)
 from cuspidal.intarith import divisor_of, divisors, in_square, kappa, valuation
 from cuspidal.orderengine import profile
-from references import radical, two_prime_D
+from references import iota_r, radical, two_prime_D
 
 
 def test_ladders():
@@ -64,15 +65,16 @@ def _colex_key(I, u, ladders):
 
 def _two_sort_orderings(rs, u):
     """Reference: prec and tri each sorted on its own, Delta first.  The
-    squarefree part of prec is ordered by the tri key of its iota_delta image;
-    for t = 1 the divisors > 1 follow prec_ladder and delta_i = iota_r(d_i)."""
+    squarefree part of prec is ordered by the tri key of its iota_delta image,
+    read off the index-set predicates; for t = 1 the divisors > 1 follow
+    prec_ladder and delta_i = iota_r(d_i)."""
     if len(rs) == 1:
         prec = [(f,) for f in prec_ladder(rs[0]) if f]
         return prec, [(iota_r(rs[0])[f],) for f, in prec]
     tri_l, prec_l = [tri_ladder(r) for r in rs], [prec_ladder(r) for r in rs]
     delta = [I for I in product((0, 1), repeat=len(rs)) if any(I)]
     square = [I for I in product(*[range(r + 1) for r in rs]) if in_square(I)]
-    prec = (sorted(delta, key=lambda I: _colex_key(iota_delta(I, u), u, tri_l))
+    prec = (sorted(delta, key=lambda I: _colex_key(references.iota_delta(I, u), u, tri_l))
             + sorted(square, key=lambda I: _colex_key(I, u, prec_l)))
     tri = (sorted(delta, key=lambda I: _colex_key(I, u, tri_l))
            + sorted(square, key=lambda I: _colex_key(I, u, tri_l)))
@@ -84,11 +86,84 @@ ORDERING_LEVELS = ([default_level(n) for n in range(2, 800)]
                       for ell in (2, 3, 5, 7)])
 
 
+def _small_shapes(tmax, rmax):
+    """Every shape (r_1, ..., r_t; u) with 2 <= t <= tmax, 1 <= r_i <= rmax
+    and 0 <= u <= t."""
+    return [(rs, u) for t in range(2, tmax + 1)
+            for rs in product(range(1, rmax + 1), repeat=t) for u in range(t + 1)]
+
+
 def test_divisor_orderings_match_the_two_sort_definition():
-    for L in ORDERING_LEVELS:
-        prec, tri = _two_sort_orderings(L.base.exponents, L.u)
-        assert divisor_orderings(L.base.exponents, L.u) == (tuple(prec), tuple(tri)), \
-            (L.base.factors, L.u)
+    """On the shapes of ORDERING_LEVELS, and on every shape with t <= 4 and
+    r_i <= 3, t <= 6 and r_i <= 2, and t = 1 with r <= 20, for every slot u
+    of 2."""
+    shapes = {(L.base.exponents, L.u) for L in ORDERING_LEVELS}
+    shapes.update(_small_shapes(4, 3) + _small_shapes(6, 2))
+    shapes.update(((r,), u) for r in range(1, 21) for u in (0, 1))
+    for rs, u in sorted(shapes):
+        prec, tri = _two_sort_orderings(rs, u)
+        assert divisor_orderings.__wrapped__(rs, u) == (tuple(prec), tuple(tri)), (rs, u)
+
+
+def test_iota_delta_matches_the_predicates():
+    """On every I in Delta(t), 2 <= t <= 8, for every u: the one-pass
+    iota_delta equals its predicate form, and is a bijection of Delta(t)."""
+    for t in range(2, 9):
+        delta = [I for I in product((0, 1), repeat=t) if any(I)]
+        for u in range(t + 1):
+            images = [iota_delta(I, u) for I in delta]
+            assert images == [references.iota_delta(I, u) for I in delta], (t, u)
+            assert sorted(images) == delta, (t, u)
+
+
+def _case_keys(t_Z):
+    """The _case keys (I, u, s, r_u, kind): for Y2 every I in Delta(t),
+    t <= 7, every u and s in {0, u}; for Z and Z1, t <= t_Z, every u, every
+    r_u <= 7 (0 when u = 0), every nonzero I with f_u <= r_u and each other
+    entry 0, 1 or 2, which reaches T_u (r_u >= 5) and every f_u with H = 2."""
+    for t in range(1, 8):
+        for I in product((0, 1), repeat=t):
+            if any(I):
+                for u in range(t + 1):
+                    for s in sorted({0, u}):
+                        yield I, u, s, 0, "Y2"
+    for t in range(1, t_Z + 1):
+        for u in range(t + 1):
+            for r_u in range(1, 8) if u else (0,):
+                box = [range(r_u + 1) if i == u else range(3) for i in range(1, t + 1)]
+                for I in product(*box):
+                    if any(I):
+                        yield I, u, u, r_u, "Z"
+                        yield I, u, u, r_u, "Z1"
+
+
+def _assert_case_matches_the_predicates(t_Z):
+    hits = set()
+    for key in _case_keys(t_Z):
+        parts, pair, H, slot = generators._case.__wrapped__(*key)
+        assert (parts, pair, H) == references.case(*key), key
+        assert slot == next((i for i, vector, _ in parts if vector != "A"), 0), key
+        hits.add((key[-1], H, slot > 0, pair is not None,
+                  any(vector == "B2" for _, vector, _ in parts)))
+    # the keys reach every (kind, H, B or B2 slot, D pair, B2) that occurs:
+    # Y2 with H = 1 in F (slot and pair), G or E (slot) and on a pair, with
+    # H = 2 in E or on a pair; Z and Z1 with each H with and without a B
+    # slot, and Z with each H on T_u (B2)
+    assert len(hits) == 15 and sum(kind == "Z" for kind, *_ in hits) == 6, hits
+
+
+def test_case_matches_the_predicates():
+    """The one-pass _case against its predicate form on every Y2 key with
+    t <= 7 and every Z and Z1 key with t <= 4.  At t = 1, E(2) = (1,), so
+    (1,) is in G at s = 1 and its Y2 has H = 1."""
+    _assert_case_matches_the_predicates(4)
+    assert [generators._case((1,), 1, 1, 0, "Y2")[2],
+            generators._case((1,), 0, 0, 0, "Y2")[2]] == [1, 2]
+
+
+@pytest.mark.slow
+def test_case_matches_the_predicates_on_Z_keys_to_t_7():
+    _assert_case_matches_the_predicates(7)
 
 
 def test_iota_maps_prec_to_tri():

@@ -5,13 +5,11 @@ import random
 import pytest
 from sympy import factorint, multiplicity, totient
 
-from cuspidal.intarith import (FactoredInteger, A_tuple, E_tuple, degree_weights,
-                               divisor_exponents, divisor_of, divisor_positions,
-                               divisors, exponent_tuple, factor, in_delta,
-                               in_E_set, in_F_set, in_F1_set, in_G_set,
-                               in_G1_set, in_H_u, in_square, in_T_u, kappa,
-                               phi, tuple_k, tuple_m, tuple_n, z_of)
-from references import radical
+from cuspidal.intarith import (FactoredInteger, degree_weights, divisor_exponents,
+                               divisor_of, divisor_positions, divisors, exponent_tuple,
+                               factor, in_square, in_T_u, kappa, phi, z_of)
+from references import (A_tuple, E_tuple, in_delta, in_E_set, in_F_set, in_F1_set,
+                        in_G_set, in_G1_set, in_H_u, radical, tuple_k, tuple_m, tuple_n)
 
 
 def test_factor_basic():

@@ -27,7 +27,8 @@ from cuspidal.structure import (compute_group, crosscheck, cuspidal_equals_ratio
                                 eta_unit_lattice, group_to_json,
                                 invariant_factors_of_quotient, snf_oracle,
                                 verify_certificates)
-from references import dense_oracle_invariants, dense_premise_rows, premise_vectors
+from references import (dense_oracle_invariants, dense_premise_rows, in_E_set, in_F_set,
+                        in_G_set, in_H_u, premise_vectors)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GENUS_ZERO = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25]
@@ -541,7 +542,7 @@ def _assert_factor_route_matches_the_dense_route(n):
         kind = "Y2" if blk.kind == "Y2" else "Z"
         for d, I, _, _ in blk.rows:
             routes = [(kind, tensor_profile(generators.generator_factors(L, I, kind)))]
-            if kind == "Z" and generators.in_T_u(I, L.r_u, L.u):
+            if kind == "Z" and intarith.in_T_u(I, L.r_u, L.u):
                 routes.append(("Z1", tensor_profile(generators.generator_factors(L, I, "Z1"))))
             for k, got in routes:
                 vec = generators.generator_vector(L, I, k)
@@ -634,8 +635,8 @@ def _branch(L, I, kind):
         return ("B" if not intarith.in_square(I) else
                 "B2" if intarith.in_T_u(I, L.r_u, L.u) else "A")
     return next((name for name, hit in (
-        ("F", intarith.in_F_set(I, L.s)), ("G", intarith.in_G_set(I, L.s)),
-        ("E", intarith.in_E_set(I)), ("H_u", intarith.in_H_u(I, L.u))) if hit), "pair")
+        ("F", in_F_set(I, L.s)), ("G", in_G_set(I, L.s)),
+        ("E", in_E_set(I)), ("H_u", in_H_u(I, L.u))) if hit), "pair")
 
 
 def _order_scaled_on_branch(branch):
@@ -865,8 +866,8 @@ def test_crosscheck_witnesses_the_H_u_branch_at_s_4():
             continue
         for d, I, _, _ in blk.rows:
             # _case's last branch, a D pair (m, k), taken on H_u
-            if not (intarith.in_F_set(I, L.s) or intarith.in_G_set(I, L.s)
-                    or intarith.in_E_set(I)) and intarith.in_H_u(I, L.u):
+            if not (in_F_set(I, L.s) or in_G_set(I, L.s)
+                    or in_E_set(I)) and in_H_u(I, L.u):
                 witnesses[d] = generators._case(I, L.u, L.s, L.r_u, "Y2")[2]
     assert witnesses == {11: 1, 33: 1, 231: 2}
 
@@ -1025,47 +1026,49 @@ def test_generator_orders_computed_once_per_distinct_table(monkeypatch):
         assert calls == want, n
 
 
-def _factor_key(vecs):
-    """The tensor factors of a generator as (level, coeffs) pairs, so that
-    counting them hashes no CuspDivisor."""
-    return tuple([(v.n, v.coeffs) for v in vecs])
+def _factor_multiset(vecs):
+    """The tensor factors of a generator as sorted (level, coeffs) pairs: the
+    generator whatever the slot order of its prime ordering, and counting
+    them hashes no CuspDivisor."""
+    return tuple(sorted([(v.n, v.coeffs) for v in vecs]))
 
 
-def test_certificates_profile_each_row_of_each_distinct_table_once(monkeypatch):
-    """verify_certificates calls tensor_profile exactly once per row of each
-    distinct (kind, factors, s) table, once more per Z1 row on T_u and once
-    for the B row, however many ell share a Y2 table: the profiled factor
-    sets are exactly those of the walk's generators, and none is hashed, so
-    it runs with CuspDivisor.__hash__ refusing."""
+def test_certificates_profile_each_distinct_generator_once_per_level(monkeypatch):
+    """verify_certificates calls tensor_profile once per Z row, once more per
+    Z1 row on T_u, once for the B row and once per distinct Y2 generator of
+    the level, however many distinct Y2 tables hold it: each profiled factor
+    set is a generator of the walk, profiled once.  No divisor is hashed, so
+    it runs with CuspDivisor.__hash__ refusing.  Over N <= 720 that is 6868
+    calls, where one per row of each distinct table was 8289."""
     calls = Counter()
     real = structure.tensor_profile
 
     def record(vecs):
-        calls[_factor_key(vecs)] += 1
+        calls[_factor_multiset(vecs)] += 1
         return real(vecs)
 
     def refuse(D):
         raise AssertionError(f"a divisor at level {D.n} was hashed")
 
     monkeypatch.setattr(structure, "tensor_profile", record)
-    for n in _guard_levels():
+    total = 0
+    for i, n in enumerate(_guard_levels()):  # N = 1..720, then the ladder
         blocks = tuple(structure._blocks(n))
-        want, walk, tables = Counter(), set(), set()
+        want, y2 = Counter(), set()
         for blk in blocks:
             L = blk.level
-            table = (blk.kind, L.base.factors, L.s)
-            gen = "Y2" if blk.kind == "Y2" else "Z"
             for _, I, _, _ in blk.rows:
-                on_T_u = blk.kind == "Z" and intarith.in_T_u(I, L.r_u, L.u)
-                kinds = (gen, "Z1") if on_T_u else (gen,)
-                for kind in kinds:
-                    key = _factor_key(generators.generator_factors(L, I, kind))
-                    walk.add(key)
-                    if table not in tables:
-                        want[key] += 1
-            tables.add(table)
+                if blk.kind == "Y2":
+                    y2.add(_factor_multiset(generators.generator_factors(L, I, "Y2")))
+                    continue
+                want[_factor_multiset(generators.generator_factors(L, I, "Z"))] += 1
+                if blk.kind == "Z" and intarith.in_T_u(I, L.r_u, L.u):
+                    want[_factor_multiset(generators.generator_factors(L, I, "Z1"))] += 1
+        want.update(y2)
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(CuspDivisor, "__hash__", refuse)
             assert verify_certificates(n, blocks).passed, n
-        assert calls == want and set(calls) == walk, n
+        assert calls == want, n
+        total += sum(calls.values()) if i < 720 else 0
+    assert total == 6868
