@@ -1,15 +1,17 @@
 """Rational cuspidal divisors on X0(N).
 
 S2(N) is the lattice of integer combinations of the Galois-orbit divisors
-(P_d), d | N, stored densely over the ascending divisor list.  S2(N)^0 is the
-degree-0 sublattice.  The degeneracy pullbacks (alpha_p)^*, (beta_p)^* and
-their pi compositions, which build the base vectors of the generators, act
-on this basis by the case-by-case exponent formulas, extended linearly.
+(P_d), d | N, kept sparse: from_dict and the arithmetic build supports and
+never read the divisor list of the level, so a generator's factors need no
+factorization of their own.  S2(N)^0 is the degree-0 sublattice.  The
+degeneracy pullbacks (alpha_p)^*, (beta_p)^* and their pi compositions,
+which build the base vectors of the generators, act on this basis by the
+case-by-case exponent formulas, extended linearly.
 
-tensor_terms multiplies the supports (cached nonzero (d, c) pairs) of factors
-at coprime levels into {divisor of the product: coefficient}, tensor_join
-places those terms in a divisor at the product level, and kron is the dense
-Kronecker product, in factor order, that the oracle uses.
+tensor_terms multiplies the supports of factors at coprime levels into
+{divisor of the product: coefficient}, tensor_join places those terms in a
+divisor at the product level, and kron is the dense Kronecker product, in
+factor order, that the oracle uses.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .intarith import degree_weights, divisor_positions, divisors, phi, valuatio
 
 class CuspDivisor:
     """An element of S2(N): coefficients on (P_d), d ascending, and its
-    support, the pairs (d, c) with c != 0 in that order, found once."""
+    support, the pairs (d, c) with c != 0 in that order.  CuspDivisor(n,
+    coeffs) holds the coefficients and _from_support the support; each
+    derives the other once.  Equality and the hash read the support."""
 
     def __init__(self, n: int, coeffs: tuple):
         if len(coeffs) != len(divisors(n)):
@@ -31,13 +35,19 @@ class CuspDivisor:
                              f"coefficients, not {len(coeffs)}")
         self.n, self.coeffs = n, coeffs
 
+    @classmethod
+    def _from_support(cls, n: int, support: tuple) -> CuspDivisor:
+        D = cls.__new__(cls)
+        D.n, D.support = n, support
+        return D
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.coeffs) == (other.n, other.coeffs)
+        return (self.n, self.support) == (other.n, other.support)
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.support))
 
     def __repr__(self):
         return f"CuspDivisor(n={self.n!r}, coeffs={self.coeffs!r})"
@@ -46,22 +56,33 @@ class CuspDivisor:
     def support(self) -> tuple:
         return tuple([(d, c) for d, c in zip(divisors(self.n), self.coeffs) if c])
 
+    @cached_property
+    def coeffs(self) -> tuple:
+        pos = divisor_positions(self.n)
+        out = [0] * len(pos)
+        for d, c in self.support:
+            out[pos[d]] = c
+        return tuple(out)
+
     def degree(self):
         return sum(map(mul, self.coeffs, degree_weights(self.n)))
 
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError(f"divisors at levels {self.n} and {other.n} do not combine")
-        return CuspDivisor(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        terms = dict(self.support)
+        for d, c in other.support:
+            terms[d] = terms.get(d, 0) + c
+        return from_dict(self.n, terms)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return CuspDivisor(self.n, tuple(-a for a in self.coeffs))
+        return self._from_support(self.n, tuple([(d, -c) for d, c in self.support]))
 
     def __rmul__(self, k):
-        return CuspDivisor(self.n, tuple(k * a for a in self.coeffs))
+        return from_dict(self.n, {d: k * c for d, c in self.support})
 
     def __str__(self):
         return format_terms(self.support)
@@ -73,13 +94,12 @@ def format_terms(terms) -> str:
 
 
 def from_dict(n, coeffs: dict) -> CuspDivisor:
-    pos = divisor_positions(n)
-    out = [0] * len(pos)
-    for d, c in coeffs.items():
-        if d not in pos:
+    """The sum of c * (P_d) over {d: c}, kept as its support; ValueError
+    unless every d is a positive divisor of n."""
+    for d in coeffs:
+        if d <= 0 or n % d:
             raise ValueError(f"{d} does not divide {n}")
-        out[pos[d]] = c
-    return CuspDivisor(n, tuple(out))
+    return CuspDivisor._from_support(n, tuple([(d, c) for d, c in sorted(coeffs.items()) if c]))
 
 
 def divisor_to_json(n, terms) -> dict:
@@ -208,7 +228,6 @@ def pi12_pull(D: CuspDivisor, p: int) -> CuspDivisor:
 def pi12_pull_div_p(D: CuspDivisor, p: int) -> CuspDivisor:
     """(1/p) pi_12^*; all image coefficients are divisible by p."""
     img = pi12_pull(D, p)
-    for c in img.coeffs:
-        if c % p:
-            raise ArithmeticError("pi12 pullback not divisible by p")
-    return CuspDivisor(img.n, tuple(c // p for c in img.coeffs))
+    if any(c % p for _, c in img.support):
+        raise ArithmeticError("pi12 pullback not divisible by p")
+    return from_dict(img.n, {d: c // p for d, c in img.support})

@@ -236,7 +236,7 @@ def base_vector_B2(r: int, f: int) -> CuspDivisor:
         coeffs = _E_vec(r, (r + f - 2) // 2)
     else:
         coeffs = _E_vec(r, (r - f + 3) // 2)
-    return CuspDivisor(n, coeffs)
+    return from_dict(n, {2 ** f: c for f, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------

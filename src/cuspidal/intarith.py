@@ -1,6 +1,6 @@
-"""Integer utilities: factorization, divisors and their degree weights, kappa,
-exponent tuples, and the two index sets over them that the table walk reads:
-the square tuples and the exceptional 2-power set T_u.
+"""Integer utilities: factorization, divisors and their degree weights, kappa
+and its primes, exponent tuples, and the two index sets over them that the
+table walk reads: the square tuples and the exceptional 2-power set T_u.
 
 An exponent tuple I = (f_1, ..., f_t) encodes the divisor p_1^f_1 * ... * p_t^f_t
 of N = p_1^r_1 * ... * p_t^r_t relative to an explicit (possibly permuted)
@@ -9,7 +9,8 @@ ordering of the prime factors.
 A level's divisor data lives on its FactoredInteger, which factor returns.
 Every functools cache in the package, whether keyed by a level, a prime
 power or a shape, holds at most CACHE_SIZE entries, so memory stays bounded
-however many levels a process visits.
+however many levels a process visits.  kappa(N) is never factored, so trial
+division never runs on a number above N + 1.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class FactoredInteger:
 def factor(n: int) -> FactoredInteger:
     """Factor a positive integer by trial division; primes ascending.  n = 1
     gives t = 0.  Division stops at the square root of the unfactored part,
-    so the largest arguments used here, kappa(N) <= 10^12 for N <= 10^6,
-    take at most 10^6 steps."""
+    so the largest argument used here, N + 1 for N <= 10^6 (kappa_primes),
+    takes about 500 steps."""
     if n < 1:
         raise ValueError("positive integer required")
     facs = []
@@ -145,6 +146,15 @@ def valuation(n: int, p: int) -> int:
 def kappa(n) -> int:
     """kappa(N) = (N/rad N) * prod (p^2 - 1)."""
     return math.prod(p ** (r - 1) * (p * p - 1) for p, r in factor(n).factors)
+
+
+def kappa_primes(n) -> tuple:
+    """The primes of kappa(N), ascending, without factoring kappa(N): those
+    of p - 1 and p + 1 for each p | N, and p itself when p^2 | N."""
+    ps = {p for p, r in factor(n).factors if r > 1}
+    for p in factor(n).primes:
+        ps.update(factor(p - 1).primes, factor(p + 1).primes)
+    return tuple(sorted(ps))
 
 
 def z_of(n: int, d: int) -> int:

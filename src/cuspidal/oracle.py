@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .divisors import kron
 from .etalinalg import _upsilon_block_entry, ligozat_weights
-from .intarith import CACHE_SIZE, degree_weights, factor, kappa, valuation
+from .intarith import CACHE_SIZE, degree_weights, factor, kappa, kappa_primes, valuation
 
 
 class AbelianGroupStructure(NamedTuple):
@@ -35,12 +35,21 @@ class AbelianGroupStructure(NamedTuple):
     orderings: dict        # ell -> tuple of primes
 
 
-def _merge_invariants(orders):
-    """ell-primary table and invariant factors from a list of cyclic orders."""
+def _merge_invariants(orders, primes, n=None):
+    """ell-primary table and invariant factors from a list of cyclic orders,
+    each read at the known primes: one with any other prime raises
+    ArithmeticError naming the level n."""
     prim = {}
     for o in orders:
-        for p, e in factor(o).factors:
-            prim.setdefault(p, []).append(p ** e)
+        m = o
+        for p in primes:
+            if m % p == 0:
+                q = p ** valuation(m, p)
+                prim.setdefault(p, []).append(q)
+                m //= q
+        if m != 1:
+            raise ArithmeticError(f"the cyclic order {o} at N={n} has a prime factor "
+                                  f"outside {list(primes)}")
     prim = {p: tuple(sorted(v, reverse=True)) for p, v in prim.items()}
     depth = max((len(v) for v in prim.values()), default=0)
     invs = []
@@ -221,8 +230,10 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
     D, gamma = kron(b.diag for b in blocks), kron(b.gamma for b in blocks)
     omega = [kron(b.omega[i == k] for i, b in enumerate(blocks))
              for k in range(len(blocks))]
-    local = []
-    for ell, v in factor(24 * kappa(n)).factors:
+    local, k24 = [], 24 * kappa(n)
+    primes = sorted({2, 3, *kappa_primes(n)})  # those of 24 kappa(N)
+    for ell in primes:
+        v = valuation(k24, ell)
         q = ell ** v
         i0 = next(i for i, g in enumerate(gamma) if g % ell)
         g0, d0, w0 = pow(gamma[i0], -1, q), D[i0], [w[i0] for w in omega]
@@ -233,7 +244,7 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
                 diag.append(576 * dj)
                 B.append([-576 * c] + [24 * (w[j] * dj - c * x) for w, x in zip(omega, w0)])
         local += [ell ** (v - e) for e in _bordered_exponents(diag, B, ell, v)]
-    prim, invs = _merge_invariants(local)
+    prim, invs = _merge_invariants(local, primes, n)
     if math.prod(invs) != math.prod(local):
         raise ArithmeticError(f"invariant factors {invs} do not multiply to the "
                               f"order {math.prod(local)} of the local parts")

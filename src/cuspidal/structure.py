@@ -25,14 +25,14 @@ the rows of order > 1 (of ell-part > 1 for Y2), each with a callable for
 its terms that only the printers call.  verify_certificates re-sorts
 each distinct table by the rank of I in divisor_orderings, which depends
 only on the shape (exponents, u) of the block's level, and profiles each
-distinct generator once per call: each Z row, each Z1 row on T_u, the B
-row, and each Y2 generator keyed by (d, the prime of its B slot or 0, the
-primes of its D pair or ()), which names it in any ordering, so a Y2
-generator that several tables share is profiled once (over N <= 720,
-6868 profiles, where one per row of each distinct table was 8289).  It
-re-runs the split-off hypotheses (unipotence of the normalized-profile
-matrices, the h and parity side conditions) for every ell on the concrete
-level N.  crosscheck hands one walk to both and builds no terms.
+distinct generator once per call: each Z row, each Z1 row on T_u where
+Z1 differs from Z (f_u < r_u), the B row, and each Y2 generator keyed by
+(d, the prime of its B slot or 0, the primes of its D pair or ()), which
+names it in any ordering, so a Y2 generator that several tables share is
+profiled once (over N <= 720, 6846 profiles, where one per row of each
+distinct table was 8289).  It re-runs the split-off hypotheses
+(unipotence of the normalized-profile matrices, the h and parity side
+conditions) for every ell on the concrete level N.  crosscheck hands one walk to both and builds no terms.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import NamedTuple
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import ligozat_weights
 from .intarith import (divisor_exponents, divisor_of, divisors, factor, in_square, in_T_u,
-                       kappa, valuation)
+                       kappa_primes, valuation)
 from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
                          generator_factors, generator_order, generator_terms,
                          order_primes)
@@ -102,9 +102,10 @@ def invariant_factors_of_quotient(rows, ncols: int, modulus: int):
     over Z/ell^v, where entries stay below ell^v (Cohen, GTM 138, section
     2.4, on normal forms modulo a multiple of the index).  When modulus kills
     Z^ncols / <rows> this is that group."""
-    local = [ell ** e for ell, v in factor(modulus).factors
+    fm = factor(modulus)
+    local = [ell ** e for ell, v in fm.factors
              for e in _local_exponents(rows, ncols, ell, v) if e]
-    _, invs = _merge_invariants(local)
+    _, invs = _merge_invariants(local, fm.primes)
     if math.prod(invs) != math.prod(local):
         raise ArithmeticError(f"invariant factors {invs} do not multiply to the "
                               f"order {math.prod(local)} of the local parts")
@@ -150,7 +151,8 @@ class _Block(NamedTuple):
 
 
 def _relevant_ells(n: int):
-    return tuple(sorted(set(factor(kappa(n)).primes) | {2}))
+    """The primes of kappa(N) and 2: those of every closed-form order."""
+    return tuple(sorted({2, *kappa_primes(n)}))
 
 
 def _blocks(n: int):
@@ -208,7 +210,7 @@ def compute_group(n, blocks=None) -> AbelianGroupStructure:
                 if ell:
                     orderings[ell] = blk.level.base.primes
     orders = [o for _, _, o in factors]
-    prim, invs = _merge_invariants(orders)
+    prim, invs = _merge_invariants(orders, _relevant_ells(n), n)
     return AbelianGroupStructure(n, tuple(factors), prim, invs, math.prod(orders),
                                  orderings)
 
@@ -320,9 +322,10 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
         rows, deltas, profs = tables[key]
         if blk.kind == "Z":
             # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
-            # outside the exceptional 2-power set T_u.
+            # outside the exceptional 2-power set T_u, and at f_u = r_u on
+            # it, where B2(r, r) = A_2(r, r).
             profs1 = [tensor_profile(generator_factors(L, I, "Z1"))
-                      if in_T_u(I, L.r_u, L.u) else pz
+                      if in_T_u(I, L.r_u, L.u) and I[L.u - 1] < L.r_u else pz
                       for (_, I, _, _), pz in zip(rows, profs)]
             _check_unipotent(rep, rows, deltas, profs1, "nsf-unipotence")
             for (d, _, _, order), pz in zip(rows, profs):

@@ -194,6 +194,9 @@ def test_verify_verb(capsys):
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "order", "12", "--divisor", "1*(5)")
     assert code == 1 and err == "error: 5 does not divide 12\n"
+    for spec in ("1*(0)", '{"coeffs": {"0": 1}}'):
+        code, _, err = run(capsys, "order", "12", "--divisor", spec)
+        assert code == 1 and err == "error: 0 does not divide 12\n", spec
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
     for verb, n in (("cusps", "0"), ("group", "0"), ("verify", str(cli.MAX_LEVEL + 1))):

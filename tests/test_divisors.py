@@ -146,10 +146,15 @@ def test_support_is_the_nonzero_coefficients_ascending():
             assert list(D.support) == want
             E = CuspDivisor(m, D.coeffs)
             assert D == E and hash(D) == hash(E)
+            # built from its terms, the divisor equals and hashes as the dense one
+            F = from_dict(m, {**dict.fromkeys(divisors(m)[::3], 0), **dict(want)})
+            assert F == D and hash(F) == hash(D)
+            assert F.support == D.support and F.coeffs == D.coeffs and repr(F) == repr(D)
+            assert from_dict(m, dict(want)) != CuspDivisor(m, tuple(c + 1 for c in D.coeffs))
 
 
 def test_from_dict_rejects_non_divisors():
     assert from_dict(12, {12: 3, 1: -1}).coeffs == (-1, 0, 0, 0, 0, 3)
-    for d in (5, 24, 36, 13):
+    for d in (5, 24, 36, 13, 0, -12):
         with pytest.raises(ValueError, match="does not divide 12"):
             from_dict(12, {1: 1, d: 1})

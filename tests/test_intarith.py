@@ -3,11 +3,11 @@ import math
 import random
 
 import pytest
-from sympy import factorint, multiplicity, totient
+from sympy import factorint, multiplicity, primefactors, totient
 
 from cuspidal.intarith import (FactoredInteger, degree_weights, divisor_exponents,
                                divisor_of, divisor_positions, divisors, exponent_tuple,
-                               factor, in_square, in_T_u, kappa, phi, z_of)
+                               factor, in_square, in_T_u, kappa, kappa_primes, phi, z_of)
 from references import (A_tuple, E_tuple, in_delta, in_E_set, in_F_set, in_F1_set,
                         in_G_set, in_G1_set, in_H_u, radical, tuple_k, tuple_m, tuple_n)
 
@@ -49,6 +49,20 @@ def test_kappa():
     assert kappa(1) == 1
     for n in range(1, 200):
         assert (kappa(n) % 24 == 0) == (n not in (1, 2, 3, 4, 8))
+
+
+# Primes N with (N - 1)/2 and (N + 1)/12 prime: kappa(N) = N^2 - 1 is 24 times
+# those two primes, so trial division on kappa(N) itself runs to (N + 1)/12.
+HARD_KAPPA_LEVELS = (10004627, 100027163, 1000010723)
+
+
+def test_kappa_primes_are_the_primes_of_kappa():
+    for n in range(1, 5001):
+        assert kappa_primes(n) == factor(kappa(n)).primes, n
+    for n in HARD_KAPPA_LEVELS:
+        assert factor(n).primes == (n,)
+        assert kappa_primes(n) == tuple(primefactors(kappa(n))) == \
+            (2, 3, (n + 1) // 12, (n - 1) // 2), n
 
 
 def test_degree_weights():

@@ -108,9 +108,25 @@ def test_upsilon_times_24_lambda_is_kappa_as_polynomials():
 
 
 def test_snf_oracle_rejects_inconsistent_invariants(monkeypatch):
-    monkeypatch.setattr(oracle, "_merge_invariants", lambda orders: ({}, ()))
+    monkeypatch.setattr(oracle, "_merge_invariants", lambda orders, primes, n: ({}, ()))
     with pytest.raises(ArithmeticError):
         snf_oracle(11)
+
+
+def test_merge_invariants_reads_orders_at_known_primes():
+    assert oracle._merge_invariants([12, 8, 9, 1], (2, 3, 5)) == \
+        ({2: (8, 4), 3: (9, 3)}, (12, 72))
+    with pytest.raises(ArithmeticError, match="order 42 at N=35 .* outside \\[2, 3\\]"):
+        oracle._merge_invariants([6, 42], (2, 3), 35)
+
+
+def test_compute_group_rejects_an_order_outside_the_primes_of_kappa(monkeypatch):
+    """A closed-form order with a prime that kappa(N) lacks cannot be the
+    order of an element of C(N): compute_group raises, naming N."""
+    real = structure.generator_order
+    monkeypatch.setattr(structure, "generator_order", lambda L, I, kind: 11 * real(L, I, kind))
+    with pytest.raises(ArithmeticError, match="at N=12 has a prime factor outside"):
+        compute_group(12)
 
 
 def _weight_d_off_by_one(ds, sums):
@@ -349,6 +365,34 @@ def test_crosscheck_on_a_uniform_sample():
     for n in [rng.randint(1, 10 ** 6) for _ in range(150)]:
         rec = crosscheck(n)
         assert rec["pass"], (n, rec["mismatches"])
+
+
+def test_crosscheck_at_levels_with_a_hard_kappa():
+    """Primes N above MAX_LEVEL with (N - 1)/2 and (N + 1)/12 prime, so that
+    kappa(N) = 24 * (N - 1)/2 * (N + 1)/12: trial division on kappa(N)
+    would run to (N + 1)/12, and it is never factored."""
+    for n in (10004627, 100027163, 1000010723):
+        rec = crosscheck(n)
+        # C(N) is cyclic of order numerator((N - 1)/12), here (N - 1)/2
+        assert rec["pass"] and rec["invariant_factors"] == [str((n - 1) // 2)], n
+
+
+def test_group_factors_only_n_and_p_plus_minus_1(monkeypatch):
+    """compute_group and group_to_json hand factor only N and p - 1, p + 1
+    for the primes p | N: not kappa(N), not a cyclic order and not the level
+    of a generator's tensor factor.  Every call is seen, cache hit or not."""
+    seen = []
+    real = intarith.factor
+    for info in pkgutil.iter_modules(cuspidal.__path__):
+        module = importlib.import_module(f"cuspidal.{info.name}")
+        if getattr(module, "factor", None) is real:
+            monkeypatch.setattr(module, "factor", lambda n: seen.append(n) or real(n))
+    rng = random.Random(30)
+    for n in [rng.randint(1, 10 ** 6) for _ in range(1000)] + list(ROADMAP_LADDER):
+        seen.clear()
+        group_to_json(compute_group(n))
+        allowed = {n} | {p + e for p in real(n).primes for e in (-1, 1)}
+        assert seen and set(seen) <= allowed, (n, sorted(set(seen) - allowed))
 
 
 def test_crosscheck_matches_the_batch_reference():
@@ -704,7 +748,7 @@ def _certificate_T_u_flipped(monkeypatch):
 def _kappa_doubled_everywhere(monkeypatch):
     real = intarith.kappa
     _patch_everywhere(monkeypatch, "kappa", lambda n: 2 * real(n),
-                      (intarith, oracle, orderengine, structure))
+                      (intarith, oracle, orderengine))
 
 
 def _upsilon_corner_off_by_one(monkeypatch):
@@ -1035,11 +1079,12 @@ def _factor_multiset(vecs):
 
 def test_certificates_profile_each_distinct_generator_once_per_level(monkeypatch):
     """verify_certificates calls tensor_profile once per Z row, once more per
-    Z1 row on T_u, once for the B row and once per distinct Y2 generator of
-    the level, however many distinct Y2 tables hold it: each profiled factor
-    set is a generator of the walk, profiled once.  No divisor is hashed, so
-    it runs with CuspDivisor.__hash__ refusing.  Over N <= 720 that is 6868
-    calls, where one per row of each distinct table was 8289."""
+    Z1 row on T_u where Z1 differs from Z (f_u < r_u), once for the B row
+    and once per distinct Y2 generator of the level, however many distinct
+    Y2 tables hold it: each profiled factor set is a generator of the walk,
+    profiled once.  No divisor is hashed, so it runs with
+    CuspDivisor.__hash__ refusing.  Over N <= 720 that is 6846 calls, where
+    one per row of each distinct table was 8289."""
     calls = Counter()
     real = structure.tensor_profile
 
@@ -1061,9 +1106,13 @@ def test_certificates_profile_each_distinct_generator_once_per_level(monkeypatch
                 if blk.kind == "Y2":
                     y2.add(_factor_multiset(generators.generator_factors(L, I, "Y2")))
                     continue
-                want[_factor_multiset(generators.generator_factors(L, I, "Z"))] += 1
+                z = _factor_multiset(generators.generator_factors(L, I, "Z"))
+                want[z] += 1
                 if blk.kind == "Z" and intarith.in_T_u(I, L.r_u, L.u):
-                    want[_factor_multiset(generators.generator_factors(L, I, "Z1"))] += 1
+                    # Z1 is profiled only where it differs from Z: not at f_u = r_u
+                    z1 = _factor_multiset(generators.generator_factors(L, I, "Z1"))
+                    if z1 != z:
+                        want[z1] += 1
         want.update(y2)
         calls.clear()
         with monkeypatch.context() as m:
@@ -1071,4 +1120,4 @@ def test_certificates_profile_each_distinct_generator_once_per_level(monkeypatch
             assert verify_certificates(n, blocks).passed, n
         assert calls == want, n
         total += sum(calls.values()) if i < 720 else 0
-    assert total == 6868
+    assert total == 6846
