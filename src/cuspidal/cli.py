@@ -137,7 +137,7 @@ def cmd_group(args) -> int:
     desc = " x ".join(f"Z/{d}" for d in G.invariant_factors)
     print(f"C({args.N}) = {desc}  (order {G.group_order})")
     for lab, terms, o in G.cyclic_factors:
-        print(f"  {lab}: order {o}, divisor {format_terms(terms().items())}")
+        print(f"  {lab}: order {o}, divisor {format_terms(terms())}")
     return 0
 
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import pairwise, product
 from operator import itemgetter
 from typing import NamedTuple
 
 from .divisors import (CuspDivisor, from_dict, orbit_divisor, pi1_pull,
-                       pi2_pull, pi12_pull_div_p, tensor_terms)
+                       pi2_pull, pi12_pull_div_p)
 from .intarith import CACHE_SIZE, FactoredInteger, exponent_tuple, factor, valuation
 
 
@@ -46,25 +46,17 @@ class OrderedLevel(NamedTuple):
     u: int
     r_u: int
 
-    @property
-    def t(self) -> int:
-        return self.base.t
-
 
 def _gamma(p: int, r: int) -> int:
     return p ** (r - 1) * (p + 1)
 
 
 def _admissible(factors, ell: int) -> bool:
+    """v_ell(gamma(p, r)) never rises along the ordering and v_ell(p - 1) never
+    falls outside slot s; a sequence is monotone when each adjacent pair is."""
     gv = [valuation(_gamma(p, r), ell) for p, r in factors]
-    if any(gv[i] < gv[j] for i in range(len(gv)) for j in range(i + 1, len(gv))):
-        return False
-    u = next((i for i, (p, _) in enumerate(factors, start=1) if p == 2), 0)
-    s = 0 if ell % 2 else u
-    pv = [valuation(p - 1, ell) if p > 2 or ell % 2 else 0 for p, _ in factors]
-    idx = [i for i in range(len(factors)) if i + 1 != s]
-    return all(pv[idx[a]] <= pv[idx[b]] for a in range(len(idx))
-               for b in range(a + 1, len(idx)))
+    pv = [valuation(p - 1, ell) for p, _ in factors if p > 2 or ell % 2]
+    return all(a >= b for a, b in pairwise(gv)) and all(a <= b for a, b in pairwise(pv))
 
 
 def _make_level(factors, ell: int) -> OrderedLevel:
@@ -243,16 +235,10 @@ def base_vector_B2(r: int, f: int) -> CuspDivisor:
 # Composite generators
 # ---------------------------------------------------------------------------
 
-def D_vector(L: OrderedLevel, i: int, j: int) -> CuspDivisor:
-    """The two-prime degree-0 correction vector at level p_i^r_i * p_j^r_j."""
-    if not 1 <= i < j <= L.t:
-        raise ValueError("need 1 <= i < j <= t")
-    return _two_prime_D(*L.base.factors[i - 1], *L.base.factors[j - 1])
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
-    """(g_j/G) B_i (x) A_j0 - (g_i/G) A_i0 (x) B_j, G = gcd(g_i, g_j): as A(p, r, 0)
+    """The two-prime degree-0 correction vector D at level pi^ri * pj^rj,
+    (g_j/G) B_i (x) A_j0 - (g_i/G) A_i0 (x) B_j, G = gcd(g_i, g_j): as A(p, r, 0)
     is (P_1), the two tensors sit on the supports of B_i and of B_j."""
     gi, gj = _gamma(pi, ri), _gamma(pj, rj)
     G = math.gcd(gi, gj)
@@ -267,7 +253,7 @@ def _case(I, u: int, s: int, r_u: int, kind: str):
     """Yoo's case split for the generator of kind "Z", "Z1" or "Y2" at the
     exponent tuple I, with 2 at slot u (0 if N is odd) to the power r_u,
     s = u for ell = 2 and 0 for odd ell, as (parts, pair, H, slot).  pair is
-    the (i, j) of the two-prime correction D_vector(L, i, j), which fills
+    the (i, j) of the two-prime correction D (_two_prime_D), which fills
     slots i and j, or None.  parts holds (i, vector, f) for every other slot
     i: vector "A" is A_p(r, f), "B" is B_p(r, 1) (f is 1 there) and "B2" is
     B2(r, f) at the slot of 2.  slot is the one slot with a B or B2, or 0.
@@ -325,21 +311,25 @@ def generator_factors(L: OrderedLevel, I, kind: str) -> tuple:
         vecs.append(base_vector_B2(r, f) if vector == "B2" else
                     base_vector_B(p, r) if vector == "B" else base_vector_A(p, r, f))
     if pair:
-        vecs.append(D_vector(L, *pair))
+        i, j = pair
+        vecs.append(_two_prime_D(*factors[i - 1], *factors[j - 1]))
     return tuple(vecs)
 
 
-def generator_terms(L: OrderedLevel, I, kind: str) -> dict:
-    """The nonzero terms {d: c}, d ascending, of the generator of kind "Z",
-    "Z1" or "Y2" at the exponent tuple I of L, from its factors' supports."""
-    vecs = generator_factors(L, I, kind)
-    terms = tensor_terms(tuple([v.n for v in vecs]), [v.support for v in vecs])
-    return dict(sorted(terms.items()))
+def generator_terms(L: OrderedLevel, I, kind: str) -> list:
+    """The nonzero terms (d, c), d ascending, of the generator of kind "Z",
+    "Z1" or "Y2" at the exponent tuple I of L: products of its factors'
+    support pairs, distinct as the factors sit at distinct primes of L."""
+    terms = [(1, 1)]
+    for v in generator_factors(L, I, kind):
+        terms = [(a * d, b * c) for d, c in v.support for a, b in terms]
+    terms.sort()
+    return terms
 
 
 def generator_vector(L: OrderedLevel, I, kind: str) -> CuspDivisor:
     """The generator of kind "Z", "Z1" or "Y2" at the exponent tuple I of L."""
-    return from_dict(L.base.value, generator_terms(L, I, kind))
+    return from_dict(L.base.value, dict(generator_terms(L, I, kind)))
 
 
 # The (L, d) wrappers construct_Z, construct_Y and predicted_order: only the

@@ -1,6 +1,6 @@
 """Integer utilities: factorization, divisors and their degree weights, kappa
-and its primes, exponent tuples, and the two index sets over them that the
-table walk reads: the square tuples and the exceptional 2-power set T_u.
+and its primes, decimal strings of any length, exponent tuples, and the two
+index sets over them that the table walk reads: the square tuples and T_u.
 
 An exponent tuple I = (f_1, ..., f_t) encodes the divisor p_1^f_1 * ... * p_t^f_t
 of N = p_1^r_1 * ... * p_t^r_t relative to an explicit (possibly permuted)
@@ -155,6 +155,15 @@ def kappa_primes(n) -> tuple:
     for p in factor(n).primes:
         ps.update(factor(p - 1).primes, factor(p + 1).primes)
     return tuple(sorted(ps))
+
+
+def decimal_str(n: int) -> str:
+    """str(n), n >= 0, past Python's int-to-str digit limit (4300 by default,
+    640 at the least): n splits at 10^k, k about half its digits, into parts below 10^600."""
+    if n.bit_length() <= 1990:
+        return str(n)
+    hi, lo = divmod(n, 10 ** (k := n.bit_length() * 3 // 20))
+    return decimal_str(hi) + decimal_str(lo).zfill(k)
 
 
 def z_of(n: int, d: int) -> int:

@@ -4,9 +4,7 @@ compute_group decomposes C(N) into cyclic pieces generated by Z(d)
 (non-squarefree d) and Y2(d) (squarefree d, per target prime ell), with
 closed-form orders.  verify_certificates re-checks its hypotheses on the
 concrete level, and crosscheck holds it against snf_oracle (module oracle),
-which shares no code with the generators.  invariant_factors_of_quotient,
-the dense elimination, and eta_unit_lattice stay here as references for
-the tests and the benchmark tracer.
+which shares no code with the generators.
 
 The generators come from one walk, _blocks(N), over Yoo's table: the Z
 block on the default level, then B(p, r, 1) when N = p^r, else one Y2 block
@@ -14,38 +12,36 @@ per relevant ell, ascending, on order_primes(N, ell).  Each block is plain
 data, rows (d, I, label, closed-form order) in ascending d, I the exponent
 tuple of d in the block's prime ordering read off divisor_exponents(N).  A
 Y2 row depends on ell only through the ordering (factors, s), so the ell
-with equal (factors, s) share one rows tuple, built once: over N <= 720 the
-8198 Y2 rows come from 6645 rows of distinct tables.  A generator is a
-tensor of prime-power base vectors and at most one two-prime D vector
-(generator_factors(L, I, kind)): its nonzero terms, d ascending, are
-products of the factors' nonzero entries (generator_terms, no sigma0(N)
-tuple), and its profile combines the profiles of its factors at their own
-levels (tensor_profile), never applying Upsilon at N.  compute_group keeps
-the rows of order > 1 (of ell-part > 1 for Y2), each with a callable for
-its terms that only the printers call.  verify_certificates re-sorts
-each distinct table by the rank of I in divisor_orderings, which depends
-only on the shape (exponents, u) of the block's level, and profiles each
-distinct generator once per call: each Z row, each Z1 row on T_u where
-Z1 differs from Z (f_u < r_u), the B row, and each Y2 generator keyed by
-(d, the prime of its B slot or 0, the primes of its D pair or ()), which
-names it in any ordering, so a Y2 generator that several tables share is
-profiled once (over N <= 720, 6846 profiles, where one per row of each
-distinct table was 8289).  It re-runs the split-off hypotheses
-(unipotence of the normalized-profile matrices, the h and parity side
-conditions) for every ell on the concrete level N.  crosscheck hands one walk to both and builds no terms.
+with equal (factors, s) share one rows tuple, built once.  A generator is
+a tensor of prime-power base vectors and at most one two-prime D vector
+(generator_factors(L, I, kind)): its nonzero terms are products of the
+factors' support pairs (generator_terms), and its profile combines the
+profiles of its factors at their own levels (tensor_profile), never
+applying Upsilon at N.  compute_group keeps the rows of order > 1
+(of ell-part > 1 for Y2), each with a callable for its terms that only the
+printers call.  verify_certificates re-sorts each distinct table by the
+rank of I in divisor_orderings, which depends only on the shape
+(exponents, u) of the block's level, and profiles each distinct generator
+once per call: each Z row, each Z1 row on T_u where Z1 differs from Z
+(f_u < r_u), the B row, and each Y2 generator keyed by (d, the prime of
+its B slot or 0, the primes of its D pair or ()), which names it in any
+ordering, so a Y2 generator that several tables share is profiled once.
+It re-runs the split-off hypotheses (unipotence of the normalized-profile
+matrices, the h and parity side conditions) for every ell on the concrete
+level N.  crosscheck hands one walk to both and builds no terms.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import ligozat_weights
-from .intarith import (divisor_exponents, divisor_of, divisors, factor, in_square, in_T_u,
-                       kappa_primes, valuation)
+from .intarith import (CACHE_SIZE, decimal_str, divisor_exponents, divisor_of, divisors,
+                       factor, in_square, in_T_u, kappa_primes, valuation)
 from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
                          generator_factors, generator_order, generator_terms,
                          order_primes)
@@ -150,6 +146,7 @@ class _Block(NamedTuple):
     rows: tuple
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _relevant_ells(n: int):
     """The primes of kappa(N) and 2: those of every closed-form order."""
     return tuple(sorted({2, *kappa_primes(n)}))
@@ -195,9 +192,12 @@ def _blocks(n: int):
 
 def compute_group(n, blocks=None) -> AbelianGroupStructure:
     """C(N) as explicit cyclic factors (label, terms, order): one per row of
-    the table of order > 1, each Y2 row taken with the ell-part of its order,
-    and the prime ordering of each ell with such a row.  terms() builds the
-    nonzero terms {d: c}, d ascending.  blocks, if given, is a walk of _blocks(N)."""
+    the table of order > 1, and the prime ordering of each ell with such a
+    row.  terms() builds the row divisor's nonzero terms (d, c), d ascending.
+    A Y2 row's order is the ell-part ell^v of the class order of Y2(d), and
+    the factor's generator is (class order / ell^v) * Y2(d): at N = 30, group
+    prints "Y2(3): order 3", where order 30 --divisor "1*(1),-1*(3)" says 6.
+    blocks, if given, is a walk of _blocks(N)."""
     factors, orderings = [], {}
     for blk in _blocks(n) if blocks is None else blocks:
         ell = blk.level.ell if blk.kind == "Y2" else None
@@ -232,12 +232,13 @@ def group_to_json(G: AbelianGroupStructure) -> dict:
                      for ell, ps in sorted(G.orderings.items())],
         "generators": [
             {"label": lab,
-             "divisor": divisor_to_json(G.n, terms().items()),
-             "order": str(o)}
+             "divisor": divisor_to_json(G.n, terms()),
+             "order": decimal_str(o)}
             for lab, terms, o in G.cyclic_factors],
-        "ell_primary": {str(ell): [str(o) for o in v] for ell, v in sorted(G.ell_primary.items())},
-        "invariant_factors": [str(d) for d in G.invariant_factors],
-        "group_order": str(G.group_order),
+        "ell_primary": {str(ell): [decimal_str(o) for o in v]
+                        for ell, v in sorted(G.ell_primary.items())},
+        "invariant_factors": [decimal_str(d) for d in G.invariant_factors],
+        "group_order": decimal_str(G.group_order),
         "cuspidal_equals_rational_flag": cuspidal_equals_rational(G.n),
     }
 
@@ -404,7 +405,7 @@ def crosscheck(n) -> dict:
     return {
         "N": n,
         "pass": not mismatches,
-        "invariant_factors": [str(d) for d in G.invariant_factors],
-        "group_order": str(G.group_order),
+        "invariant_factors": [decimal_str(d) for d in G.invariant_factors],
+        "group_order": decimal_str(G.group_order),
         "mismatches": mismatches,
     }

@@ -1,13 +1,16 @@
-"""Test-only references: operators, closed forms and dense formulas that
-the package's main path does not call.  The tests check the package against
-them: the two-prime D vectors by their dense definition, the Hecke and
-Atkin-Lehner compatibilities of the degeneracy maps, the closed-form orders
-of the C_d and the tensor profiles against profile, the entries
-a_N(d, delta) of 24 * Lambda(N) against lambda24, the tensor-local
+"""Test-only references: operators, closed forms and dense formulas that the
+package's main path does not call.  The tests check the package against
+them: the two-prime D vectors by their dense definition (and D_vector, the
+package's D at two slots of an ordered level), the all-pairs form of the
+valuation conditions on a prime ordering, str() with no digit limit, the
+Hecke and Atkin-Lehner compatibilities of the degeneracy maps, the
+closed-form orders of the C_d and the tensor profiles against profile, the
+entries a_N(d, delta) of 24 * Lambda(N) against lambda24, the tensor-local
 snf_oracle against its dense premise rows, and Yoo's case split and the
 bijection iota_delta against their index-set predicates."""
 
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -16,7 +19,8 @@ from cuspidal.divisors import C_generator, CuspDivisor, _map_basis, _p_parts, te
 from cuspidal.intarith import (FactoredInteger, divisors, factor, in_square, in_T_u,
                                kappa, valuation, z_of)
 from cuspidal.etalinalg import _unit, ligozat_weights, upsilon_apply
-from cuspidal.generators import base_vector_A, base_vector_B, prec_ladder, tri_ladder
+from cuspidal.generators import (_two_prime_D, base_vector_A, base_vector_B, prec_ladder,
+                                 tri_ladder)
 from cuspidal.orderengine import OrderProfile, profile
 from cuspidal.structure import invariant_factors_of_quotient
 
@@ -30,6 +34,41 @@ def two_prime_D(pi: int, ri: int, pj: int, rj: int) -> CuspDivisor:
     left = tensor_join(base_vector_B(pi, ri), base_vector_A(pj, rj, 0))
     right = tensor_join(base_vector_A(pi, ri, 0), base_vector_B(pj, rj))
     return (gj // G) * left - (gi // G) * right
+
+
+def D_vector(L, i: int, j: int) -> CuspDivisor:
+    """The two-prime D vector at the slots i < j of the ordered level L,
+    from the package's cached _two_prime_D at p_i^r_i * p_j^r_j."""
+    if not 1 <= i < j <= L.base.t:
+        raise ValueError("need 1 <= i < j <= t")
+    return _two_prime_D(*L.base.factors[i - 1], *L.base.factors[j - 1])
+
+
+def admissible_all_pairs(factors, ell: int) -> bool:
+    """The two valuation conditions on a prime ordering for ell, checked on
+    every pair of slots i < j: v_ell(p_i^(r_i-1) (p_i + 1)) >= that of slot
+    j, and v_ell(p_i - 1) <= v_ell(p_j - 1) for i, j != s, where s is the
+    slot of 2 for ell = 2 and 0 for odd ell."""
+    t = len(factors)
+    gv = [valuation(p ** (r - 1) * (p + 1), ell) for p, r in factors]
+    s = 0 if ell % 2 else next((i for i, (p, _) in enumerate(factors, start=1) if p == 2), 0)
+    pv = {i: valuation(p - 1, ell) for i, (p, _) in enumerate(factors, start=1) if i != s}
+    return (all(gv[i] >= gv[j] for i in range(t) for j in range(i + 1, t)) and
+            all(pv[i] <= pv[j] for i in pv for j in pv if i < j))
+
+
+def unlimited_str(n: int) -> str:
+    """str(n) with the process-wide limit on int-to-str digits (Python >=
+    3.11, and the releases that backported it) lifted for this one call."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        return str(n)
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def radical(fn: FactoredInteger) -> int:

@@ -29,7 +29,7 @@ def test_criterion_1_mazur_orders():
         assert G.invariant_factors == ((n,) if n > 1 else ())
         if n > 1:
             lab, terms, o = G.cyclic_factors[0]
-            assert o == n and terms() == {1: 1, p: -1}  # (0) - (infinity)
+            assert o == n and terms() == [(1, 1), (p, -1)]  # (0) - (infinity)
     assert time.time() - start < 1.0
 
 
@@ -107,7 +107,7 @@ def test_criterion_6_oracle_equivalence():
         G = compute_group(n)
         assert G.invariant_factors == snf_oracle(n).invariant_factors, n
         for lab, terms, o in G.cyclic_factors:
-            pr = profile(from_dict(n, terms()))
+            pr = profile(from_dict(n, dict(terms())))
             # the claimed order is the full profile order or its ell-part
             assert pr.order % o == 0 and pr.order >= o, (n, lab)
     assert time.time() - start < 600

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -9,13 +9,14 @@ import references
 from cuspidal import generators
 from cuspidal.divisors import orbit_divisor
 from cuspidal.etalinalg import upsilon_apply
-from cuspidal.generators import (D_vector, _two_prime_D, base_vector_A, base_vector_B,
+from cuspidal.generators import (_two_prime_D, base_vector_A, base_vector_B,
                                  base_vector_B2, construct_Y, construct_Z,
                                  default_level, divisor_orderings, iota_delta,
                                  order_primes, prec_ladder, predicted_order, tri_ladder)
-from cuspidal.intarith import divisor_of, divisors, in_square, kappa, valuation
+from cuspidal.intarith import (divisor_of, divisors, factor, in_square, kappa, kappa_primes,
+                               valuation)
 from cuspidal.orderengine import profile
-from references import iota_r, radical, two_prime_D
+from references import D_vector, admissible_all_pairs, iota_r, radical, two_prime_D
 
 
 def test_ladders():
@@ -25,6 +26,23 @@ def test_ladders():
     assert tri_ladder(5) == (0, 1, 5, 4, 2, 3)
     assert tri_ladder(7) == (0, 1, 7, 6, 2, 5, 3, 4)
     assert iota_r(4) == {1: 0, 0: 1, 2: 4, 4: 3, 3: 2}
+
+
+def test_admissible_matches_the_all_pairs_reference():
+    """_admissible checks adjacent slots only; on every permutation of the
+    prime factors of N <= 3000 (t <= 5) and every relevant ell it agrees with
+    the check over all pairs of slots, and both outcomes occur."""
+    outcomes = set()
+    for n in range(6, 3001):
+        fn = factor(n)
+        if fn.t < 2:
+            continue
+        for ell in sorted({2, *kappa_primes(n)}):
+            for perm in permutations(fn.factors):
+                ok = generators._admissible(perm, ell)
+                assert ok == admissible_all_pairs(perm, ell), (perm, ell)
+                outcomes.add(ok)
+    assert outcomes == {True, False}
 
 
 def test_order_primes_deterministic():
@@ -47,7 +65,7 @@ def test_orderings_are_permutations():
         precs, deltas = _orderings(L)
         all_divs = set(divisors(n)) - {1}
         assert set(precs) == all_divs
-        if L.t >= 2:
+        if L.base.t >= 2:
             assert set(deltas) == all_divs
         else:  # iota_r maps {1..r} onto {0, 2..r}: delta runs over 1, p^2, ..., p^r
             p = L.base.primes[0]
@@ -172,7 +190,7 @@ def test_iota_maps_prec_to_tri():
     for L in ORDERING_LEVELS:
         rs = L.base.exponents
         for I, J in zip(*_two_sort_orderings(rs, L.u)):
-            if L.t >= 2 and all(f <= 1 for f in I):
+            if L.base.t >= 2 and all(f <= 1 for f in I):
                 assert iota_delta(I, L.u) == J
             else:
                 assert tuple(iota_r(r)[f] for r, f in zip(rs, I)) == J
@@ -257,7 +275,7 @@ def test_D_vector_example():
 def test_D_vector_degree_zero():
     for n, ell in [(15, 2), (30, 2), (105, 3)]:
         L = order_primes(n, ell)
-        for i in range(1, L.t):
+        for i in range(1, L.base.t):
             assert D_vector(L, i, i + 1).degree() == 0
 
 

@@ -5,11 +5,12 @@ import random
 import pytest
 from sympy import factorint, multiplicity, primefactors, totient
 
-from cuspidal.intarith import (FactoredInteger, degree_weights, divisor_exponents,
+from cuspidal.intarith import (FactoredInteger, decimal_str, degree_weights, divisor_exponents,
                                divisor_of, divisor_positions, divisors, exponent_tuple,
                                factor, in_square, in_T_u, kappa, kappa_primes, phi, z_of)
 from references import (A_tuple, E_tuple, in_delta, in_E_set, in_F_set, in_F1_set,
-                        in_G_set, in_G1_set, in_H_u, radical, tuple_k, tuple_m, tuple_n)
+                        in_G_set, in_G1_set, in_H_u, radical, tuple_k, tuple_m, tuple_n,
+                        unlimited_str)
 
 
 def test_factor_basic():
@@ -198,3 +199,14 @@ def test_index_sets_match_definitions():
                     assert fast(I, u) == want, (fast.__name__, I, u)
                     hits[k] += want
     assert all(hits)
+
+
+def test_decimal_str_matches_str_past_the_digit_limit():
+    """decimal_str(n) is str(n) taken with no digit limit, across the split
+    at 10^600, at the default limit 4300, and well past it."""
+    rng = random.Random(11)
+    values = [0, 1, 9, 10, 2 ** 1990, 2 ** 1991]
+    for k in (599, 600, 601, 4299, 4300, 4301, 6176, 20000):
+        values += [10 ** k - 1, 10 ** k, 10 ** k + 1, rng.randrange(10 ** k),
+                   10 ** k * rng.randrange(1, 10 ** 9)]
+    assert [decimal_str(n) for n in values] == [unlimited_str(n) for n in values]

@@ -16,7 +16,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 import cuspidal
 from cuspidal import cli, etalinalg, generators, intarith, oracle, orderengine, structure
-from cuspidal.divisors import CuspDivisor, from_dict, kron
+from cuspidal.divisors import CuspDivisor, from_dict, kron, tensor_join
 from cuspidal.etalinalg import (_lambda24_block, _upsilon_block_entry, eta_divisor,
                                 ligozat_check, ligozat_weights)
 from cuspidal.generators import (base_vector_B, construct_Y, construct_Z,
@@ -28,7 +28,7 @@ from cuspidal.structure import (compute_group, crosscheck, cuspidal_equals_ratio
                                 invariant_factors_of_quotient, snf_oracle,
                                 verify_certificates)
 from references import (dense_oracle_invariants, dense_premise_rows, in_E_set, in_F_set,
-                        in_G_set, in_H_u, premise_vectors)
+                        in_G_set, in_H_u, premise_vectors, unlimited_str)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GENUS_ZERO = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25]
@@ -312,7 +312,7 @@ def test_compute_group_examples():
     G = compute_group(11)
     assert G.invariant_factors == (5,) and G.group_order == 5
     lab, terms, o = G.cyclic_factors[0]
-    assert o == 5 and terms() == {1: 1, 11: -1}  # (0) - (infinity)
+    assert o == 5 and terms() == [(1, 1), (11, -1)]  # (0) - (infinity)
     assert compute_group(32).invariant_factors == (4,)
     assert compute_group(49).invariant_factors == (2,)
     assert compute_group(1).group_order == 1
@@ -326,7 +326,7 @@ def test_group_invariants_consistent():
         for i in range(len(G.invariant_factors) - 1):
             assert G.invariant_factors[i + 1] % G.invariant_factors[i] == 0
         for lab, terms, o in G.cyclic_factors:
-            assert profile(from_dict(n, terms())).order % o == 0
+            assert profile(from_dict(n, dict(terms()))).order % o == 0
 
 
 def test_ell_primary():
@@ -375,6 +375,24 @@ def test_crosscheck_at_levels_with_a_hard_kappa():
         rec = crosscheck(n)
         # C(N) is cyclic of order numerator((N - 1)/12), here (N - 1)/2
         assert rec["pass"] and rec["invariant_factors"] == [str((n - 1) // 2)], n
+
+
+def test_group_order_prints_past_the_digit_limit():
+    """|C(232792560)| has 6176 digits, past the 4300 that str() accepts by
+    default on Python >= 3.11: group_to_json and crosscheck print it, and
+    every order they print, as str() does with no limit."""
+    n = 232792560
+    G = compute_group(n)
+    out, rec = group_to_json(G), crosscheck(n)
+    assert rec["pass"], rec["mismatches"]
+    assert len(unlimited_str(G.group_order)) == 6176
+    assert out["group_order"] == rec["group_order"] == unlimited_str(G.group_order)
+    assert out["invariant_factors"] == rec["invariant_factors"] == \
+        list(map(unlimited_str, G.invariant_factors))
+    assert [g["order"] for g in out["generators"]] == \
+        [unlimited_str(o) for _, _, o in G.cyclic_factors]
+    assert out["ell_primary"] == {str(ell): list(map(unlimited_str, v))
+                                  for ell, v in sorted(G.ell_primary.items())}
 
 
 def test_group_factors_only_n_and_p_plus_minus_1(monkeypatch):
@@ -552,10 +570,14 @@ def _table_levels():
 
 def test_blocks_match_the_per_divisor_wrappers():
     """Every row's exponent tuple, order and vector, read off the exponent
-    table, equal what the (L, d) wrappers derive from d alone."""
+    table, equal what the (L, d) wrappers derive from d alone.  The vector is
+    the tensor_join of the row's factors, which checks that their levels are
+    coprime and places the terms through from_dict, and generator_terms,
+    which multiplies the supports with neither, gives its terms."""
     for n in _table_levels():
         for blk in structure._blocks(n):
             L = blk.level
+            gen = "Y2" if blk.kind == "Y2" else "Z"
             for d, I, _, order in blk.rows:
                 assert I == intarith.exponent_tuple(L.base, d), (n, blk.kind, d)
                 if blk.kind == "Y2":
@@ -565,9 +587,10 @@ def test_blocks_match_the_per_divisor_wrappers():
                 else:
                     (p, r), = L.base.factors
                     want = predicted_order(L, p, "Z"), base_vector_B(p, r)
-                gen = "Y2" if blk.kind == "Y2" else "Z"
-                terms = generators.generator_terms(L, I, gen)
-                assert (order, from_dict(n, terms)) == want, (n, blk.kind, L.ell, d)
+                joined = tensor_join(*generators.generator_factors(L, I, gen))
+                assert (order, joined) == want, (n, blk.kind, L.ell, d)
+                assert generators.generator_terms(L, I, gen) == list(joined.support), \
+                    (n, blk.kind, L.ell, d)
 
 
 def _assert_factor_route_matches_the_dense_route(n):
