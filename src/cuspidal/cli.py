@@ -95,17 +95,19 @@ def cmd_cusps(args) -> int:
 def cmd_order(args) -> int:
     D = parse_divisor_spec(args.divisor, args.N)
     prof = profile(D)
+    # format all, then print: a str() past the digit limit leaves stdout empty
     if args.json:
-        print(json.dumps({"N": args.N, "divisor": divisor_to_json(D.n, D.support),
-                          **profile_to_json(prof)}))
+        out = json.dumps({"N": args.N, "divisor": divisor_to_json(D.n, D.support),
+                          **profile_to_json(prof)})
     else:
-        print(f"degree {prof.degree}")
-        print(f"V    = {list(prof.V)}")
-        print(f"GCD  = {prof.gcd_value}")
-        print(f"Vbar = {list(prof.Vbar) if prof.Vbar else None}")
-        print(f"Pw   = {prof.pw}")
-        print(f"h    = {prof.h}")
-        print(f"order = {prof.order}")
+        out = "\n".join([f"degree {prof.degree}",
+                         f"V    = {list(prof.V)}",
+                         f"GCD  = {prof.gcd_value}",
+                         f"Vbar = {list(prof.Vbar) if prof.Vbar else None}",
+                         f"Pw   = {prof.pw}",
+                         f"h    = {prof.h}",
+                         f"order = {prof.order}"])
+    print(out)
     return 0
 
 
@@ -115,14 +117,15 @@ def cmd_eta(args) -> int:
     D = parse_divisor_spec(args.divisor, args.N)
     order, r = eta_certificate(D)
     lead, series = eta_qexpansion(args.N, r, args.qexp)
+    exps = {d: e for d, e in zip(divisors(args.N), r) if e}
     if args.json:
-        print(json.dumps({"N": args.N, "order": str(order),
-                          "exponents": {str(d): e for d, e in zip(divisors(args.N), r) if e},
-                          "qexp": format_qexpansion(lead, series)}))
+        out = json.dumps({"N": args.N, "order": str(order),
+                          "exponents": {str(d): e for d, e in exps.items()},
+                          "qexp": format_qexpansion(lead, series)})
     else:
-        print(f"order = {order}")
-        print("exponents:", {d: e for d, e in zip(divisors(args.N), r) if e})
-        print("q-expansion:", format_qexpansion(lead, series))
+        out = "\n".join([f"order = {order}", f"exponents: {exps}",
+                         f"q-expansion: {format_qexpansion(lead, series)}"])
+    print(out)
     return 0
 
 

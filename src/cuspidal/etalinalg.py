@@ -23,6 +23,8 @@ from operator import mul
 from .divisors import CuspDivisor, tensor_join
 from .intarith import CACHE_SIZE, divisor_exponents, divisor_positions, divisors, factor
 
+QEXP_COEFF_BOUND = 10 ** 4300  # the least integer with more than 4300 decimal digits
+
 
 def _lambda24_block(p: int, r: int) -> list:
     """24 * Lambda(p^r): entry (f, g) is p^(max(f, r - f) - |f - g|), whose
@@ -140,7 +142,8 @@ def eta_qexpansion(n: int, r, K: int):
 
     log prod (1 - q^m) = -sum sigma(m) q^m / m, so the series g satisfies
     k g[k] = sum_{j=1..k} b[j] g[k-j] with b[k] = -sum_{delta | k} r_delta
-    delta sigma(k / delta): one exact O(K^2) pass."""
+    delta sigma(k / delta): one exact O(K^2) pass, stopped by ValueError at
+    a coefficient of more than 4300 digits, past str()'s default limit."""
     ds = divisors(n)
     if len(r) != len(ds):
         raise ValueError(f"need {len(ds)} exponents at level {n}, not {len(r)}")
@@ -159,6 +162,8 @@ def eta_qexpansion(n: int, r, K: int):
         if total % k:
             raise ArithmeticError(f"q-expansion coefficient {k} of {r} is not integral")
         g.append(total // k)
+        if abs(g[k]) >= QEXP_COEFF_BOUND:
+            raise ValueError(f"q-expansion coefficient {k} has more than 4300 digits")
     return lead, g
 
 

@@ -7,11 +7,12 @@ w a parity weight.  No r_d is built: each block p^r || N of Upsilon is
 diagonalized once (_local_block), the Ligozat sums come from Upsilon^T w
 block by block (_ligozat_sums), and the rows, a diagonal plus t + 1 shared
 columns, are eliminated modulo each ell^v || 24 kappa(N)
-(_bordered_exponents), in O(sigma0(N) * t^2) per valuation level.
+(_bordered_exponents), in O(sigma0(N) * t^2) per valuation level, and
+_invariants merges the ell-power orders each one gives.
 
 The module imports divisors, etalinalg and intarith, and nothing of Yoo's
 generators, so that agreeing with compute_group is a check on them.
-structure imports AbelianGroupStructure and _merge_invariants from here.
+structure imports AbelianGroupStructure and _invariants from here.
 """
 
 from __future__ import annotations
@@ -35,27 +36,18 @@ class AbelianGroupStructure(NamedTuple):
     orderings: dict        # ell -> tuple of primes
 
 
-def _merge_invariants(orders, primes, n=None):
-    """ell-primary table and invariant factors from a list of cyclic orders,
-    each read at the known primes: one with any other prime raises
-    ArithmeticError naming the level n."""
-    prim = {}
-    for o in orders:
-        m = o
-        for p in primes:
-            if m % p == 0:
-                q = p ** valuation(m, p)
-                prim.setdefault(p, []).append(q)
-                m //= q
-        if m != 1:
-            raise ArithmeticError(f"the cyclic order {o} at N={n} has a prime factor "
-                                  f"outside {list(primes)}")
-    prim = {p: tuple(sorted(v, reverse=True)) for p, v in prim.items()}
-    depth = max((len(v) for v in prim.values()), default=0)
-    invs = []
-    for i in range(depth):
-        invs.append(math.prod(v[i] for v in prim.values() if len(v) > i))
-    return prim, tuple(sorted(invs))
+def _invariants(prim: dict, order: int, n=None):
+    """(ell-primary table, each ell descending; invariant factors, ascending)
+    of the cyclic groups in prim = {ell: [ell-power orders]}, and the one
+    check of both routes: ArithmeticError naming n unless they multiply to order."""
+    prim = {ell: tuple(sorted(v, reverse=True)) for ell, v in prim.items() if v}
+    depth = max(map(len, prim.values()), default=0)
+    invs = tuple(sorted(math.prod(v[i] for v in prim.values() if len(v) > i)
+                        for i in range(depth)))
+    if math.prod(invs) != order:
+        raise ArithmeticError(f"the invariant factors {list(invs)} do not multiply to {order}: "
+                              f"an order at N={n} has a prime factor outside {sorted(prim)}")
+    return prim, invs
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +212,7 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
     is a basis of ker gamma over Z_(ell).  Its rows are 576 D_j in column j
     plus the column i0 and the t parity columns, which _bordered_exponents
     eliminates: each pivot of valuation e < v gives a cyclic factor
-    ell^(v - e) of C(N)."""
+    ell^(v - e) of C(N), and the factors at each ell go to _invariants."""
     blocks = [_local_block(p, r) for p, r in factor(n).factors]
     ds, sums = _ligozat_sums(blocks)
     bad = [d for d, s0, *s in zip(ds, *sums) if s0 or any(x % 24 for x in s)]
@@ -230,9 +222,8 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
     D, gamma = kron(b.diag for b in blocks), kron(b.gamma for b in blocks)
     omega = [kron(b.omega[i == k] for i, b in enumerate(blocks))
              for k in range(len(blocks))]
-    local, k24 = [], 24 * kappa(n)
-    primes = sorted({2, 3, *kappa_primes(n)})  # those of 24 kappa(N)
-    for ell in primes:
+    prim, k24 = {}, 24 * kappa(n)
+    for ell in sorted({2, 3, *kappa_primes(n)}):  # the primes of 24 kappa(N)
         v = valuation(k24, ell)
         q = ell ** v
         i0 = next(i for i, g in enumerate(gamma) if g % ell)
@@ -243,9 +234,6 @@ def snf_oracle(n: int) -> AbelianGroupStructure:
                 c = gj * g0 * d0 % q  # (gamma_j / gamma_i0) D_i0
                 diag.append(576 * dj)
                 B.append([-576 * c] + [24 * (w[j] * dj - c * x) for w, x in zip(omega, w0)])
-        local += [ell ** (v - e) for e in _bordered_exponents(diag, B, ell, v)]
-    prim, invs = _merge_invariants(local, primes, n)
-    if math.prod(invs) != math.prod(local):
-        raise ArithmeticError(f"invariant factors {invs} do not multiply to the "
-                              f"order {math.prod(local)} of the local parts")
+        prim[ell] = [ell ** (v - e) for e in _bordered_exponents(diag, B, ell, v)]
+    prim, invs = _invariants(prim, math.prod(map(math.prod, prim.values())), n)
     return AbelianGroupStructure(n, (), prim, invs, math.prod(invs), {})

@@ -19,7 +19,8 @@ factors' support pairs (generator_terms), and its profile combines the
 profiles of its factors at their own levels (tensor_profile), never
 applying Upsilon at N.  compute_group keeps the rows of order > 1
 (of ell-part > 1 for Y2), each with a callable for its terms that only the
-printers call.  verify_certificates re-sorts each distinct table by the
+printers call, and hands their ell-parts to oracle._invariants, the merge
+of both routes.  verify_certificates re-sorts each distinct table by the
 rank of I in divisor_orderings, which depends only on the shape
 (exponents, u) of the block's level, and profiles each distinct generator
 once per call: each Z row, each Z1 row on T_u where Z1 differs from Z
@@ -45,7 +46,7 @@ from .intarith import (CACHE_SIZE, decimal_str, divisor_exponents, divisor_of, d
 from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
                          generator_factors, generator_order, generator_terms,
                          order_primes)
-from .oracle import AbelianGroupStructure, _merge_invariants, snf_oracle
+from .oracle import AbelianGroupStructure, _invariants, snf_oracle
 from .orderengine import profile, tensor_profile
 
 
@@ -96,16 +97,11 @@ def invariant_factors_of_quotient(rows, ncols: int, modulus: int):
 
     For each prime ell^v || modulus the ell-part is read off an elimination
     over Z/ell^v, where entries stay below ell^v (Cohen, GTM 138, section
-    2.4, on normal forms modulo a multiple of the index).  When modulus kills
-    Z^ncols / <rows> this is that group."""
-    fm = factor(modulus)
-    local = [ell ** e for ell, v in fm.factors
-             for e in _local_exponents(rows, ncols, ell, v) if e]
-    _, invs = _merge_invariants(local, fm.primes)
-    if math.prod(invs) != math.prod(local):
-        raise ArithmeticError(f"invariant factors {invs} do not multiply to the "
-                              f"order {math.prod(local)} of the local parts")
-    return invs
+    2.4, on normal forms modulo a multiple of the index), merged by
+    _invariants.  When modulus kills Z^ncols / <rows> this is that group."""
+    prim = {ell: [ell ** e for e in _local_exponents(rows, ncols, ell, v) if e]
+            for ell, v in factor(modulus).factors}
+    return _invariants(prim, math.prod(map(math.prod, prim.values())))[1]
 
 
 def eta_unit_lattice(n: int):
@@ -197,22 +193,29 @@ def compute_group(n, blocks=None) -> AbelianGroupStructure:
     A Y2 row's order is the ell-part ell^v of the class order of Y2(d), and
     the factor's generator is (class order / ell^v) * Y2(d): at N = 30, group
     prints "Y2(3): order 3", where order 30 --divisor "1*(1),-1*(3)" says 6.
-    blocks, if given, is a walk of _blocks(N)."""
-    factors, orderings = [], {}
+    The part at ell holds the Y2 orders of its block and the ell-parts of the
+    Z and B orders; an order with a prime outside kappa(N) fails the product
+    check of _invariants.  blocks, if given, is a walk of _blocks(N)."""
+    factors, orderings, prim = [], {}, {}
     for blk in _blocks(n) if blocks is None else blocks:
         ell = blk.level.ell if blk.kind == "Y2" else None
         gen = "Y2" if ell else "Z"
         for _, I, label, order in blk.rows:
             if ell:
                 order = ell ** valuation(order, ell)
-            if order > 1:
-                factors.append((label, partial(generator_terms, blk.level, I, gen), order))
-                if ell:
-                    orderings[ell] = blk.level.base.primes
-    orders = [o for _, _, o in factors]
-    prim, invs = _merge_invariants(orders, _relevant_ells(n), n)
-    return AbelianGroupStructure(n, tuple(factors), prim, invs, math.prod(orders),
-                                 orderings)
+            if order == 1:
+                continue
+            factors.append((label, partial(generator_terms, blk.level, I, gen), order))
+            if ell:
+                orderings[ell] = blk.level.base.primes
+                prim.setdefault(ell, []).append(order)
+            else:  # a Z or B order, the only composite ones
+                for p in _relevant_ells(n):
+                    if order % p == 0:
+                        prim.setdefault(p, []).append(p ** valuation(order, p))
+    group_order = math.prod(o for _, _, o in factors)
+    prim, invs = _invariants(prim, group_order, n)
+    return AbelianGroupStructure(n, tuple(factors), prim, invs, group_order, orderings)
 
 
 def cuspidal_equals_rational(n: int) -> bool:

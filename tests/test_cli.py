@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -286,6 +287,32 @@ def test_eta_rejects_nonzero_degree(capsys):
     code, out, err = run(capsys, "eta", "11", "--divisor", "1*(1)")
     assert code == 1 and out == ""
     assert err == "error: eta certificates require degree 0\n"
+
+
+def test_eta_stops_at_a_coefficient_past_the_digit_limit(capsys):
+    """A q-expansion coefficient of more than 4300 digits cannot be printed,
+    so eta stops there, at once, with nothing on stdout."""
+    nines = "9" * 300
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eta", "11", "--json", "--qexp", "1000",
+                         "--divisor", f"{nines}*(1),-{nines}*(11)")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: q-expansion coefficient 15 has more than 4300 digits\n"
+
+
+def test_order_prints_nothing_when_a_line_passes_the_digit_limit(capsys):
+    """order formats every line before printing any: the divisor parses
+    under the limit, its V does not, and stdout stays empty."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        nines = "9" * 639
+        code, out, err = run(capsys, "order", "11", "--divisor", f"{nines}*(1),-{nines}*(11)")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == ""
+    assert err.startswith("error: Exceeds the limit (640 digits)")
 
 
 def test_verify_reports_a_wrong_closed_form_order(capsys, monkeypatch):

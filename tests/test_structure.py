@@ -108,16 +108,21 @@ def test_upsilon_times_24_lambda_is_kappa_as_polynomials():
 
 
 def test_snf_oracle_rejects_inconsistent_invariants(monkeypatch):
-    monkeypatch.setattr(oracle, "_merge_invariants", lambda orders, primes, n: ({}, ()))
-    with pytest.raises(ArithmeticError):
+    """snf_oracle's ell-parts go through the shared product check of
+    _invariants: handed an order they do not multiply to, it raises, naming N."""
+    real = oracle._invariants
+    monkeypatch.setattr(oracle, "_invariants", lambda prim, order, n: real(prim, 2 * order, n))
+    with pytest.raises(ArithmeticError, match="do not multiply to 10: .* at N=11 .* outside \\[5\\]"):
         snf_oracle(11)
 
 
-def test_merge_invariants_reads_orders_at_known_primes():
-    assert oracle._merge_invariants([12, 8, 9, 1], (2, 3, 5)) == \
+def test_invariants_merge_the_ell_primary_parts():
+    assert oracle._invariants({2: [4, 8], 3: [9, 3], 5: []}, 864) == \
         ({2: (8, 4), 3: (9, 3)}, (12, 72))
-    with pytest.raises(ArithmeticError, match="order 42 at N=35 .* outside \\[2, 3\\]"):
-        oracle._merge_invariants([6, 42], (2, 3), 35)
+    assert oracle._invariants({}, 1) == ({}, ())
+    with pytest.raises(ArithmeticError, match="do not multiply to 4320: an order at N=35 "
+                                              "has a prime factor outside \\[2, 3\\]"):
+        oracle._invariants({2: [8, 4], 3: [9, 3]}, 4320, 35)
 
 
 def test_compute_group_rejects_an_order_outside_the_primes_of_kappa(monkeypatch):
@@ -559,7 +564,61 @@ def test_every_generator_has_a_passing_order_step():
             assert (criterion, f"d={_generator_divisor(label)}") in passed, (n, label)
 
 
-LADDER = (5040, 30030, 55440, 720720, 2 ** 20, 3 ** 12)
+def _basis_rows(n):
+    """(invariant factors, P, generators) of compute_group(N), in the
+    coordinates (-c_d)_{d > 1} of a degree-0 divisor sum c_d (P_d): P the
+    eta divisors of the basis of eta_unit_lattice(N), and each printed
+    generator scaled by its class order over its printed order, the factor's
+    generator (a Y2 row prints the ell-part of its order)."""
+    G = compute_group(n)
+    P = [[-c for c in eta_divisor(n, r).coeffs[1:]] for r in eta_unit_lattice(n)]
+    gens = []
+    for label, terms, order in G.cyclic_factors:
+        D = from_dict(n, dict(terms()))
+        scale, rest = divmod(profile(D).order, order)
+        assert rest == 0, (n, label)
+        gens.append([-scale * c for c in D.coeffs[1:]])
+    return G.invariant_factors, P, gens
+
+
+def _quotient(n, rows):
+    """Z^(sigma0(N) - 1) / (<rows> + 24 kappa(N)): the rows span their group
+    exactly when it is ()."""
+    return invariant_factors_of_quotient(rows, len(divisors(n)) - 1, 24 * kappa(n))
+
+
+def _assert_printed_basis(levels):
+    """(a) the quotient by P is C(N), and (b) P and the printed generators
+    span: as each printed order is exact and they multiply to |C(N)|, the
+    cyclic factors are a direct sum, Yoo's decomposition."""
+    for n in levels:
+        invs, P, gens = _basis_rows(n)
+        assert _quotient(n, P) == invs, n
+        assert _quotient(n, P + gens) == (), n
+
+
+def test_printed_generators_are_a_basis():
+    _assert_printed_basis([*range(1, 501), 720, 840, 960, 2310, 5040, 2 ** 20, 3 ** 12])
+
+
+@pytest.mark.slow
+def test_printed_generators_are_a_basis_to_1500():
+    _assert_printed_basis([*range(501, 1501), 30030, 55440])
+
+
+def test_basis_check_fails_on_a_repeated_generator():
+    """With the last printed generator replaced by a copy of the first, (b)
+    fails at every level <= 500 with two or more cyclic factors."""
+    spoiled = 0
+    for n in range(1, 501):
+        _, P, gens = _basis_rows(n)
+        if len(gens) >= 2:
+            spoiled += 1
+            assert _quotient(n, P + gens[:-1] + gens[:1]) != (), n
+    assert spoiled == 390
+
+
+LADDER =(5040, 30030, 55440, 720720, 2 ** 20, 3 ** 12)
 
 
 def _table_levels():
@@ -1049,6 +1108,27 @@ def test_ladder_json_contract_matches_the_pinned_digest():
         h.update(json.dumps(group_to_json(compute_group(n)), sort_keys=True).encode())
     assert h.hexdigest() == \
         "6cf1905e12070f6ef16d692aa41c30f5f4f909135d61a314a505231db04c83eb"
+
+
+@pytest.mark.slow
+def test_group_and_crosscheck_json_match_the_pinned_digests():
+    """The behaviour contract on a wide range.  Group: the sha256 over
+    json.dumps(group_to_json(compute_group(N))) for N = 1..3000 and then 3000
+    levels drawn by one random.Random(3).randint(1, 10**6), each hashed in
+    turn.  Crosscheck: the sha256 over the sorted-key JSON of crosscheck(N)
+    for N = 1..1500 and then the first 600 of those drawn levels."""
+    rng = random.Random(3)
+    drawn = [rng.randint(1, 10 ** 6) for _ in range(3000)]
+    h = hashlib.sha256()
+    for n in [*range(1, 3001), *drawn]:
+        h.update(json.dumps(group_to_json(compute_group(n))).encode())
+    assert h.hexdigest() == \
+        "52f498d0226e0829b60b0a959c0fb93082f8fbb72f047b79be761cffda4e7b46"
+    h = hashlib.sha256()
+    for n in [*range(1, 1501), *drawn[:600]]:
+        h.update(json.dumps(crosscheck(n), sort_keys=True).encode())
+    assert h.hexdigest() == \
+        "3449ff0bb0f8ece8499b3697ef441cc38bdf1c5548b659759f297d30c33892b9"
 
 
 def test_divisor_orderings_computed_once_per_shape():
