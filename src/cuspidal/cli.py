@@ -26,6 +26,10 @@ MAX_LEVEL = 10 ** 6
 MAX_QEXP = 1000  # eta --qexp costs about K^2 series steps
 BATCH_SLICE_PER_JOB = 64  # batch --jobs submits at most this many levels per job at once
 
+# order and eta format their output in full before printing it; the only
+# ValueError there is str() of an integer past Python's digit limit
+_TOO_LARGE = "the divisor's numbers are too large to print"
+
 _TERM = re.compile(r"([+-]?\d+)\*\((\d+)\)", re.ASCII)
 
 
@@ -96,17 +100,20 @@ def cmd_order(args) -> int:
     D = parse_divisor_spec(args.divisor, args.N)
     prof = profile(D)
     # format all, then print: a str() past the digit limit leaves stdout empty
-    if args.json:
-        out = json.dumps({"N": args.N, "divisor": divisor_to_json(D.n, D.support),
-                          **profile_to_json(prof)})
-    else:
-        out = "\n".join([f"degree {prof.degree}",
-                         f"V    = {list(prof.V)}",
-                         f"GCD  = {prof.gcd_value}",
-                         f"Vbar = {list(prof.Vbar) if prof.Vbar else None}",
-                         f"Pw   = {prof.pw}",
-                         f"h    = {prof.h}",
-                         f"order = {prof.order}"])
+    try:
+        if args.json:
+            out = json.dumps({"N": args.N, "divisor": divisor_to_json(D.n, D.support),
+                              **profile_to_json(prof)})
+        else:
+            out = "\n".join([f"degree {prof.degree}",
+                             f"V    = {list(prof.V)}",
+                             f"GCD  = {prof.gcd_value}",
+                             f"Vbar = {list(prof.Vbar) if prof.Vbar else None}",
+                             f"Pw   = {prof.pw}",
+                             f"h    = {prof.h}",
+                             f"order = {prof.order}"])
+    except ValueError:
+        raise ValueError(_TOO_LARGE) from None
     print(out)
     return 0
 
@@ -118,13 +125,16 @@ def cmd_eta(args) -> int:
     order, r = eta_certificate(D)
     lead, series = eta_qexpansion(args.N, r, args.qexp)
     exps = {d: e for d, e in zip(divisors(args.N), r) if e}
-    if args.json:
-        out = json.dumps({"N": args.N, "order": str(order),
-                          "exponents": {str(d): e for d, e in exps.items()},
-                          "qexp": format_qexpansion(lead, series)})
-    else:
-        out = "\n".join([f"order = {order}", f"exponents: {exps}",
-                         f"q-expansion: {format_qexpansion(lead, series)}"])
+    try:
+        if args.json:
+            out = json.dumps({"N": args.N, "order": str(order),
+                              "exponents": {str(d): e for d, e in exps.items()},
+                              "qexp": format_qexpansion(lead, series)})
+        else:
+            out = "\n".join([f"order = {order}", f"exponents: {exps}",
+                             f"q-expansion: {format_qexpansion(lead, series)}"])
+    except ValueError:
+        raise ValueError(_TOO_LARGE) from None
     print(out)
     return 0
 

@@ -183,7 +183,7 @@ def exponent_tuple(N: FactoredInteger, d: int) -> tuple[int, ...]:
 
 
 def divisor_of(N: FactoredInteger, I) -> int:
-    return math.prod(p ** f for p, f in zip(N.primes, I))
+    return math.prod(map(pow, N.primes, I))
 
 
 def in_square(I) -> bool:

@@ -29,7 +29,11 @@ its B slot or 0, the primes of its D pair or ()), which names it in any
 ordering, so a Y2 generator that several tables share is profiled once.
 It re-runs the split-off hypotheses (unipotence of the normalized-profile
 matrices, the h and parity side conditions) for every ell on the concrete
-level N.  crosscheck hands one walk to both and builds no terms.
+level N.  Each diagonal and column entry is one value read off the
+generator's factors, and each zero tail the rank of one element, the
+profile's top in the slot significance of the block, so the certificates
+build no tensor support.  crosscheck hands one walk to both and builds no
+terms.
 """
 
 from __future__ import annotations
@@ -265,18 +269,17 @@ class CertificateReport:
         return [s for s in self.steps if not s["pass"]]
 
 
-def _check_unipotent(rep, rows, deltas, profs, label, modulus=None):
+def _check_unipotent(rep, rows, deltas, profs, reach, label, modulus=None):
     """Lower-triangular unipotence of the matrix (Vbar(C_i)_{delta_j}) over
     the rows in prec order: diagonal a unit (mod modulus if given, else
-    absolute value 1) and exact zeros to the right, read off the support of
-    each Vbar: no nonzero entry of row i sits at a delta_j with j > i."""
-    rank = {delta: j for j, delta in enumerate(deltas)}
+    absolute value 1), one value read off the factors, and exact zeros to
+    the right, no nonzero entry of row i at a delta_j with j > i, so
+    reach[i] <= i."""
     for i, ((d, *_), p) in enumerate(zip(rows, profs)):
-        diag = p.support.get(deltas[i], 0)
+        diag = p.value(deltas[i])
         ok = abs(diag) == 1 if modulus is None else diag % modulus != 0
         rep.record(label, f"diagonal at d={d}, delta={deltas[i]}", ok)
-        rep.record(label, f"zero tail at d={d}",
-                   all(rank.get(e, i) <= i for e in p.support))
+        rep.record(label, f"zero tail at d={d}", reach[i] <= i)
 
 
 def verify_certificates(n, blocks=None) -> CertificateReport:
@@ -291,7 +294,7 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
     if n == 1:
         rep.record("trivial", "N=1", True)
         return rep
-    tables = {}  # (kind, factors, s) -> the sorted rows, their deltas and profiles
+    tables = {}  # (kind, factors, s) -> the sorted rows, deltas, profiles and reaches
     y2 = {}  # (d, prime of the B slot or 0, primes of the D pair or ()) -> profile
     for blk in _blocks(n) if blocks is None else blocks:
         L = blk.level
@@ -312,6 +315,11 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
             deltas = [divisor_of(L.base, J) for J in tri[rank[rows[0][1]]:]]
             if blk.kind == "Z":
                 profs = [tensor_profile(generator_factors(L, I, "Z")) for _, I, _, _ in rows]
+                # (a) reads the Z1 vectors; Z1 is Z outside the exceptional
+                # 2-power set T_u, and at f_u = r_u on it, where B2(r, r) = A_2(r, r)
+                unip = [tensor_profile(generator_factors(L, I, "Z1"))
+                        if in_T_u(I, L.r_u, L.u) and I[L.u - 1] < L.r_u else pz
+                        for (_, I, _, _), pz in zip(rows, profs)]
             else:
                 # every slot outside the B slot and the D pair holds A_p(r, v_p(d)),
                 # so the key names the generator in any ordering
@@ -322,16 +330,21 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
                     if gen_key not in y2:
                         y2[gen_key] = tensor_profile(generator_factors(L, I, "Y2"))
                     profs.append(y2[gen_key])
-            tables[key] = rows, deltas, profs
-        rows, deltas, profs = tables[key]
+                unip = profs
+            # reach: the last column each support reaches, the rank of its top
+            # in the colex order of the slots, the last most significant and
+            # slot u least.  tri lists the squarefree divisors, then the rest,
+            # each in that order, and a generator's top is squarefree only when
+            # its whole support is (a prime-power factor has one slot, and the
+            # image of a D vector lies on 1, p_i and p_j).
+            sig = {p: 0 if k == L.u else k for k, p in enumerate(L.base.primes, start=1)}
+            col = {delta: j for j, delta in enumerate(deltas)}
+            reach = [col.get(p.top(sig), -1) for p in unip]
+            tables[key] = rows, deltas, profs, unip, reach
+        rows, deltas, profs, unip, reach = tables[key]
         if blk.kind == "Z":
-            # (a) the Z1 vectors are unipotent in absolute value; Z1 is Z
-            # outside the exceptional 2-power set T_u, and at f_u = r_u on
-            # it, where B2(r, r) = A_2(r, r).
-            profs1 = [tensor_profile(generator_factors(L, I, "Z1"))
-                      if in_T_u(I, L.r_u, L.u) and I[L.u - 1] < L.r_u else pz
-                      for (_, I, _, _), pz in zip(rows, profs)]
-            _check_unipotent(rep, rows, deltas, profs1, "nsf-unipotence")
+            # (a) the Z1 vectors are unipotent in absolute value
+            _check_unipotent(rep, rows, deltas, unip, reach, "nsf-unipotence")
             for (d, _, _, order), pz in zip(rows, profs):
                 rep.record("order/Z", f"d={d}", pz.order == order)
             continue
@@ -340,10 +353,10 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
         for (d, _, _, order), py in zip(rows, profs):
             rep.record(f"order/Y2/ell={ell}", f"d={d}", py.order == order)
         if ell % 2:
-            _check_unipotent(rep, rows, deltas, profs,
+            _check_unipotent(rep, rows, deltas, profs, reach,
                              f"sf-unipotence/ell={ell}", modulus=ell)
         else:
-            _ell2_split_conditions(rep, L, rows, deltas, profs)
+            _ell2_split_conditions(rep, L, rows, deltas, profs, reach)
     # (d) 2-power relations through the genus-zero level 16
     r2 = valuation(n, 2)
     if n == 2 ** r2 and r2 >= 5:
@@ -355,10 +368,12 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
     return rep
 
 
-def _ell2_split_conditions(rep, L, rows, deltas, profs):
+def _ell2_split_conditions(rep, L, rows, deltas, profs, reach):
     """Independence certificate for ell = 2: every squarefree generator after the first either
     has h = 1 with an odd anchor entry and zeros above it in its column, or
-    an odd parity sum Pw_{p_h} vanishing on all earlier generators."""
+    an odd parity sum Pw_{p_h} vanishing on all earlier generators.  Row i
+    is zero at every delta_j with j > reach[i], so a column reads only the
+    rows that reach it."""
     N, s = L.base, L.s
     for j, (d, I, _, _) in enumerate(rows):
         h_closed = _case(I, L.u, s, L.r_u, "Y2")[2]  # the H of the closed-form Y2 order
@@ -367,8 +382,8 @@ def _ell2_split_conditions(rep, L, rows, deltas, profs):
             continue
         if h_closed == 1:
             # the anchor entry Vbar_delta_j and the column above it
-            diag_odd = profs[j].support.get(deltas[j], 0) % 2 == 1
-            above = all(profs[i].support.get(deltas[j], 0) == 0 for i in range(j))
+            diag_odd = profs[j].value(deltas[j]) % 2 == 1
+            above = all(profs[i].value(deltas[j]) == 0 for i in range(j) if reach[i] >= j)
             rep.record("ell2/column", f"d={d}, anchor delta={deltas[j]}",
                        diag_odd and above)
         else:

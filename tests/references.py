@@ -6,8 +6,9 @@ valuation conditions on a prime ordering, str() with no digit limit, the
 Hecke and Atkin-Lehner compatibilities of the degeneracy maps, the
 closed-form orders of the C_d and the tensor profiles against profile, the
 entries a_N(d, delta) of 24 * Lambda(N) against lambda24, the tensor-local
-snf_oracle against its dense premise rows, and Yoo's case split and the
-bijection iota_delta against their index-set predicates."""
+snf_oracle against its dense premise rows, Yoo's case split and the
+bijection iota_delta against their index-set predicates, and the zero tails
+of the certificates against a scan of the full tensor support."""
 
 import math
 import sys
@@ -218,7 +219,7 @@ def tensor_profile(C1: CuspDivisor, C2: CuspDivisor) -> OrderProfile:
     idx = {d1 * d2: (i, j) for i, d1 in enumerate(ds1) for j, d2 in enumerate(ds2)}
     g = p1.gcd_value * p2.gcd_value
     if g == 0:
-        return OrderProfile(n, 0, {}, {}, 1, 1, 0)
+        return OrderProfile(n, 0, {}, {}, 1, 1, 0, kappa(n), 0, {})
     vbar = tuple(p1.Vbar[idx[d][0]] * p2.Vbar[idx[d][1]] for d in ds)
     s2 = sum(p2.Vbar)
     pw = {p: p1.pw[p] * s2 for p in factor(C1.n).primes}
@@ -226,7 +227,15 @@ def tensor_profile(C1: CuspDivisor, C2: CuspDivisor) -> OrderProfile:
     h = 2 if any(v % 2 for v in pw.values()) else 1
     deg = C1.degree() * C2.degree()
     order = Fraction(kappa(n) * h, 24 * g).numerator if deg == 0 else None
-    return OrderProfile(n, g, {d: v for d, v in zip(ds, vbar) if v}, pw, h, order, deg)
+    support = {d: v for d, v in zip(ds, vbar) if v}
+    return OrderProfile(n, g, support, pw, h, order, deg, kappa(n), sum(support.values()), {})
+
+
+def last_column(support, rank: dict) -> int:
+    """The largest rank[e] over the elements e of the support that rank
+    lists, or -1: the full-support scan of a certificate's zero tail, which
+    passes at row i when this is at most i."""
+    return max((rank[e] for e in support if e in rank), default=-1)
 
 
 def _g_closed(n: int) -> int:

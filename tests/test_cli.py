@@ -312,7 +312,24 @@ def test_order_prints_nothing_when_a_line_passes_the_digit_limit(capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 1 and out == ""
-    assert err.startswith("error: Exceeds the limit (640 digits)")
+    assert err == "error: the divisor's numbers are too large to print\n"
+
+
+def test_order_says_its_numbers_are_too_large_to_print(capsys):
+    """At the default digit limit, 4300, a divisor of 4299-digit
+    coefficients parses but its V cannot be printed: exit 1, nothing on
+    stdout, and a message about the divisor, not about an interpreter call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        nines = "9" * 4299
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "order", "11", *extra,
+                                 "--divisor", f"{nines}*(1),-{nines}*(11)")
+            assert code == 1 and out == "", extra
+            assert err == "error: the divisor's numbers are too large to print\n", extra
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_reports_a_wrong_closed_form_order(capsys, monkeypatch):

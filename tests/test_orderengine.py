@@ -1,15 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from cuspidal import orderengine
 from cuspidal.divisors import C_generator, from_dict, tensor_join
 from cuspidal.etalinalg import eta_qexpansion, upsilon_apply
-from cuspidal.intarith import divisors, factor, kappa, valuation
+from cuspidal.intarith import degree_weights, divisors, factor, kappa, valuation
 from cuspidal.orderengine import eta_certificate, profile, profile_to_json
-from references import closed_order_CN, closed_order_Cd, tensor_profile
+from references import atkin_lehner, closed_order_CN, closed_order_Cd, tensor_profile
 
 GENUS_ZERO = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25]
 
@@ -84,6 +85,25 @@ def test_closed_CN_against_examples():
     for p in (11, 37, 67):
         assert closed_order_CN(p)[2] == Fraction(p - 1, 12).numerator
     assert closed_order_CN(1) == (0, 1, 1)
+
+
+def test_atkin_lehner_keeps_every_order():
+    """Each w_p, p | N, is a rational automorphism of X0(N), so it keeps the
+    order of every degree-0 cuspidal class: five seeded random degree-0
+    divisors per level 2 <= N < 400, each against its image under w_p for
+    every p | N, 3940 pairs."""
+    rng = random.Random("atkin-lehner")
+    pairs = 0
+    for n in range(2, 400):
+        ds, w = divisors(n), degree_weights(n)
+        for _ in range(5):
+            c = [rng.randint(-5, 5) for _ in ds[1:]]
+            D = from_dict(n, {**dict(zip(ds[1:], c)), 1: -sum(map(mul, c, w[1:]))})
+            order = profile(D).order
+            for p in factor(n).primes:
+                assert profile(atkin_lehner(D, p)).order == order, (n, D, p)
+                pairs += 1
+    assert pairs == 3940
 
 
 def test_eta_certificate():

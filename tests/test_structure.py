@@ -28,7 +28,7 @@ from cuspidal.structure import (compute_group, crosscheck, cuspidal_equals_ratio
                                 invariant_factors_of_quotient, snf_oracle,
                                 verify_certificates)
 from references import (dense_oracle_invariants, dense_premise_rows, in_E_set, in_F_set,
-                        in_G_set, in_H_u, premise_vectors, unlimited_str)
+                        in_G_set, in_H_u, last_column, premise_vectors, unlimited_str)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GENUS_ZERO = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25]
@@ -719,8 +719,8 @@ def _spoil_factor(spoil):
 
 
 def _wbar_entry_off_by_one(f):
-    """One unit of Wbar moved from d = 1 to d = m, so the total, which
-    tensor_profile reads off the support, is unchanged."""
+    """One unit of Wbar moved from d = 1 to d = m, so the support total,
+    which tensor_profile reads off the factor, is unchanged."""
     if not f.support:
         return f
     wbar = {**f.support}
@@ -740,13 +740,12 @@ def _parity_sum_flipped(f):
     return f._replace(pw={p: s + 1, **dict(rest)})
 
 
-def _extra_support_term_at_N(monkeypatch):
-    """Every support of a Vbar at N gains the term 1 at d = N, unless it
-    holds N already: a nonzero entry at a delta that comes late in the
+def _extra_support_term_at_N(f):
+    """Each factor's Wbar gains the term 1 at d = m, its own level, unless it
+    holds m already, and m becomes its top in every significance, so each
+    Vbar at N has a nonzero entry at d = N, a delta that comes late in the
     divisor orderings."""
-    real = orderengine.tensor_terms
-    monkeypatch.setattr(orderengine, "tensor_terms",
-                        lambda levels, coeffs: {math.prod(levels): 1, **real(levels, coeffs)})
+    return f._replace(support={f.n: 1, **f.support}, tops=dict.fromkeys(f.tops, f.n))
 
 
 def _patch_everywhere(monkeypatch, name, fn, modules):
@@ -870,11 +869,12 @@ _CERTIFICATES = ("certificates",)
 _BOTH = ("invariant_factors", "certificates")
 
 # Defects injected into the oracle, into the factor profiles that
-# tensor_profile combines (one per identity it relies on) and the support it forms
-# from them, into Yoo's route (a closed-form order, a prime ordering, the
-# T_u test, the closed-form order of one _case branch at its smallest
-# tier-1 witness), and into the premises both routes share (kappa, Upsilon,
-# the parity weights), patched in every module that binds the name.
+# tensor_profile combines (one per identity it relies on, and an entry at N
+# in the data the certificates read off them), into Yoo's route (a
+# closed-form order, a prime ordering, the T_u test, the closed-form order
+# of one _case branch at its smallest tier-1 witness), and into the premises
+# both routes share (kappa, Upsilon, the parity weights), patched in every
+# module that binds the name.
 DEFECTS = {
     "parity columns dropped": _Defect(_parity_columns_dropped, (15, 24, 32, 35, 64, 210), _ORACLE),
     "kappa doubled": _Defect(_kappa_doubled, (5, 12, 16, 35, 64, 210), _ORACLE),
@@ -888,7 +888,7 @@ DEFECTS = {
         _spoil_factor(_parity_sum_flipped), (12, 30, 60, 210, 720), _CERTIFICATES,
         {"ell2/h-table", "ell2/parity", "order/Z", "order/Y2"}),
     "extra support term at N": _Defect(
-        _extra_support_term_at_N, (12, 30, 60, 210, 720), _CERTIFICATES,
+        _spoil_factor(_extra_support_term_at_N), (12, 30, 60, 210, 720), _CERTIFICATES,
         {"nsf-unipotence", "sf-unipotence", "ell2/column"}),
     "Y2 order tripled on D pairs": _Defect(_Y2_order_tripled_on_D_pairs, (6, 10, 15),
                                            _BOTH, {"order/Y2"}),
@@ -976,6 +976,61 @@ def test_certificates_read_no_dense_Vbar(monkeypatch):
     monkeypatch.setattr(orderengine.OrderProfile, "Vbar", property(refuse))
     for n in LADDER:
         assert verify_certificates(n).passed, n
+
+
+def test_certificates_build_no_tensor_support(monkeypatch):
+    """verify_certificates reads every diagonal, column entry and zero tail
+    off the tensor factors: it passes with orderengine.tensor_terms refusing
+    to run, on N <= 720 and the certificate ladder, with the pinned
+    criterion counts."""
+    def refuse(levels, supports):
+        raise AssertionError(f"a tensor support at the levels {levels} was built")
+
+    monkeypatch.setattr(orderengine, "tensor_terms", refuse)
+    for n in list(range(1, 721)) + list(LADDER):
+        rep = verify_certificates(n)
+        assert rep.passed, n
+        if n in CERTIFICATE_COUNTS:
+            assert Counter(s["criterion"] for s in rep.steps) == \
+                Counter(CERTIFICATE_COUNTS[n]), n
+
+
+def test_certificate_entries_match_the_full_support_scan(monkeypatch):
+    """Every row of N <= 1500 and the certificate ladder: each diagonal and
+    each ell = 2 column entry read off the factors is the entry of the full
+    tensor support, and the rank of each profile's top, which the zero
+    tails and the column checks read, is the last column that the support
+    reaches, references.last_column."""
+    real_unipotent = structure._check_unipotent
+    real_ell2 = structure._ell2_split_conditions
+    rows_seen = Counter()
+
+    def check_reach(n, deltas, profs, reach):
+        rank = {delta: j for j, delta in enumerate(deltas)}
+        supports = [p.support for p in profs]
+        assert reach == [last_column(support, rank) for support in supports], n
+        return supports
+
+    def unipotent(rep, rows, deltas, profs, reach, label, modulus=None):
+        supports = check_reach(rep.n, deltas, profs, reach)
+        for i, (p, support) in enumerate(zip(profs, supports)):
+            assert p.value(deltas[i]) == support.get(deltas[i], 0), (rep.n, label, i)
+        rows_seen["unipotent"] += len(profs)
+        real_unipotent(rep, rows, deltas, profs, reach, label, modulus)
+
+    def ell2(rep, L, rows, deltas, profs, reach):
+        supports = check_reach(rep.n, deltas, profs, reach)
+        for j, delta in enumerate(deltas[:len(rows)]):
+            for p, support in zip(profs[:j + 1], supports):
+                assert p.value(delta) == support.get(delta, 0), (rep.n, j)
+        rows_seen["ell2"] += len(profs)
+        real_ell2(rep, L, rows, deltas, profs, reach)
+
+    monkeypatch.setattr(structure, "_check_unipotent", unipotent)
+    monkeypatch.setattr(structure, "_ell2_split_conditions", ell2)
+    for n in list(range(1, 1501)) + list(LADDER):
+        assert verify_certificates(n).passed, n
+    assert rows_seen["unipotent"] and rows_seen["ell2"]
 
 
 def test_crosscheck_witnesses_the_H_u_branch_at_s_4():
@@ -1089,13 +1144,26 @@ def test_table_path_never_recomputes_exponent_tuples(monkeypatch):
 
 
 def test_certificate_steps_match_the_pinned_digest():
-    """The sha256 over json.dumps(verify_certificates(N).steps), N = 1..300
-    and then the certificate ladder, each level's steps hashed in turn."""
+    """The sha256 over json.dumps(verify_certificates(N).steps), N = 1..1500
+    and then the certificate ladder, each level's steps hashed in turn:
+    every criterion, detail and pass of every step."""
     h = hashlib.sha256()
-    for n in list(range(1, 301)) + list(LADDER):
+    for n in list(range(1, 1501)) + list(LADDER):
         h.update(json.dumps(verify_certificates(n).steps).encode())
     assert h.hexdigest() == \
-        "b76da7a395c2b17294f83cf6154c2a4f13e81ac600628c4d5e66edee9dd4c2bd"
+        "0f5af02f13fba5138076291ecf56c2c69c17a217cc9697aff0903dba5a1468a8"
+
+
+@pytest.mark.slow
+def test_certificate_steps_at_the_largest_levels_match_the_pinned_digests():
+    """As above at 6983776800 (sigma0 = 2304) and 963761198400 (sigma0 =
+    6720, the most divisors of any N <= 10^12), where the tensor supports
+    are largest, one digest per level."""
+    for n, want in (
+            (6983776800, "8d4e065973a033692165955211c7323ec34efa8605518ffc5e31fddc31bd880f"),
+            (963761198400, "899a55c875a362d4b79bc35b3122085d0dfbdfc7b4194c8169c92db1ef962e81")):
+        steps = verify_certificates(n).steps
+        assert hashlib.sha256(json.dumps(steps).encode()).hexdigest() == want, n
 
 
 def test_ladder_json_contract_matches_the_pinned_digest():
