@@ -25,6 +25,7 @@ from .structure import compute_group, crosscheck, group_to_json
 MAX_LEVEL = 10 ** 6
 MAX_QEXP = 1000  # eta --qexp costs about K^2 series steps
 BATCH_SLICE_PER_JOB = 64  # batch --jobs submits at most this many levels per job at once
+BATCH_CHUNK = 16  # levels per pool task, so a task's round trip is paid once per run
 
 # order and eta format their output in full before printing it; the only
 # ValueError there is str() of an integer past Python's digit limit
@@ -39,12 +40,21 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _json_loads(text: str):
+def _json_loads(text: str, parse_int=int):
     """json.loads, with nesting too deep for the decoder as a ValueError."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=parse_int)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def _read_int(digits: str) -> int:
+    """int(digits), with a number past Python's digit limit named as the
+    divisor's, not as an interpreter setting."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError("the divisor's numbers are too large to read") from None
 
 
 def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
@@ -52,7 +62,7 @@ def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
     {"N": ..., "coeffs": {"d": c, ...}}."""
     text = text.strip()
     if text.startswith("{"):
-        obj = _json_loads(text)
+        obj = _json_loads(text, _read_int)
         if not (isinstance(obj, dict) and isinstance(obj.get("coeffs"), dict)
                 and all(_is_int(c) for c in obj["coeffs"].values())):
             raise ValueError('a JSON divisor needs "coeffs": {"d": c, ...} with integer c')
@@ -64,7 +74,7 @@ def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
         bad = next((d for d in obj["coeffs"] if not (d.isascii() and d.isdigit())), None)
         if bad is not None:
             raise ValueError(f"a JSON divisor key must be decimal digits 0-9, not {bad!r}")
-        terms = [(int(d), c) for d, c in obj["coeffs"].items()]
+        terms = [(_read_int(d), c) for d, c in obj["coeffs"].items()]
     else:
         compact = text.replace(",", "+").replace(" ", "")
         terms = []
@@ -73,7 +83,7 @@ def parse_divisor_spec(text: str, n: int) -> CuspDivisor:
             gap = compact[pos: m.start()]
             if gap not in ("", "+"):
                 raise ValueError(f"parse error at position {pos}: {gap!r}")
-            terms.append((int(m.group(2)), int(m.group(1))))
+            terms.append((_read_int(m.group(2)), _read_int(m.group(1))))
             pos = m.end()
         if pos != len(compact) or not compact:
             raise ValueError(f"parse error at position {pos}: {compact[pos:]!r}")
@@ -211,7 +221,8 @@ def cmd_batch(args) -> int:
                     step = BATCH_SLICE_PER_JOB * args.jobs
                     with ProcessPoolExecutor(max_workers=args.jobs) as ex:
                         for i in range(0, len(todo), step):
-                            for rec in ex.map(crosscheck, todo[i:i + step]):
+                            for rec in ex.map(crosscheck, todo[i:i + step],
+                                              chunksize=BATCH_CHUNK):
                                 cached[rec["N"]] = rec
                 else:
                     for n in todo:

@@ -3,7 +3,9 @@
 This module fixes the prime ordering for a target prime ell, the twisted
 orderings on exponent tuples with the bijection iota between them (a
 property of the shape (r_1, ..., r_t; u) alone, so divisor_orderings is
-cached on it and returns exponent tuples, never divisors), the base
+cached on it and returns exponent tuples, never divisors; their squarefree
+block Delta depends on (t, u) alone, so delta_orderings is cached on that
+and a Y2 table costs O(2^t), not O(sigma0(N))), the base
 vectors A_p(r,f) / B_p(r,f) / B2(r,f) at prime-power levels, the two-prime
 correction vectors D, the composite generators Z (one per divisor) and Y2
 (one per squarefree divisor), and their closed-form predicted orders.
@@ -15,8 +17,8 @@ one two-prime D in place of two slots, and the H factor of the order.
 generator_factors and generator_order read it; generator_terms multiplies
 the factors' nonzero entries, generator_vector places the terms in a
 divisor, and construct_Z, construct_Y and predicted_order wrap them for a
-divisor d.  divisor_orderings lists both twisted orders as products over
-the slots' ladders and sorts nothing.
+divisor d.  delta_orderings and divisor_orderings list the twisted orders
+as products over the slots' ladders and sort nothing.
 """
 
 from __future__ import annotations
@@ -146,23 +148,31 @@ def _colex(ladders, u: int) -> list:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def delta_orderings(t: int, u: int) -> tuple:
+    """(prec, tri) of the squarefree block Delta(t), 2 at slot u: the
+    iota_delta preimages of Delta in the tri order, and that order, the
+    exponent tuples of d_1, ..., d_{2^t - 1} and of delta_i = iota(d_i).
+    They depend on (t, u) alone, not on the exponents of N.  At t = 1,
+    Delta is the one tuple (1,), and iota maps it by the ladders to (0,)."""
+    if t == 1:
+        return ((1,),), ((0,),)
+    preimage = {iota_delta(I, u): I for I in product((0, 1), repeat=t) if any(I)}
+    tri = tuple(J for J in _colex([(0, 1)] * t, u) if any(J))
+    return tuple(preimage[J] for J in tri), tri
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def divisor_orderings(exponents: tuple, u: int) -> tuple:
     """(prec, tri) for the shape (r_1, ..., r_t; u): the exponent tuples of
     the divisors d_1, d_2, ... > 1 in the order prec, and delta_i = iota(d_i).
-    The squarefree block Delta comes first, as the iota_delta preimages of
-    Delta in the tri order, then the square block in the prec order; there
-    iota acts slot by slot and maps each prec ladder onto its tri ladder, so
-    the tri order lists the images.  When t = 1 every divisor > 1 is in the
-    prec order."""
-    t = len(exponents)
-    prec, tri, lo = [], [], 1 if t == 1 else 2  # lo: the least max(I) after Delta
-    if t > 1:
-        preimage = {iota_delta(I, u): I for I in product((0, 1), repeat=t) if any(I)}
-        tri = [J for J in _colex([(0, 1)] * t, u) if any(J)]
-        prec = [preimage[J] for J in tri]
+    The squarefree block Delta comes first, delta_orderings(t, u), then the
+    square block in the prec order; there iota acts slot by slot and maps
+    each prec ladder onto its tri ladder, so the tri order lists the images.
+    When t = 1, Delta is d_1 = p and every divisor is in the prec order."""
+    prec, tri = map(list, delta_orderings(len(exponents), u))
     for I, J in zip(_colex([prec_ladder(r) for r in exponents], u),
                     _colex([tri_ladder(r) for r in exponents], u)):
-        if max(I) >= lo:
+        if max(I) >= 2:
             prec.append(I)
             tri.append(J)
     return tuple(prec), tuple(tri)

@@ -94,6 +94,9 @@ class OrderProfile(NamedTuple):
         """The support element that comes last in the colex order of
         tri-ladder positions, the prime of larger sig[p] more significant."""
         tops = self.tops
+        if len(tops) == 1:  # a one-prime factor has one top
+            top, = tops.values()
+            return top
         return tops[max(tops, key=sig.__getitem__)]
 
 

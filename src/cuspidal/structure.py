@@ -21,19 +21,22 @@ applying Upsilon at N.  compute_group keeps the rows of order > 1
 (of ell-part > 1 for Y2), each with a callable for its terms that only the
 printers call, and hands their ell-parts to oracle._invariants, the merge
 of both routes.  verify_certificates re-sorts each distinct table by the
-rank of I in divisor_orderings, which depends only on the shape
-(exponents, u) of the block's level, and profiles each distinct generator
-once per call: each Z row, each Z1 row on T_u where Z1 differs from Z
-(f_u < r_u), the B row, and each Y2 generator keyed by (d, the prime of
-its B slot or 0, the primes of its D pair or ()), which names it in any
-ordering, so a Y2 generator that several tables share is profiled once.
-It re-runs the split-off hypotheses (unipotence of the normalized-profile
-matrices, the h and parity side conditions) for every ell on the concrete
-level N.  Each diagonal and column entry is one value read off the
-generator's factors, and each zero tail the rank of one element, the
-profile's top in the slot significance of the block, so the certificates
-build no tensor support.  crosscheck hands one walk to both and builds no
-terms.
+rank of I in the divisor orderings of the block's level: the Z table in
+divisor_orderings, which depends only on the shape (exponents, u), and a
+Y2 table in delta_orderings, its squarefree block Delta alone, which
+depends only on (t, u), so a Y2 table costs O(2^t) whatever sigma0(N) is.
+It profiles each distinct generator once per call: each Z row, each Z1
+row on T_u where Z1 differs from Z (f_u < r_u), the B row, and each Y2
+generator keyed by (d, the prime of its B slot or 0, the primes of its D
+pair or ()), which names it in any ordering, so a Y2 generator that
+several tables share is profiled once.  It re-runs the split-off
+hypotheses (unipotence of the normalized-profile matrices, the h and
+parity side conditions) for every ell on the concrete level N.  Each
+diagonal and column entry is one value read off the generator's factors,
+and each zero tail the rank of one element, the profile's top in the slot
+significance of the block (a Y2 top outside Delta comes after every
+column), so the certificates build no tensor support.  crosscheck hands
+one walk to both and builds no terms.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from .divisors import C_generator, divisor_to_json, pi1_pull, pi2_pull
 from .etalinalg import ligozat_weights
 from .intarith import (CACHE_SIZE, decimal_str, divisor_exponents, divisor_of, divisors,
                        factor, in_square, in_T_u, kappa_primes, valuation)
-from .generators import (OrderedLevel, _case, default_level, divisor_orderings,
-                         generator_factors, generator_order, generator_terms,
-                         order_primes)
+from .generators import (OrderedLevel, _case, default_level, delta_orderings,
+                         divisor_orderings, generator_factors, generator_order,
+                         generator_terms, order_primes)
 from .oracle import AbelianGroupStructure, _invariants, snf_oracle
 from .orderengine import profile, tensor_profile
 
@@ -307,11 +310,13 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
             continue
         key = (blk.kind, L.base.factors, L.s)
         if key not in tables:
-            prec, tri = divisor_orderings(L.base.exponents, L.u)
+            # the rows are one stretch of prec, the rest after Delta for Z,
+            # Delta itself for Y2, and the deltas from its first rank on are
+            # the columns
+            prec, tri = (divisor_orderings(L.base.exponents, L.u) if blk.kind == "Z" else
+                         delta_orderings(L.base.t, L.u))
             rank = {I: i for i, I in enumerate(prec)}
             rows = sorted(blk.rows, key=lambda row: rank[row[1]])
-            # the rows are one stretch of prec (Delta for Y2, the rest for Z),
-            # and the deltas from its first rank on are the columns
             deltas = [divisor_of(L.base, J) for J in tri[rank[rows[0][1]]:]]
             if blk.kind == "Z":
                 profs = [tensor_profile(generator_factors(L, I, "Z")) for _, I, _, _ in rows]
@@ -333,13 +338,17 @@ def verify_certificates(n, blocks=None) -> CertificateReport:
                 unip = profs
             # reach: the last column each support reaches, the rank of its top
             # in the colex order of the slots, the last most significant and
-            # slot u least.  tri lists the squarefree divisors, then the rest,
-            # each in that order, and a generator's top is squarefree only when
-            # its whole support is (a prime-power factor has one slot, and the
-            # image of a D vector lies on 1, p_i and p_j).
+            # slot u least.  The full tri order lists the squarefree divisors,
+            # then the rest, each in that order, and a generator's top is
+            # squarefree only when its whole support is (a prime-power factor
+            # has one slot, and the image of a D vector lies on 1, p_i and
+            # p_j).  So a Y2 top outside Delta comes after every column, and
+            # a top of 1 reaches none.
             sig = {p: 0 if k == L.u else k for k, p in enumerate(L.base.primes, start=1)}
             col = {delta: j for j, delta in enumerate(deltas)}
-            reach = [col.get(p.top(sig), -1) for p in unip]
+            past = -1 if blk.kind == "Z" else len(deltas)
+            reach = [col.get(top, -1 if top == 1 else past)
+                     for top in (p.top(sig) for p in unip)]
             tables[key] = rows, deltas, profs, unip, reach
         rows, deltas, profs, unip, reach = tables[key]
         if blk.kind == "Z":

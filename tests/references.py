@@ -231,11 +231,15 @@ def tensor_profile(C1: CuspDivisor, C2: CuspDivisor) -> OrderProfile:
     return OrderProfile(n, g, support, pw, h, order, deg, kappa(n), sum(support.values()), {})
 
 
-def last_column(support, rank: dict) -> int:
+def last_column(support, rank: dict, squarefree: bool = False) -> int:
     """The largest rank[e] over the elements e of the support that rank
     lists, or -1: the full-support scan of a certificate's zero tail, which
-    passes at row i when this is at most i."""
-    return max((rank[e] for e in support if e in rank), default=-1)
+    passes at row i when this is at most i.  1 is no column.  For a
+    squarefree (Y2) table, whose columns are Delta alone, any other element
+    outside them is a non-squarefree divisor, which the full tri order puts
+    after every column of Delta: it counts as len(rank)."""
+    past = len(rank) if squarefree else -1
+    return max((rank.get(e, past) for e in support if e != 1), default=-1)
 
 
 def _g_closed(n: int) -> int:

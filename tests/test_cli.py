@@ -332,6 +332,19 @@ def test_order_says_its_numbers_are_too_large_to_print(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_order_says_its_numbers_are_too_large_to_read(capsys):
+    """A coefficient or divisor past the digit limit cannot be parsed: exit
+    1, nothing on stdout, and a message about the divisor in the text and
+    the JSON form, not about an interpreter call."""
+    nines = "9" * 5000
+    for spec in (f"{nines}*(1),-{nines}*(11)", f"1*({nines})",
+                 f'{{"coeffs": {{"1": {nines}, "11": -{nines}}}}}',
+                 f'{{"coeffs": {{"{nines}": 1}}}}'):
+        code, out, err = run(capsys, "order", "11", "--json", "--divisor", spec)
+        assert code == 1 and out == "", spec[-20:]
+        assert err == "error: the divisor's numbers are too large to read\n", spec[-20:]
+
+
 def test_verify_reports_a_wrong_closed_form_order(capsys, monkeypatch):
     """A generator order that disagrees with its profile fails the level
     through the certificates' order step, with exit code 2."""
@@ -468,8 +481,8 @@ def test_batch_jobs_2_matches_jobs_1(tmp_path, capsys):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 def test_batch_jobs_submits_bounded_slices(tmp_path, capsys, monkeypatch):
     """batch --jobs J hands the pool at most BATCH_SLICE_PER_JOB * J levels
-    at a time, in order, and every level once."""
-    slices = []
+    at a time, in order, and every level once, BATCH_CHUNK levels per task."""
+    slices, chunks = [], set()
 
     class Pool:
         def __init__(self, max_workers):
@@ -481,8 +494,9 @@ def test_batch_jobs_submits_bounded_slices(tmp_path, capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, levels):
+        def map(self, fn, levels, chunksize=1):
             slices.append(list(levels))
+            chunks.add(chunksize)
             return map(fn, levels)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
@@ -492,3 +506,4 @@ def test_batch_jobs_submits_bounded_slices(tmp_path, capsys, monkeypatch):
     assert code == 0 and f"{top}/{top} pass" in out
     assert [len(s) for s in slices] == [2 * cli.BATCH_SLICE_PER_JOB] * 2 + [1]
     assert sum(slices, []) == list(range(1, top + 1))
+    assert chunks == {cli.BATCH_CHUNK} and cli.BATCH_CHUNK > 1

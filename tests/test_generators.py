@@ -123,6 +123,22 @@ def test_divisor_orderings_match_the_two_sort_definition():
         assert divisor_orderings.__wrapped__(rs, u) == (tuple(prec), tuple(tri)), (rs, u)
 
 
+def test_delta_orderings_are_the_delta_block_of_divisor_orderings():
+    """For every t <= 7 and every slot u of 2, delta_orderings(t, u) is the
+    two-sort reference on the shape (1, ..., 1), and the first 2^t - 1
+    entries of divisor_orderings on the shapes (1, ..., 1), (3, ..., 3) and
+    (1, 2, ..., t): Delta depends on (t, u) alone."""
+    for t in range(1, 8):
+        for u in range(t + 1):
+            prec, tri = generators.delta_orderings.__wrapped__(t, u)
+            assert len(prec) == len(tri) == 2 ** t - 1
+            ref_prec, ref_tri = _two_sort_orderings((1,) * t, u)
+            assert (prec, tri) == (tuple(ref_prec), tuple(ref_tri)), (t, u)
+            for rs in ((1,) * t, (3,) * t, tuple(range(1, t + 1))):
+                full_prec, full_tri = divisor_orderings.__wrapped__(rs, u)
+                assert (full_prec[:len(prec)], full_tri[:len(tri)]) == (prec, tri), (rs, u)
+
+
 def test_iota_delta_matches_the_predicates():
     """On every I in Delta(t), 2 <= t <= 8, for every u: the one-pass
     iota_delta equals its predicate form, and is a bijection of Delta(t)."""

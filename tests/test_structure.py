@@ -748,6 +748,29 @@ def _extra_support_term_at_N(f):
     return f._replace(support={f.n: 1, **f.support}, tops=dict.fromkeys(f.tops, f.n))
 
 
+def _top_one_column_right(f):
+    """A one-prime factor's top moves one step up the tri ladder of its
+    level p^r, its support unchanged.  At N = p^r the tri ladder from 2 on
+    is the Z table's columns, so every Z row but the last reaches delta_{i+1},
+    one column past its diagonal."""
+    if len(f.tops) != 1:
+        return f
+    (p, top), = f.tops.items()
+    ladder = generators.tri_ladder(valuation(f.n, p))
+    j = ladder.index(valuation(top, p)) + 1
+    return f._replace(tops={p: p ** ladder[j]}) if j < len(ladder) else f
+
+
+def _D_top_at_its_level(f):
+    """A two-prime factor at a non-squarefree level m, which only Y2
+    generators hold (the D vectors), gets the top m in every significance,
+    its support unchanged: such a Y2 generator's top is a divisor of N
+    outside Delta, past every column of its table."""
+    if len(f.tops) != 2 or all(valuation(f.n, p) == 1 for p in f.tops):
+        return f
+    return f._replace(tops=dict.fromkeys(f.tops, f.n))
+
+
 def _patch_everywhere(monkeypatch, name, fn, modules):
     for module in modules:
         monkeypatch.setattr(module, name, fn)
@@ -869,12 +892,13 @@ _CERTIFICATES = ("certificates",)
 _BOTH = ("invariant_factors", "certificates")
 
 # Defects injected into the oracle, into the factor profiles that
-# tensor_profile combines (one per identity it relies on, and an entry at N
-# in the data the certificates read off them), into Yoo's route (a
-# closed-form order, a prime ordering, the T_u test, the closed-form order
-# of one _case branch at its smallest tier-1 witness), and into the premises
-# both routes share (kappa, Upsilon, the parity weights), patched in every
-# module that binds the name.
+# tensor_profile combines (one per identity it relies on, an entry at N in
+# the data the certificates read off them, and a top one column right of a
+# Z diagonal or outside Delta for Y2, each failing only zero tails), into
+# Yoo's route (a closed-form order, a prime ordering, the T_u test, the
+# closed-form order of one _case branch at its smallest tier-1 witness),
+# and into the premises both routes share (kappa, Upsilon, the parity
+# weights), patched in every module that binds the name.
 DEFECTS = {
     "parity columns dropped": _Defect(_parity_columns_dropped, (15, 24, 32, 35, 64, 210), _ORACLE),
     "kappa doubled": _Defect(_kappa_doubled, (5, 12, 16, 35, 64, 210), _ORACLE),
@@ -890,6 +914,10 @@ DEFECTS = {
     "extra support term at N": _Defect(
         _spoil_factor(_extra_support_term_at_N), (12, 30, 60, 210, 720), _CERTIFICATES,
         {"nsf-unipotence", "sf-unipotence", "ell2/column"}),
+    "top one column right": _Defect(_spoil_factor(_top_one_column_right), (8, 27, 32, 64, 81),
+                                    _CERTIFICATES, {"nsf-unipotence"}),
+    "D top outside Delta": _Defect(_spoil_factor(_D_top_at_its_level), (12, 20, 44, 50, 60),
+                                   _CERTIFICATES, {"sf-unipotence"}),
     "Y2 order tripled on D pairs": _Defect(_Y2_order_tripled_on_D_pairs, (6, 10, 15),
                                            _BOTH, {"order/Y2"}),
     "first two primes swapped": _Defect(
@@ -1005,21 +1033,21 @@ def test_certificate_entries_match_the_full_support_scan(monkeypatch):
     real_ell2 = structure._ell2_split_conditions
     rows_seen = Counter()
 
-    def check_reach(n, deltas, profs, reach):
+    def check_reach(n, deltas, profs, reach, squarefree):
         rank = {delta: j for j, delta in enumerate(deltas)}
         supports = [p.support for p in profs]
-        assert reach == [last_column(support, rank) for support in supports], n
+        assert reach == [last_column(support, rank, squarefree) for support in supports], n
         return supports
 
     def unipotent(rep, rows, deltas, profs, reach, label, modulus=None):
-        supports = check_reach(rep.n, deltas, profs, reach)
+        supports = check_reach(rep.n, deltas, profs, reach, label != "nsf-unipotence")
         for i, (p, support) in enumerate(zip(profs, supports)):
             assert p.value(deltas[i]) == support.get(deltas[i], 0), (rep.n, label, i)
         rows_seen["unipotent"] += len(profs)
         real_unipotent(rep, rows, deltas, profs, reach, label, modulus)
 
     def ell2(rep, L, rows, deltas, profs, reach):
-        supports = check_reach(rep.n, deltas, profs, reach)
+        supports = check_reach(rep.n, deltas, profs, reach, True)
         for j, delta in enumerate(deltas[:len(rows)]):
             for p, support in zip(profs[:j + 1], supports):
                 assert p.value(delta) == support.get(delta, 0), (rep.n, j)
@@ -1200,13 +1228,19 @@ def test_group_and_crosscheck_json_match_the_pinned_digests():
 
 
 def test_divisor_orderings_computed_once_per_shape():
-    shapes = {(blk.level.base.exponents, blk.level.u)
-              for n in range(1, 721) for blk in structure._blocks(n)
-              if blk.kind != "B" and blk.rows}
+    """Over N <= 720, divisor_orderings runs once per shape (exponents, u) of
+    a Z table, and delta_orderings once per (t, u) of a Z or Y2 table: a Y2
+    table reads only its Delta block."""
+    blocks = [blk for n in range(1, 721) for blk in structure._blocks(n)
+              if blk.kind != "B" and blk.rows]
+    shapes = {(blk.level.base.exponents, blk.level.u) for blk in blocks if blk.kind == "Z"}
+    deltas = {(blk.level.base.t, blk.level.u) for blk in blocks}
     generators.divisor_orderings.cache_clear()
+    generators.delta_orderings.cache_clear()
     for n in range(1, 721):
         assert crosscheck(n)["pass"], n
-    assert generators.divisor_orderings.cache_info().misses == len(shapes) == 109
+    assert generators.divisor_orderings.cache_info().misses == len(shapes) == 57
+    assert generators.delta_orderings.cache_info().misses == len(deltas) == 13
 
 
 def _guard_levels():
